@@ -40,14 +40,9 @@ from .metrics import (
 )
 from .oracle import OracleResult, oracle_joint_marginal, oracle_site_posterior
 from .posterior import (
-    ForwardCache,
-    InnerCache,
     all_inclusion_probabilities,
     all_site_posteriors,
-    forward_pass,
-    inner_pass,
     posterior_mean_surface,
-    site_posterior,
 )
 from .signals import (
     NoiseSpec,
@@ -75,11 +70,9 @@ __all__ = [
     "ChangePointSet",
     "DetectionResult",
     "EvalReport",
-    "ForwardCache",
     "GibbsConfig",
     "GibbsState",
     "Hyperparameters",
-    "InnerCache",
     "NoiseSpec",
     "OracleResult",
     "PosteriorSiteSummary",
@@ -96,10 +89,8 @@ __all__ = [
     "estimate_sigma_mad",
     "evaluate",
     "evaluate_sets",
-    "forward_pass",
     "gibbs_inclusion_probabilities",
     "hausdorff",
-    "inner_pass",
     "map_changepoints_to_bins",
     "one_sided_hausdorff",
     "oracle_joint_marginal",
@@ -110,7 +101,6 @@ __all__ = [
     "simulate",
     "simulate_binned",
     "single_cp_locate",
-    "site_posterior",
     "threshold_select",
     "validate_series",
     # errors

@@ -296,8 +296,6 @@ def cmd_detect(args) -> int:
     hypers = _hypers_for(series.length, args.method, overrides)
     report: dict = {"method": args.method, "sigma_used": sigma, "hypers": vars(hypers).copy()}
     if args.method == "single":
-        if isinstance(series, BinnedSeries):
-            raise InvalidConfigError("single-change-point location expects plain t,y data")
         located = single_cp_locate(series, hypers, args.edge_fraction)
         report.update(
             locations=[located.site],
@@ -341,12 +339,8 @@ def cmd_detect(args) -> int:
 
 def _fitted_levels(series, locations) -> np.ndarray:
     """Per-site fitted level: mean of the observations of each segment."""
-    if isinstance(series, TimeSeries):
-        counts = np.ones(series.length)
-        sums = series.values
-    else:
-        counts = series.counts
-        sums = series.sums
+    counts = series.counts
+    sums = series.sums
     m = counts.size
     bounds = [1] + list(locations) + [m + 1]
     out = np.empty(m)

@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import EmptySearchWindowError
+from .errors import EmptySearchWindowError, InvalidConfigError
 from .gibbs import GibbsConfig, gibbs_inclusion_probabilities
 from .posterior import inclusion_scores, posterior_mean_surface
 from .types import BinnedSeries, ChangePointSet, DetectionResult, Hyperparameters, TimeSeries
@@ -135,8 +135,10 @@ def single_cp_locate(
     the averaging restores one-sided discrimination on both flanks of the
     jump. Ties go to the largest index (a noiseless antisymmetric step ties
     its two center sites exactly; the larger one is the first index of the
-    new segment).
+    new segment). Plain series only: binned input raises InvalidConfigError.
     """
+    if not isinstance(series, TimeSeries):
+        raise InvalidConfigError("single-change-point location expects plain t,y data")
     if not 0.0 < edge_fraction < 0.5:
         raise ValueError(f"edge_fraction must be in (0, 1/2), got {edge_fraction}")
     t = series.length

@@ -23,8 +23,8 @@ class InvalidHyperparameterError(SolocpError):
 
 
 class NumericOverflowError(SolocpError):
-    """A recursion denominator degenerated; the hyperparameters are outside
-    the model's numerically sensible range."""
+    """A posterior score came out non-finite: the data, relative to sigma,
+    exceed the range of double precision."""
 
 
 class LinearSolveFailureError(SolocpError):

@@ -51,12 +51,6 @@ class GibbsState:
     z: np.ndarray
 
 
-def _counts_sums(series) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(series, TimeSeries):
-        return np.ones(series.length), np.asarray(series.values, dtype=float)
-    return np.asarray(series.counts, dtype=float), np.asarray(series.sums, dtype=float)
-
-
 class _LevelSampler:
     """Draws the fitted-level vector f | z in O(M) per sweep."""
 
@@ -103,8 +97,7 @@ def sample_deltaf_given_z(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One exact draw of the increment vector from its full conditional."""
-    counts, sums = _counts_sums(series)
-    sampler = _LevelSampler(counts, sums, series.noise_sd)
+    sampler = _LevelSampler(series.counts, series.sums, series.noise_sd)
     weights = np.where(state.z == 1, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
     f = sampler.draw(weights, rng)
     return np.diff(f, prepend=0.0)
@@ -145,10 +138,9 @@ def gibbs_inclusion_probabilities(
     Deterministic given config.seed. Detection consumes entries 2..M; entry 1
     is the baseline-increment indicator.
     """
-    counts, sums = _counts_sums(series)
-    m = counts.size
+    m = series.length
     rng = np.random.default_rng(config.seed)
-    sampler = _LevelSampler(counts, sums, series.noise_sd)
+    sampler = _LevelSampler(series.counts, series.sums, series.noise_sd)
     base, slope = _z_log_odds_terms(hypers, series.noise_sd)
     q = hypers.q
     if 0.0 < q < 1.0:
@@ -172,26 +164,3 @@ def gibbs_inclusion_probabilities(
         if sweep >= config.burn_in:
             z_total += z
     return z_total / (config.iterations - config.burn_in)
-
-
-def conditional_deltaf_moments(
-    series: TimeSeries | BinnedSeries, z, hypers: Hyperparameters
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic mean and covariance of increments | z by a dense solve.
-
-    Independent of the tridiagonal sampling route; test support.
-    """
-    from .oracle import _expanded_design, _flat_observations, _as_binned
-
-    binned = _as_binned(series)
-    design = _expanded_design(binned.counts)
-    y = _flat_observations(binned)
-    z = np.asarray(z, dtype=int)
-    d_inv = np.where(z == 1, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
-    prec = design.T @ design + np.diag(d_inv)
-    try:
-        cov = np.linalg.inv(prec)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveFailureError(str(exc)) from exc
-    mean = cov @ (design.T @ y)
-    return mean, series.noise_sd**2 * cov

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 import scipy.linalg
 
-from .errors import EmptySetError, SingularCovarianceError
+from .errors import EmptySetError, LinearSolveFailureError, SingularCovarianceError
 from .types import BinnedSeries, Hyperparameters, TimeSeries, stable_inclusion_probability
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -128,6 +128,27 @@ def oracle_joint_marginal(
     cov = binned.noise_sd**2 * (np.eye(binned.total) + (design * d) @ design.T)
     logm, _, _ = _gaussian_logpdf_zero_mean(y, cov)
     return logm
+
+
+def conditional_deltaf_moments(
+    series: TimeSeries | BinnedSeries, z, hypers: Hyperparameters
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the increments given z, by a dense solve.
+
+    The reference for the Gibbs sampler's tridiagonal level draw.
+    """
+    binned = _as_binned(series)
+    design = _expanded_design(binned.counts)
+    y = _flat_observations(binned)
+    z = np.asarray(z, dtype=int)
+    d_inv = np.where(z == 1, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
+    prec = design.T @ design + np.diag(d_inv)
+    try:
+        cov = np.linalg.inv(prec)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveFailureError(str(exc)) from exc
+    mean = cov @ (design.T @ y)
+    return mean, series.noise_sd**2 * cov
 
 
 def enumerate_inclusion_probabilities(

@@ -4,7 +4,7 @@ The model places a spike/slab prior on one candidate increment at a time and
 a shared N(0, sigma^2 * tau_sq) prior on every other increment. Marginalizing
 the nuisance increments reduces, for each candidate site j, to two scalars:
 
-    A_j  -- effective tail information seen by the candidate increment
+    A_j  -- information the rest of the series carries about increment j
     B_j  -- the matching data functional
 
 from which the mixture posterior follows:
@@ -13,15 +13,21 @@ from which the mixture posterior follows:
     xi_k  = sigma^2 / (A_j + 1/tau_k^2)            (posterior variance)
     log w_k = B_j^2 / (2 sigma^2 (A_j + 1/tau_k^2)) - log(tau_k^2 (A_j + 1/tau_k^2))/2
 
-A_j and B_j are produced by two passes over the data. The tail pass
-(forward_pass) marginalizes increments from the end of the series inward and
-does not depend on j; the inner pass eliminates increments 1..j-1 for a given
-j in O(j) using running sums. Both passes track only dimensionless counts and
-raw data sums; sigma^2 enters in the final formulas above. All quantities are
-validated against the dense conjugate computation in the oracle module.
+A_j and B_j come from the two-filter smoother (Fraser & Potter 1969), one
+O(M) pass each way over the per-site counts and sums:
 
-Grouped data (n_t > 1 observations per time index) uses the same recursions
-with per-group counts and sums; the plain path is the n_t = 1 instance.
+  * a backward information filter gives the weight w_j and data d_j that
+    observations j..M carry about the level f_j;
+  * a forward Kalman filter gives the mean m_j and variance v_j of the level
+    f_{j-1} given observations 1..j-1 (f_0 = 0, so m_1 = v_1 = 0);
+
+and then A_j = w_j / (1 + v_j w_j), B_j = (d_j - m_j w_j) / (1 + v_j w_j).
+Every denominator is at least 1. Both filters work in sigma^2 units, so
+sigma^2 enters only the formulas above. All quantities are validated against
+the dense conjugate computation in the oracle module.
+
+Grouped data (n_t > 1 observations per time index) and plain data (n_t = 1)
+share this one path through the series' counts and sums.
 """
 from __future__ import annotations
 
@@ -38,48 +44,35 @@ from .types import (
     stable_inclusion_probability,
 )
 
-# Pivots smaller than this multiple of the natural floor 1/tau_sq signal a
-# degenerate hyperparameter regime.
-_PIVOT_GUARD = 1e-12
-
-
-def _count_sum_arrays(series) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(series, TimeSeries):
-        return np.ones(series.length), np.asarray(series.values, dtype=float)
-    return np.asarray(series.counts, dtype=float), np.asarray(series.sums, dtype=float)
-
 
 @dataclass(frozen=True)
 class ForwardCache:
-    """Site-independent output of the tail pass.
+    """Output of the two filters, one entry per site 1..M.
 
-    n_prime[i-1], ybar_prime[i-1] are the shrinkage weight and weighted tail
-    mean produced when increment i is marginalized (only i >= 2 is ever
-    consumed). tail_weight[j-1] / tail_data[j-1] are the effective count and
-    data mass remaining at site j after the tail beyond j is absorbed;
-    prefix_count / prefix_data are plain cumulative sums used by the inner
-    pass.
+    tail_weight[j-1] / tail_data[j-1] are the information weight and data
+    that observations j..M carry about the level f_j; info[j-1] and data[j-1]
+    are the site scalars A_j and B_j.
     """
 
-    tau_sq: float
-    n_prime: np.ndarray
-    ybar_prime: np.ndarray
     tail_weight: np.ndarray
     tail_data: np.ndarray
-    prefix_count: np.ndarray
-    prefix_data: np.ndarray
+    info: np.ndarray
+    data: np.ndarray
 
     @property
     def length(self) -> int:
         return self.tail_weight.size
 
 
-def _forward_from_arrays(counts: np.ndarray, sums: np.ndarray, tau_sq: float) -> ForwardCache:
-    m = counts.size
+def forward_pass(series: TimeSeries | BinnedSeries, hypers: Hyperparameters) -> ForwardCache:
+    """Both filters over the series; O(M). Raises NumericOverflowError when
+    A or B is not finite."""
+    tau_sq = hypers.tau_sq
+    counts = series.counts.tolist()
+    sums = series.sums.tolist()
+    m = len(counts)
     tail_w = np.empty(m)
     tail_d = np.empty(m)
-    n_prime = np.empty(m)
-    ybar_prime = np.empty(m)
     w_carry = 0.0
     d_carry = 0.0
     for i in range(m - 1, -1, -1):
@@ -88,206 +81,48 @@ def _forward_from_arrays(counts: np.ndarray, sums: np.ndarray, tau_sq: float) ->
         tail_w[i] = w
         tail_d[i] = d
         den = tau_sq * w + 1.0
-        n_prime[i] = tau_sq * w * w / den
-        ybar_prime[i] = d / w
-        # carry = mass/data surviving the shrinkage at this step
+        # weight/data carried to the previous level through this site's increment
         w_carry = w / den
         d_carry = d / den
-    prefix_count = np.concatenate(([0.0], np.cumsum(counts)))
-    prefix_data = np.concatenate(([0.0], np.cumsum(sums)))
-    return ForwardCache(
-        tau_sq=tau_sq,
-        n_prime=n_prime,
-        ybar_prime=ybar_prime,
-        tail_weight=tail_w,
-        tail_data=tail_d,
-        prefix_count=prefix_count,
-        prefix_data=prefix_data,
-    )
+    lead_mean = np.empty(m)
+    lead_var = np.empty(m)
+    mean = 0.0
+    var = 0.0
+    for i in range(m):
+        lead_mean[i] = mean
+        lead_var[i] = var
+        prior_var = var + tau_sq
+        den = 1.0 + counts[i] * prior_var
+        mean = (mean + prior_var * sums[i]) / den
+        var = prior_var / den
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = 1.0 + lead_var * tail_w
+        info = tail_w / den
+        data = (tail_d - lead_mean * tail_w) / den
+    if not (np.isfinite(info).all() and np.isfinite(data).all()):
+        raise NumericOverflowError("site scalars A/B are not finite; rescale the data")
+    return ForwardCache(tail_weight=tail_w, tail_data=tail_d, info=info, data=data)
 
 
-def _forward_unbinned(values: np.ndarray, tau_sq: float) -> ForwardCache:
-    # n_t = 1 path, kept operation-for-operation aligned with the grouped
-    # path so the two agree bitwise when counts are all one.
-    t = values.size
-    tail_w = np.empty(t)
-    tail_d = np.empty(t)
-    n_prime = np.empty(t)
-    ybar_prime = np.empty(t)
-    w_carry = 0.0
-    d_carry = 0.0
-    for i in range(t - 1, -1, -1):
-        w = 1.0 + w_carry
-        d = values[i] + d_carry
-        tail_w[i] = w
-        tail_d[i] = d
-        den = tau_sq * w + 1.0
-        n_prime[i] = tau_sq * w * w / den
-        ybar_prime[i] = d / w
-        w_carry = w / den
-        d_carry = d / den
-    prefix_count = np.concatenate(([0.0], np.cumsum(np.ones(t))))
-    prefix_data = np.concatenate(([0.0], np.cumsum(values)))
-    return ForwardCache(
-        tau_sq=tau_sq,
-        n_prime=n_prime,
-        ybar_prime=ybar_prime,
-        tail_weight=tail_w,
-        tail_data=tail_d,
-        prefix_count=prefix_count,
-        prefix_data=prefix_data,
-    )
-
-
-def forward_pass(series: TimeSeries | BinnedSeries, hypers: Hyperparameters) -> ForwardCache:
-    """Tail marginalization pass; reused for every candidate site."""
-    if isinstance(series, TimeSeries):
-        return _forward_unbinned(np.asarray(series.values, dtype=float), hypers.tau_sq)
-    counts, sums = _count_sum_arrays(series)
-    return _forward_from_arrays(counts, sums, hypers.tau_sq)
-
-
-@dataclass(frozen=True)
-class InnerCache:
-    """Per-site elimination state: n''_{i,j}, ybar''_{i,j}, gamma_{i,j} for
-    i = 1..j, plus the resulting scalars A_j (info) and B_j (data)."""
-
-    site: int
-    n_dprime: np.ndarray
-    ybar_dprime: np.ndarray
-    gamma: np.ndarray
-    info: float
-    data: float
-
-
-def inner_pass(
-    series: TimeSeries | BinnedSeries,
-    fwd: ForwardCache,
-    j: int,
-    hypers: Hyperparameters,
-) -> InnerCache:
-    """Eliminate increments 1..j-1 for candidate site j. O(j) via running sums."""
-    m = fwd.length
-    if not 1 <= j <= m:
-        raise IndexError(f"site {j} outside 1..{m}")
-    inv_tau = 1.0 / fwd.tau_sq
-    guard = _PIVOT_GUARD * inv_tau
-    j0 = j - 1
-    base_w = fwd.prefix_count[j0] + fwd.tail_weight[j0]
-    base_g = fwd.prefix_data[j0] + fwd.tail_data[j0]
-    n_dd = np.empty(j)
-    y_dd = np.empty(j)
-    gammas = np.empty(j)
-    gamma = 1.0
-    acc_data = 0.0
-    acc_gain = 0.0
-    info = data = 0.0
-    for i0 in range(j):
-        w = base_w - fwd.prefix_count[i0]
-        g = base_g - fwd.prefix_data[i0]
-        pivot = gamma * w + inv_tau
-        if not pivot > guard:
-            raise NumericOverflowError(
-                f"degenerate pivot {pivot:.3e} at site {j}, step {i0 + 1}"
-            )
-        ndd = 1.0 / pivot
-        ydd = g - w * acc_data
-        n_dd[i0] = ndd
-        y_dd[i0] = ydd
-        gammas[i0] = gamma
-        if i0 == j0:
-            info = w * gamma
-            data = ydd
-            break
-        acc_data += ndd * gamma * ydd
-        acc_gain += ndd * gamma * gamma
-        gamma = 1.0 - (base_w - fwd.prefix_count[i0 + 1]) * acc_gain
-    return InnerCache(site=j, n_dprime=n_dd, ybar_dprime=y_dd, gamma=gammas, info=info, data=data)
-
-
-def _mixture_summary(
-    site: int, info: float, data: float, sigma: float, hypers: Hyperparameters
-) -> PosteriorSiteSummary:
-    s2 = sigma * sigma
-    mu = []
-    xi = []
-    log_w = []
-    for tk in (hypers.tau0_sq, hypers.tau1_sq):
-        den = info + 1.0 / tk
-        mu.append(data / den)
-        xi.append(s2 / den)
-        log_w.append(data * data / (2.0 * s2 * den) - 0.5 * np.log(tk * den))
-    prob = stable_inclusion_probability(hypers.q, log_w[0], log_w[1])
-    return PosteriorSiteSummary(
-        site=site,
-        mu=(mu[0], mu[1]),
-        xi=(xi[0], xi[1]),
-        log_omega=(float(log_w[0]), float(log_w[1])),
-        inclusion_prob=prob,
-    )
-
-
-def site_posterior(
-    series: TimeSeries | BinnedSeries,
-    fwd: ForwardCache,
-    inner: InnerCache,
-    j: int,
-    hypers: Hyperparameters,
-) -> PosteriorSiteSummary:
-    """Mixture posterior of the candidate increment at site j."""
-    if inner.site != j:
-        raise ValueError(f"inner cache built for site {inner.site}, not {j}")
-    return _mixture_summary(j, inner.info, inner.data, series.noise_sd, hypers)
-
-
-def _site_scalars(fwd: ForwardCache) -> tuple[np.ndarray, np.ndarray]:
-    """A_j, B_j for every site in one vectorized wavefront.
-
-    Wave i updates the elimination state of all sites j >= i at once and
-    finalizes site i; elementwise operations match inner_pass exactly, so the
-    results are bitwise identical to per-site passes.
-    """
-    m = fwd.length
-    inv_tau = 1.0 / fwd.tau_sq
-    guard = _PIVOT_GUARD * inv_tau
-    base_w = fwd.prefix_count[:-1] + fwd.tail_weight
-    base_g = fwd.prefix_data[:-1] + fwd.tail_data
-    gamma = np.ones(m)
-    acc_data = np.zeros(m)
-    acc_gain = np.zeros(m)
-    info = np.empty(m)
-    data = np.empty(m)
-    for i0 in range(m):
-        live = slice(i0, m)
-        w = base_w[live] - fwd.prefix_count[i0]
-        g = base_g[live] - fwd.prefix_data[i0]
-        gam = gamma[live]
-        pivot = gam * w + inv_tau
-        if not pivot.min() > guard:
-            raise NumericOverflowError(
-                f"degenerate pivot {pivot.min():.3e} at step {i0 + 1}"
-            )
-        ndd = 1.0 / pivot
-        ydd = g - w * acc_data[live]
-        info[i0] = w[0] * gam[0]
-        data[i0] = ydd[0]
-        rest = slice(i0 + 1, m)
-        acc_data[rest] += ndd[1:] * gam[1:] * ydd[1:]
-        acc_gain[rest] += ndd[1:] * gam[1:] * gam[1:]
-        gamma[rest] = 1.0 - (base_w[rest] - fwd.prefix_count[i0 + 1]) * acc_gain[rest]
-    return info, data
-
-
-def _all_log_weights(
+def _mixture_terms(
     fwd: ForwardCache, sigma: float, hypers: Hyperparameters
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    info, data = _site_scalars(fwd)
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Per-site precisions A_j + 1/tau_k^2 and log mixture weights, spike then
+    slab. Raises NumericOverflowError when a log weight is not finite (data
+    too large, or sigma too small, for double precision)."""
     s2 = sigma * sigma
-    den0 = info + 1.0 / hypers.tau0_sq
-    den1 = info + 1.0 / hypers.tau1_sq
-    lw0 = data * data / (2.0 * s2 * den0) - 0.5 * np.log(hypers.tau0_sq * den0)
-    lw1 = data * data / (2.0 * s2 * den1) - 0.5 * np.log(hypers.tau1_sq * den1)
-    return info, data, lw0, lw1
+    dens = []
+    log_ws = []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for tk in (hypers.tau0_sq, hypers.tau1_sq):
+            den = fwd.info + 1.0 / tk
+            dens.append(den)
+            log_ws.append(fwd.data * fwd.data / (2.0 * s2 * den) - 0.5 * np.log(tk * den))
+    if not all(np.isfinite(lw).all() for lw in log_ws):
+        raise NumericOverflowError(
+            f"log mixture weights are not finite at sigma={sigma:.3g}; rescale the data"
+        )
+    return (dens[0], dens[1]), (log_ws[0], log_ws[1])
 
 
 def all_inclusion_probabilities(
@@ -295,7 +130,7 @@ def all_inclusion_probabilities(
 ) -> np.ndarray:
     """Inclusion probabilities for candidate sites 2..M (site 1 is baseline).
 
-    One tail pass plus a vectorized sweep over all inner passes: O(M^2) total.
+    One forward and one backward filter: O(M) total.
     """
     return inclusion_scores(series, hypers)[0]
 
@@ -310,7 +145,7 @@ def inclusion_scores(
     saturation, so ranking within a cluster stays well defined.
     """
     fwd = forward_pass(series, hypers)
-    _, _, lw0, lw1 = _all_log_weights(fwd, series.noise_sd, hypers)
+    _, (lw0, lw1) = _mixture_terms(fwd, series.noise_sd, hypers)
     probs = np.array(
         [
             stable_inclusion_probability(hypers.q, float(a), float(b))
@@ -331,10 +166,16 @@ def all_site_posteriors(
 ) -> list[PosteriorSiteSummary]:
     """Full mixture summaries for every site 1..M."""
     fwd = forward_pass(series, hypers)
-    info, data = _site_scalars(fwd)
-    sigma = series.noise_sd
+    (den0, den1), (lw0, lw1) = _mixture_terms(fwd, series.noise_sd, hypers)
+    s2 = series.noise_sd * series.noise_sd
     return [
-        _mixture_summary(j + 1, float(info[j]), float(data[j]), sigma, hypers)
+        PosteriorSiteSummary(
+            site=j + 1,
+            mu=(float(fwd.data[j] / den0[j]), float(fwd.data[j] / den1[j])),
+            xi=(float(s2 / den0[j]), float(s2 / den1[j])),
+            log_omega=(float(lw0[j]), float(lw1[j])),
+            inclusion_prob=stable_inclusion_probability(hypers.q, float(lw0[j]), float(lw1[j])),
+        )
         for j in range(fwd.length)
     ]
 
@@ -345,5 +186,4 @@ def posterior_mean_surface(
     """Slab posterior means mu_{1,j} for all sites 1..M (the single-change-
     point criterion consumes these)."""
     fwd = forward_pass(series, hypers)
-    info, data = _site_scalars(fwd)
-    return data / (info + 1.0 / hypers.tau1_sq)
+    return fwd.data / (fwd.info + 1.0 / hypers.tau1_sq)

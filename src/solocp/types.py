@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    EmptySetError,
     InvalidHyperparameterError,
     NonFiniteValueError,
     NonPositiveSigmaError,
@@ -48,10 +47,20 @@ class TimeSeries:
         if not (self.noise_sd > 0 and math.isfinite(self.noise_sd)):
             raise NonPositiveSigmaError(f"noise_sd must be positive, got {self.noise_sd}")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_counts", _frozen_array(np.ones(v.size)))
 
     @property
     def length(self) -> int:
         return self.values.size
+
+    @property
+    def counts(self) -> np.ndarray:
+        """One observation per time index (the same view BinnedSeries gives)."""
+        return self._counts  # type: ignore[attr-defined]
+
+    @property
+    def sums(self) -> np.ndarray:
+        return self.values
 
     def to_binned(self) -> "BinnedSeries":
         """Equivalent series with every n_t = 1."""
@@ -219,10 +228,6 @@ class PosteriorSiteSummary:
     log_omega: tuple[float, float]
     inclusion_prob: float
 
-    @property
-    def omega(self) -> tuple[float, float]:
-        return (math.exp(self.log_omega[0]), math.exp(self.log_omega[1]))
-
     def recompute_inclusion(self, q: float) -> float:
         return stable_inclusion_probability(q, self.log_omega[0], self.log_omega[1])
 
@@ -252,11 +257,6 @@ class ChangePointSet:
     def __len__(self) -> int:
         return len(self.locations)
 
-    def as_array(self) -> np.ndarray:
-        if not self.locations:
-            raise EmptySetError("empty change point set")
-        return np.asarray(self.locations, dtype=int)
-
 
 @dataclass(frozen=True)
 class DetectionResult:
@@ -277,9 +277,3 @@ class DetectionResult:
     def __post_init__(self):
         object.__setattr__(self, "sites", _frozen_array(self.sites, dtype=int))
         object.__setattr__(self, "probabilities", _frozen_array(self.probabilities))
-
-    def probability_of(self, site: int) -> float:
-        idx = int(np.searchsorted(self.sites, site))
-        if idx >= self.sites.size or self.sites[idx] != site:
-            raise KeyError(f"no probability recorded for site {site}")
-        return float(self.probabilities[idx])

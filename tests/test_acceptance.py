@@ -28,7 +28,7 @@ from solocp import (
 from solocp.detect import select_changepoints
 from solocp.metrics import distance_histogram
 from solocp.oracle import enumerate_inclusion_probabilities
-from solocp.posterior import all_site_posteriors, forward_pass, _site_scalars
+from solocp.posterior import all_site_posteriors, forward_pass
 from solocp.signals import NoiseSpec, builtin_signal
 
 
@@ -124,12 +124,9 @@ def test_criterion_02_reduction_identity():
         )
         f_plain = forward_pass(ts, hypers)
         f_grouped = forward_pass(bs, hypers)
-        for name in ("n_prime", "ybar_prime", "tail_weight", "tail_data"):
+        for name in ("tail_weight", "tail_data", "info", "data"):
             diff = np.max(np.abs(getattr(f_plain, name) - getattr(f_grouped, name)))
             worst = max(worst, diff)
-        a_p, b_p = _site_scalars(f_plain)
-        a_g, b_g = _site_scalars(f_grouped)
-        worst = max(worst, np.max(np.abs(a_p - a_g)), np.max(np.abs(b_p - b_g)))
         assert worst <= 1e-12
     _report(2, "grouped path with unit counts reduces exactly", worst <= 1e-12,
             f"max abs diff {worst:.2e} <= 1e-12, 100 instances")

@@ -52,7 +52,7 @@ def test_detect_probs_csv(tmp_path):
     assert abs(np.mean(fitted[39:]) - 5.0) < 0.6
 
 
-def test_detect_three_column_binned_routing(tmp_path):
+def test_detect_three_column_binned_routing(tmp_path, capsys):
     rng = np.random.default_rng(1)
     path = tmp_path / "binned.csv"
     with open(path, "w", newline="") as fh:
@@ -72,6 +72,9 @@ def test_detect_three_column_binned_routing(tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["locations"] == [11]
+    # single-change-point location takes plain data only
+    assert main(["detect", str(path), "--method", "single", "--sigma", "1.0"]) == 1
+    assert capsys.readouterr().err.startswith("error[InvalidConfigError]")
 
 
 def test_detect_single_method(tmp_path):
@@ -225,3 +228,30 @@ def test_bench_binned_config(tmp_path):
     assert main(["bench", str(cfg), "--out", str(out)]) == 0
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 2
+
+
+def test_detect_nonfinite_scores_reported_not_silent(tmp_path, capsys):
+    inp = tmp_path / "huge.csv"
+    _write_jump_csv(inp, size=1e200)
+    rc = main(["detect", str(inp), "--sigma", "1.0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[NumericOverflowError]")
+    assert "Traceback" not in err
+
+
+def test_bench_single_on_binned_config_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "signal": "BLOCKS2",
+        "noise": {"family": "gaussian", "sd": 7.0},
+        "method": "single",
+        "replications": 1,
+        "seed": 0,
+        "binned": {"n": 1024, "grid": 200},
+    }))
+    rc = main(["bench", str(cfg)])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidConfigError]")
+    assert "Traceback" not in err

@@ -9,13 +9,12 @@ from solocp import (
     TimeSeries,
     gibbs_inclusion_probabilities,
 )
-from solocp.gibbs import (
-    _LevelSampler,
+from solocp.gibbs import _LevelSampler, sample_deltaf_given_z, sample_z_given_deltaf
+from solocp.oracle import (
     conditional_deltaf_moments,
-    sample_deltaf_given_z,
-    sample_z_given_deltaf,
+    enumerate_inclusion_probabilities,
+    exact_z_posterior,
 )
-from solocp.oracle import enumerate_inclusion_probabilities, exact_z_posterior
 
 
 def _hyp(tau0, tau1, q=0.2, tau=0.5):

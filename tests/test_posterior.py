@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solocp import (
     BinnedSeries,
@@ -7,16 +8,10 @@ from solocp import (
     NumericOverflowError,
     TimeSeries,
     all_inclusion_probabilities,
+    detect,
     oracle_site_posterior,
 )
-from solocp.posterior import (
-    ForwardCache,
-    _site_scalars,
-    forward_pass,
-    inclusion_scores,
-    inner_pass,
-    site_posterior,
-)
+from solocp.posterior import all_site_posteriors, forward_pass, inclusion_scores
 
 
 def _hyp(tau0, tau1, tau, q=0.1):
@@ -31,18 +26,25 @@ def _random_binned(rng, max_count=5, max_groups=10):
 
 
 def test_forward_initialization_single_count():
-    # last-site weight tau^2 * n^2 / (tau^2 * n + 1) with n=1, tau^2=1 -> 1/2
+    # the tail at the last site is the observation itself
     ts = TimeSeries(np.array([0.3, -0.1, 0.7]), 1.0)
     fwd = forward_pass(ts, _hyp(0.1, 1.0, 1.0))
-    assert fwd.n_prime[-1] == pytest.approx(0.5)
-    # and the tail mean at the last site is the observation itself
-    assert fwd.ybar_prime[-1] == pytest.approx(0.7)
+    assert fwd.tail_weight[-1] == 1.0
+    assert fwd.tail_data[-1] == pytest.approx(0.7)
+    # one count at tau^2 = 1 leaves f_1 with variance 1/2 and mean y_1/2,
+    # which the forward filter hands to site 2
+    w, d = fwd.tail_weight[1], fwd.tail_data[1]
+    assert fwd.info[1] == pytest.approx(w / (1.0 + 0.5 * w))
+    assert fwd.data[1] == pytest.approx((d - 0.15 * w) / (1.0 + 0.5 * w))
 
 
 def test_forward_shrinkage_limit():
-    ts = TimeSeries(np.arange(8, dtype=float), 1.0)
-    fwd = forward_pass(ts, _hyp(1e-13, 1e-12, 1e-12))
-    assert np.all(fwd.n_prime < 1e-9)
+    # tau^2 -> 0 pins every level to f_0 = 0: nothing is shrunk away and the
+    # site scalars reduce to the remaining counts and sums
+    y = np.arange(8, dtype=float)
+    fwd = forward_pass(TimeSeries(y, 1.0), _hyp(1e-13, 1e-12, 1e-12))
+    assert np.allclose(fwd.info, np.arange(8, 0, -1), rtol=1e-9)
+    assert np.allclose(fwd.data, np.cumsum(y[::-1])[::-1], rtol=1e-9)
 
 
 def test_forward_cache_is_site_independent():
@@ -51,37 +53,29 @@ def test_forward_cache_is_site_independent():
     h = _hyp(0.05, 20.0, 0.4)
     first = forward_pass(ts, h)
     again = forward_pass(ts, h)
-    for name in ("n_prime", "ybar_prime", "tail_weight", "tail_data"):
+    for name in ("tail_weight", "tail_data", "info", "data"):
         assert np.array_equal(getattr(first, name), getattr(again, name))
 
 
-def test_inner_pass_site_one_is_tail_sum():
+def test_site_one_scalars_are_tail_sums():
+    # f_0 = 0 is known, so site 1 sees exactly the backward filter's output
     rng = np.random.default_rng(1)
     ts = TimeSeries(rng.normal(0, 1, 9), 1.0)
-    h = _hyp(0.05, 20.0, 0.4)
-    fwd = forward_pass(ts, h)
-    inner = inner_pass(ts, fwd, 1, h)
-    assert inner.gamma.tolist() == [1.0]
-    assert inner.data == fwd.tail_data[0]
-    assert inner.info == fwd.tail_weight[0]
+    fwd = forward_pass(ts, _hyp(0.05, 20.0, 0.4))
+    assert fwd.data[0] == fwd.tail_data[0]
+    assert fwd.info[0] == fwd.tail_weight[0]
 
 
-def test_inner_pass_zero_data():
-    ts = TimeSeries(np.zeros(7), 1.0)
-    h = _hyp(0.05, 20.0, 0.4)
-    fwd = forward_pass(ts, h)
-    for j in (1, 3, 7):
-        inner = inner_pass(ts, fwd, j, h)
-        assert np.all(inner.ybar_dprime == 0.0)
+def test_zero_data_gives_zero_site_data():
+    fwd = forward_pass(TimeSeries(np.zeros(7), 1.0), _hyp(0.05, 20.0, 0.4))
+    assert np.all(fwd.data == 0.0)
 
 
 def test_equal_spike_slab_gives_prior_probability():
     rng = np.random.default_rng(2)
     ts = TimeSeries(rng.normal(0, 1, 10), 1.0)
     h = Hyperparameters(tau0_sq=0.7, tau1_sq=0.7, tau_sq=0.3, q=0.37, delta=1)
-    fwd = forward_pass(ts, h)
-    for j in range(1, 11):
-        s = site_posterior(ts, fwd, inner_pass(ts, fwd, j, h), j, h)
+    for s in all_site_posteriors(ts, h):
         assert s.log_omega[0] == s.log_omega[1]
         assert s.inclusion_prob == 0.37
 
@@ -106,11 +100,8 @@ def test_probability_monotone_in_q():
 
 
 def _assert_matches_oracle(series, h, rtol=1e-8):
-    fwd = forward_pass(series, h)
-    m = fwd.length
-    for j in range(1, m + 1):
-        s = site_posterior(series, fwd, inner_pass(series, fwd, j, h), j, h)
-        o = oracle_site_posterior(series, j, h)
+    for s in all_site_posteriors(series, h):
+        o = oracle_site_posterior(series, s.site, h)
         assert np.allclose(s.mu, o.mu, rtol=rtol, atol=1e-12)
         assert np.allclose(s.xi, o.xi, rtol=rtol, atol=1e-14)
         if min(s.inclusion_prob, o.inclusion_prob) > 1e-12 and max(
@@ -156,23 +147,36 @@ def test_unit_count_binned_path_matches_plain_path_exactly():
     h = _hyp(0.02, 50.0, 0.08)
     f1 = forward_pass(ts, h)
     f2 = forward_pass(bs, h)
-    for name in ("n_prime", "ybar_prime", "tail_weight", "tail_data", "prefix_count", "prefix_data"):
+    for name in ("tail_weight", "tail_data", "info", "data"):
         assert np.array_equal(getattr(f1, name), getattr(f2, name))
-    assert np.array_equal(
-        all_inclusion_probabilities(ts, h), all_inclusion_probabilities(bs, h)
-    )
+    p1, lo1 = inclusion_scores(ts, h)
+    p2, lo2 = inclusion_scores(bs, h)
+    assert np.array_equal(p1, p2)
+    assert np.array_equal(lo1, lo2)
 
 
-def test_wavefront_equals_per_site_passes():
-    rng = np.random.default_rng(8)
-    bs = _random_binned(rng, max_groups=14)
-    h = _hyp(0.02, 50.0, 0.3)
-    fwd = forward_pass(bs, h)
-    info, data = _site_scalars(fwd)
-    for j in range(1, fwd.length + 1):
-        inner = inner_pass(bs, fwd, j, h)
-        assert info[j - 1] == inner.info
-        assert data[j - 1] == inner.data
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-30, 30),
+    binned=st.booleans(),
+)
+def test_scaling_data_and_sigma_by_power_of_two_is_bitwise_invariant(seed, k, binned):
+    # scores depend on (y, sigma) only through y/sigma; a power-of-two factor
+    # is exact in binary floating point, so the invariance holds bit for bit
+    rng = np.random.default_rng(seed)
+    h = _hyp(0.02, 50.0, float(10.0 ** rng.uniform(-3, 3)), q=0.2)
+    if binned:
+        base = _random_binned(rng, max_groups=30)
+        scaled = BinnedSeries(tuple(b * 2.0**k for b in base.bins), base.noise_sd * 2.0**k)
+    else:
+        y = rng.normal(rng.normal(0, 2), 1.0, int(rng.integers(3, 60)))
+        base = TimeSeries(y, float(rng.uniform(0.3, 2.0)))
+        scaled = TimeSeries(base.values * 2.0**k, base.noise_sd * 2.0**k)
+    p1, lo1 = inclusion_scores(base, h)
+    p2, lo2 = inclusion_scores(scaled, h)
+    assert np.array_equal(p1, p2)
+    assert np.array_equal(lo1, lo2)
 
 
 def test_constant_series_stays_below_threshold():
@@ -222,19 +226,13 @@ def test_shift_sensitivity_decays_with_shared_shrinkage():
     assert diffs[2] < diffs[1] < diffs[0]
 
 
-def test_degenerate_pivot_raises():
+@pytest.mark.parametrize(
+    "step,sigma", [(1e200, 1.0), (0.0, 1e-200)], ids=["huge_step", "tiny_sigma"]
+)
+def test_nonfinite_scores_raise(step, sigma):
+    # both once gave all-NaN probabilities and silently selected nothing
     rng = np.random.default_rng(10)
-    ts = TimeSeries(rng.normal(0, 1, 6), 1.0)
-    h = _hyp(0.05, 20.0, 0.4)
-    good = forward_pass(ts, h)
-    corrupt = ForwardCache(
-        tau_sq=good.tau_sq,
-        n_prime=good.n_prime,
-        ybar_prime=good.ybar_prime,
-        tail_weight=-np.abs(good.tail_weight),
-        tail_data=good.tail_data,
-        prefix_count=np.zeros_like(good.prefix_count),
-        prefix_data=good.prefix_data,
-    )
+    y = np.where(np.arange(1, 101) >= 50, step, 0.0) + rng.normal(0, 1, 100)
+    ts = TimeSeries(y, sigma)
     with pytest.raises(NumericOverflowError):
-        inner_pass(ts, corrupt, 3, h)
+        detect(ts, Hyperparameters.solo_defaults(100))
