@@ -3,9 +3,12 @@
 Block 1 draws the whole increment vector from its Gaussian full conditional
 given the indicators; block 2 draws every indicator independently given its
 increment. The increment draw is done in the cumulative (fitted-level) space,
-where the posterior precision (diag(n) + L' D_z^{-1} L) / sigma^2 is
-tridiagonal (L is the first-difference operator), so one sweep costs O(M)
-instead of the O(M^3) of a dense solve.
+where the posterior precision Q / sigma^2, Q = diag(n) + Delta' diag(w) Delta
+(Delta the first-difference operator, w_t = 1/tau^2_{z_t}), is tridiagonal. LAPACK dpttrf factors
+it as Q = L D L' (L unit lower bidiagonal) and dpttrs solves
+Q f = sums + sigma L D^{1/2} eps, so one sweep is O(M) in two calls (Rue 2001).
+With U = D^{1/2} L' the upper Cholesky factor of Q, Q^{-1} L D^{1/2} = U^{-1},
+so f is the usual Q^{-1} sums + sigma U^{-1} eps draw from the same normals.
 
 sigma^2 is fixed at series.noise_sd^2 throughout (known-variance treatment).
 """
@@ -14,14 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import InvalidConfigError, LinearSolveFailureError
+from .errors import InvalidConfigError, LinearSolveFailureError, NumericOverflowError
 from .types import BinnedSeries, Hyperparameters, TimeSeries
-
-# Below this many time indexes, dense Cholesky beats the banded routines on
-# call overhead alone.
-_DENSE_CUTOFF = 32
 
 
 @dataclass(frozen=True)
@@ -51,43 +50,68 @@ class GibbsState:
     z: np.ndarray
 
 
-class _LevelSampler:
-    """Draws the fitted-level vector f | z in O(M) per sweep."""
+def _draw_increments(
+    series: TimeSeries | BinnedSeries,
+    hypers: Hyperparameters,
+    z: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One draw of the increments delta_f | z (block 1)."""
+    noise = rng.standard_normal(series.length)
+    weights = np.where(z == 1, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
+    diag = series.counts + weights
+    diag[:-1] += weights[1:]
+    d, e, info = dpttrf(diag, -weights[1:])
+    if info == 0:
+        s = np.sqrt(d) * noise
+        s[1:] += e * s[:-1]
+        f, info = dpttrs(d, e, series.sums + series.noise_sd * s)
+    if info != 0:
+        raise LinearSolveFailureError(
+            f"level precision is not positive definite (LAPACK info {info})"
+        )
+    delta_f = f.copy()  # cheaper than f[1:] -= f[:-1], which copies on overlap
+    delta_f[1:] -= f[:-1]
+    return delta_f
 
-    def __init__(self, counts: np.ndarray, sums: np.ndarray, sigma: float):
-        self.counts = counts
-        self.sums = sums
-        self.sigma = sigma
-        self.m = counts.size
-        self.dense = self.m <= _DENSE_CUTOFF
-        if self.dense:
-            # first-difference operator rows, fixed across sweeps
-            l = np.eye(self.m)
-            l[np.arange(1, self.m), np.arange(self.m - 1)] = -1.0
-            self._diff = l
 
-    def draw(self, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """weights[t] = 1 / tau^2_{z_t}; returns one draw of f."""
-        noise = rng.standard_normal(self.m)
-        try:
-            if self.dense:
-                prec = np.diag(self.counts) + (self._diff.T * weights) @ self._diff
-                chol = np.linalg.cholesky(prec)
-                mean = scipy.linalg.cho_solve((chol, True), self.sums)
-                return mean + self.sigma * scipy.linalg.solve_triangular(
-                    chol.T, noise, lower=False
-                )
-            diag = self.counts + weights
-            diag[:-1] += weights[1:]
-            band = np.empty((2, self.m))
-            band[0, 0] = 0.0
-            band[0, 1:] = -weights[1:]
-            band[1] = diag
-            u = scipy.linalg.cholesky_banded(band, lower=False)
-            mean = scipy.linalg.cho_solve_banded((u, False), self.sums)
-            return mean + self.sigma * scipy.linalg.solve_banded((0, 1), u, noise)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise LinearSolveFailureError(str(exc)) from exc
+def _log_odds_line(hypers: Hyperparameters, sigma: float) -> tuple[float, float] | None:
+    """Intercept and slope of an indicator's log-odds as a function of
+    delta_f^2, or None when q in {0, 1} fixes every indicator. Raises
+    NumericOverflowError when either is not finite (sigma too small)."""
+    q = hypers.q
+    if q <= 0.0 or q >= 1.0:
+        return None
+    lq = np.log(q) - np.log1p(-q)
+    intercept = lq + 0.5 * (np.log(hypers.tau0_sq) - np.log(hypers.tau1_sq))
+    with np.errstate(over="ignore", divide="ignore"):
+        gap = 0.5 * (1.0 / hypers.tau0_sq - 1.0 / hypers.tau1_sq)
+        slope = gap / np.square(np.float64(sigma))
+    if not (np.isfinite(intercept) and np.isfinite(slope)):
+        raise NumericOverflowError(
+            f"indicator log-odds are not finite at sigma={sigma:.3g}; rescale the data"
+        )
+    return intercept, slope
+
+
+def _draw_indicators(
+    delta_f: np.ndarray,
+    q: float,
+    line: tuple[float, float] | None,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Independent Bernoulli draws of every indicator (block 2). Raises
+    NumericOverflowError when a log-odds is not finite (delta_f too large);
+    callers silence the overflow warning that precedes it."""
+    if line is None:
+        return np.full(delta_f.size, q >= 1.0, dtype=np.int8)
+    intercept, slope = line
+    lo = intercept + slope * delta_f**2
+    if not np.isfinite(lo).all():
+        raise NumericOverflowError("indicator log-odds are not finite; rescale the data")
+    # no upper clip needed: past 700, 1 + exp(-lo) already rounds to 1
+    probs = 1.0 / (1.0 + np.exp(-np.maximum(lo, -700.0)))
+    return (rng.random(delta_f.size) < probs).astype(np.int8)
 
 
 def sample_deltaf_given_z(
@@ -97,17 +121,7 @@ def sample_deltaf_given_z(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One exact draw of the increment vector from its full conditional."""
-    sampler = _LevelSampler(series.counts, series.sums, series.noise_sd)
-    weights = np.where(state.z == 1, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
-    f = sampler.draw(weights, rng)
-    return np.diff(f, prepend=0.0)
-
-
-def _z_log_odds_terms(hypers: Hyperparameters, sigma: float):
-    s2 = sigma * sigma
-    base = 0.5 * (np.log(hypers.tau0_sq) - np.log(hypers.tau1_sq))
-    slope = 0.5 * (1.0 / (s2 * hypers.tau0_sq) - 1.0 / (s2 * hypers.tau1_sq))
-    return base, slope
+    return _draw_increments(series, hypers, state.z, rng)
 
 
 def sample_z_given_deltaf(
@@ -117,15 +131,9 @@ def sample_z_given_deltaf(
     sigma: float = 1.0,
 ) -> np.ndarray:
     """Independent Bernoulli draws of every indicator given its increment."""
-    if hypers.q <= 0.0:
-        return np.zeros_like(state.z)
-    if hypers.q >= 1.0:
-        return np.ones_like(state.z)
-    base, slope = _z_log_odds_terms(hypers, sigma)
-    lq = np.log(hypers.q) - np.log1p(-hypers.q)
-    lo = lq + base + slope * state.delta_f**2
-    probs = 1.0 / (1.0 + np.exp(-np.clip(lo, -700.0, 700.0)))
-    return (rng.random(state.z.size) < probs).astype(np.int8)
+    line = _log_odds_line(hypers, sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _draw_indicators(state.delta_f, hypers.q, line, rng)
 
 
 def gibbs_inclusion_probabilities(
@@ -138,29 +146,14 @@ def gibbs_inclusion_probabilities(
     Deterministic given config.seed. Detection consumes entries 2..M; entry 1
     is the baseline-increment indicator.
     """
-    m = series.length
     rng = np.random.default_rng(config.seed)
-    sampler = _LevelSampler(series.counts, series.sums, series.noise_sd)
-    base, slope = _z_log_odds_terms(hypers, series.noise_sd)
-    q = hypers.q
-    if 0.0 < q < 1.0:
-        lq = np.log(q) - np.log1p(-q)
-    z = np.zeros(m, dtype=np.int8)
-    z_total = np.zeros(m)
-    w0 = 1.0 / hypers.tau0_sq
-    w1 = 1.0 / hypers.tau1_sq
-    for sweep in range(config.iterations):
-        weights = np.where(z == 1, w1, w0)
-        f = sampler.draw(weights, rng)
-        delta_f = np.diff(f, prepend=0.0)
-        if q <= 0.0:
-            z = np.zeros(m, dtype=np.int8)
-        elif q >= 1.0:
-            z = np.ones(m, dtype=np.int8)
-        else:
-            lo = lq + base + slope * delta_f**2
-            probs = 1.0 / (1.0 + np.exp(-np.clip(lo, -700.0, 700.0)))
-            z = (rng.random(m) < probs).astype(np.int8)
-        if sweep >= config.burn_in:
-            z_total += z
+    line = _log_odds_line(hypers, series.noise_sd)
+    z = np.zeros(series.length, dtype=np.int8)
+    z_total = np.zeros(series.length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(config.iterations):
+            delta_f = _draw_increments(series, hypers, z, rng)
+            z = _draw_indicators(delta_f, hypers.q, line, rng)
+            if sweep >= config.burn_in:
+                z_total += z
     return z_total / (config.iterations - config.burn_in)

@@ -240,6 +240,16 @@ def test_detect_nonfinite_scores_reported_not_silent(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_detect_basad_tiny_sigma_reported_not_silent(tmp_path, capsys):
+    inp = tmp_path / "jump.csv"
+    _write_jump_csv(inp)
+    rc = main(["detect", str(inp), "--method", "basad", "--sigma", "1e-200"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[NumericOverflowError]")
+    assert "Traceback" not in err
+
+
 def test_bench_single_on_binned_config_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

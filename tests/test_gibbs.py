@@ -1,15 +1,22 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from solocp import (
+    BinnedSeries,
     GibbsConfig,
     GibbsState,
     Hyperparameters,
     InvalidConfigError,
+    LinearSolveFailureError,
+    NumericOverflowError,
     TimeSeries,
+    detect,
     gibbs_inclusion_probabilities,
 )
-from solocp.gibbs import _LevelSampler, sample_deltaf_given_z, sample_z_given_deltaf
+from solocp.gibbs import sample_deltaf_given_z, sample_z_given_deltaf
 from solocp.oracle import (
     conditional_deltaf_moments,
     enumerate_inclusion_probabilities,
@@ -109,17 +116,62 @@ def test_reproducibility():
     assert not np.array_equal(p1, p3)
 
 
-def test_dense_and_banded_paths_agree():
-    rng = np.random.default_rng(7)
-    counts = np.ones(10)
-    sums = rng.normal(0, 1, 10)
-    weights = rng.uniform(0.5, 5.0, 10)
-    dense = _LevelSampler(counts, sums, 1.3)
-    banded = _LevelSampler(counts, sums, 1.3)
-    banded.dense = False
-    f1 = dense.draw(weights, np.random.default_rng(11))
-    f2 = banded.draw(weights, np.random.default_rng(11))
-    assert np.allclose(f1, f2, rtol=1e-9, atol=1e-9)
+@pytest.mark.parametrize("unit_counts", [True, False], ids=["unit", "unequal"])
+@pytest.mark.parametrize("m", [2, 8, 32, 33, 140])
+def test_level_draw_matches_dense_cholesky(m, unit_counts):
+    # Q f = sums + sigma L D^{1/2} eps must give the same draw as the dense
+    # route Q^{-1} sums + sigma U^{-1} eps (U = upper Cholesky factor of Q)
+    rng = np.random.default_rng(m)
+    counts = np.ones(m, int) if unit_counts else rng.integers(1, 6, m)
+    series = BinnedSeries(tuple(rng.normal(0, 1, n) for n in counts), 1.3)
+    h = _hyp(0.05, 3.0)
+    z = (rng.random(m) < 0.3).astype(int)
+    weights = np.where(z == 1, 1.0 / h.tau1_sq, 1.0 / h.tau0_sq)
+    diff = np.eye(m) - np.eye(m, k=-1)
+    prec = np.diag(series.counts) + diff.T @ np.diag(weights) @ diff
+    upper = np.linalg.cholesky(prec).T
+    eps = np.random.default_rng(11).standard_normal(m)
+    f = np.linalg.solve(prec, series.sums) + 1.3 * scipy.linalg.solve_triangular(upper, eps)
+    state = GibbsState(delta_f=np.zeros(m), z=z)
+    draw = sample_deltaf_given_z(state, series, h, np.random.default_rng(11))
+    assert np.allclose(draw, diff @ f, rtol=1e-9, atol=1e-9)
+
+
+def test_level_draw_rejects_nonpositive_precision():
+    series = TimeSeries(np.zeros(6), 1.0)
+    hypers = SimpleNamespace(tau0_sq=-0.1, tau1_sq=1.0)
+    state = GibbsState(delta_f=np.zeros(6), z=np.zeros(6, int))
+    with pytest.raises(LinearSolveFailureError):
+        sample_deltaf_given_z(state, series, hypers, np.random.default_rng(0))
+
+
+def test_chain_output_is_pinned():
+    # counts of z_t = 1 over 800 kept sweeps, recorded from the banded and
+    # dense Cholesky sampler this kernel replaced; the draws agree to
+    # rounding, so the indicator chain must not move
+    y = np.array([0.1, -0.3, 0.2, 1.9, 2.2, 1.6, 2.0, -0.4])
+    h = _hyp(0.01, 4.0)
+    p = gibbs_inclusion_probabilities(TimeSeries(y, 0.5), h, GibbsConfig(1000, 200, seed=17))
+    assert np.array_equal(p, np.array([36, 91, 118, 800, 72, 107, 122, 787]) / 800)
+
+
+@pytest.mark.parametrize(
+    "step,sigma",
+    [(5.0, 1e-160), (5.0, 1e-200), (1e200, 1.0)],
+    ids=["small_sigma", "tiny_sigma", "huge_step"],
+)
+def test_basad_nonfinite_scores_raise(step, sigma):
+    # once: NaN log-odds selected nothing, a ZeroDivisionError escaped, and
+    # an overflowed delta_f^2 selected (2,)
+    rng = np.random.default_rng(10)
+    y = np.where(np.arange(1, 101) >= 50, step, 0.0) + rng.normal(0, 1, 100)
+    with pytest.raises(NumericOverflowError):
+        detect(
+            TimeSeries(y, sigma),
+            Hyperparameters.basad_defaults(100),
+            method="basad",
+            gibbs_config=GibbsConfig(200, 50, seed=0),
+        )
 
 
 def test_marginals_match_enumeration_smoke():
