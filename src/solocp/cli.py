@@ -8,9 +8,22 @@ Input CSV schema (UTF-8, ',' separator, '.' decimal, header required):
 column pair "t,y" for plain series or triple "t,y,bin" for grouped data; t
 strictly increasing, bin ids positive and nondecreasing.
 
-Experiment configs are JSON with a signal (builtin name or inline spec), a
-noise block, and optional method/hypers/replications/seed/sigma_mode/binned/
-gibbs/grid entries; see README for the full schema.
+Experiment configs are JSON objects; signal and noise are required:
+
+    signal         builtin name (BLOCKS, TEETH, BLOCKS2) or
+                   {"length", "changepoints", "levels"}
+    noise          {"family": "gaussian", "sd"}, {"family": "laplace", "scale"},
+                   {"family": "student_t", "df", "scale" (1)} or
+                   {"family": "gaussian_mixture", "weights", "sds"}
+    method         solo (default), basad or single
+    hypers         overrides of tau0_sq, tau1_sq, tau_sq, q, delta, threshold
+    replications   seeded replications (1)
+    seed           base seed; replication r uses seed + r (0)
+    sigma_mode     true (default), mad or fixed:<value>
+    binned         {"n", "grid"}: n random points grouped on a grid of cells
+    gibbs          {"iterations" (5000), "burn_in" (1000)} for method basad
+    grid           {"<hyperparameter>": [values]}: one bench row per value
+    edge_fraction  search window of method single (0.05)
 
 Every library error exits nonzero with an "error[<Type>]:" prefix.
 """
@@ -23,10 +36,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .detect import SingleChangePoint, detect, single_cp_locate
+from .detect import detect, single_cp_locate
 from .errors import InvalidConfigError, ParseError, SolocpError
 from .gibbs import GibbsConfig
 from .metrics import EvalReport, evaluate_sets
@@ -39,7 +53,7 @@ from .signals import (
     simulate,
     simulate_binned,
 )
-from .types import BinnedSeries, Hyperparameters, TimeSeries
+from .types import BinnedSeries, Hyperparameters, TimeSeries, split_groups
 
 _CHAIN_SEED_OFFSET = 1_000_000  # decouple chain randomness from data seeds
 
@@ -89,19 +103,8 @@ def read_series_csv(path: str) -> TimeSeries | BinnedSeries:
         raise ParseError(f"{path}: no data rows")
     if not binned:
         return TimeSeries(np.asarray(ys), 1.0)
-    groups = []
-    start = 0
-    for i in range(1, len(bins) + 1):
-        if i == len(bins) or bins[i] != bins[start]:
-            groups.append(np.asarray(ys[start:i]))
-            start = i
-    return BinnedSeries(tuple(groups), 1.0)
-
-
-def _with_sigma(series, sigma: float):
-    if isinstance(series, TimeSeries):
-        return TimeSeries(series.values, sigma)
-    return BinnedSeries(series.bins, sigma, source_bins=series.source_bins)
+    _, starts = np.unique(bins, return_index=True)
+    return BinnedSeries(split_groups(np.asarray(ys), starts), 1.0)
 
 
 # ------------------------------------------------------------ config loading
@@ -138,14 +141,7 @@ def _hypers_for(length: int, method: str, overrides: dict) -> Hyperparameters:
     )
     if not overrides:
         return base
-    fields = {
-        "tau0_sq": base.tau0_sq,
-        "tau1_sq": base.tau1_sq,
-        "tau_sq": base.tau_sq,
-        "q": base.q,
-        "delta": base.delta,
-        "threshold": base.threshold,
-    }
+    fields = asdict(base)
     unknown = set(overrides) - set(fields)
     if unknown:
         raise InvalidConfigError(f"unknown hyperparameter keys {sorted(unknown)}")
@@ -154,14 +150,25 @@ def _hypers_for(length: int, method: str, overrides: dict) -> Hyperparameters:
     return Hyperparameters(**fields)
 
 
-def _resolve_sigma(series, mode: str) -> float:
-    if mode == "true":
-        return series.noise_sd
-    if mode == "mad":
-        return estimate_sigma_mad(series)
-    if mode.startswith("fixed:"):
-        return float(mode.split(":", 1)[1])
+def _sigma_rule(mode) -> str | float:
+    """The sigma_mode as "true", "mad", or the value of "fixed:<value>"."""
+    if mode in ("true", "mad"):
+        return mode
+    if isinstance(mode, str) and mode.startswith("fixed:"):
+        try:
+            return float(mode[len("fixed:"):])
+        except ValueError:
+            pass
     raise InvalidConfigError(f"sigma_mode must be true, mad, or fixed:<value>, got {mode!r}")
+
+
+def _resolve_sigma(series, mode) -> float:
+    rule = _sigma_rule(mode)
+    if rule == "true":
+        return series.noise_sd
+    if rule == "mad":
+        return estimate_sigma_mad(series)
+    return rule
 
 
 def load_experiment_config(path: str) -> dict:
@@ -170,18 +177,36 @@ def load_experiment_config(path: str) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if "signal" not in cfg or "noise" not in cfg:
+    if not isinstance(cfg, dict) or "signal" not in cfg or "noise" not in cfg:
         raise InvalidConfigError(f"{path}: config needs 'signal' and 'noise' entries")
     cfg.setdefault("method", "solo")
     cfg.setdefault("replications", 1)
     cfg.setdefault("seed", 0)
     cfg.setdefault("sigma_mode", "true")
     cfg.setdefault("hypers", {})
-    if int(cfg["replications"]) < 1:
+    # fail fast on malformed entries: every conversion the replications make
+    try:
+        replications = int(cfg["replications"])
+        int(cfg["seed"])
+        _signal_from_config(cfg["signal"])
+        _noise_from_config(cfg["noise"])
+        if cfg.get("binned"):
+            int(cfg["binned"]["n"]), int(cfg["binned"]["grid"])
+        gibbs = cfg.get("gibbs", {})
+        int(gibbs.get("iterations", 5000)), int(gibbs.get("burn_in", 1000))
+        float(cfg.get("edge_fraction", 0.05))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfigError(
+            f"{path}: malformed config entry ({type(exc).__name__}: {exc})"
+        ) from None
+    if replications < 1:
         raise InvalidConfigError("replications must be >= 1")
-    # fail fast on malformed blocks
-    _signal_from_config(cfg["signal"])
-    _noise_from_config(cfg["noise"])
+    _sigma_rule(cfg["sigma_mode"])
+    hypers = cfg["hypers"]
+    if not isinstance(hypers, dict) or any(
+        not isinstance(v, (int, float)) for v in hypers.values()
+    ):
+        raise InvalidConfigError(f"hypers must map names to numbers, got {hypers!r}")
     return cfg
 
 
@@ -203,7 +228,7 @@ def _make_dataset(cfg: dict, rep: int):
         series = simulate(signal, noise, seed)
         truth = signal.changepoints
         domain = signal.length
-    series = _with_sigma(series, _resolve_sigma(series, cfg["sigma_mode"]))
+    series = replace(series, noise_sd=_resolve_sigma(series, cfg["sigma_mode"]))
     return series, truth, domain, seed
 
 
@@ -280,7 +305,7 @@ def cmd_detect(args) -> int:
     sigma = args.sigma if args.sigma is not None else estimate_sigma_mad(series)
     if sigma <= 0:
         raise InvalidConfigError("sigma must be positive (constant input data?)")
-    series = _with_sigma(series, sigma)
+    series = replace(series, noise_sd=sigma)
     overrides = {
         k: v
         for k, v in (
@@ -361,17 +386,15 @@ def cmd_simulate(args) -> int:
         path = os.path.join(args.outdir, name)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
+            ts = range(1, series.values.size + 1)
+            ys = [repr(y) for y in series.values.tolist()]
             if isinstance(series, TimeSeries):
                 writer.writerow(["t", "y"])
-                for t, y in enumerate(series.values, start=1):
-                    writer.writerow([t, repr(float(y))])
+                writer.writerows(zip(ts, ys))
             else:
                 writer.writerow(["t", "y", "bin"])
-                t = 0
-                for b, group in enumerate(series.bins, start=1):
-                    for y in group:
-                        t += 1
-                        writer.writerow([t, repr(float(y)), b])
+                group_ids = np.repeat(np.arange(1, series.length + 1), series.counts.astype(int))
+                writer.writerows(zip(ts, ys, group_ids.tolist()))
         entries.append({"file": name, "seed": seed, "changepoints": list(truth)})
     manifest = {
         "signal": cfg["signal"],
@@ -423,7 +446,9 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="solocp", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="solocp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_detect = sub.add_parser("detect", help="detect change points in a CSV series")

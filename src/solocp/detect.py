@@ -71,8 +71,10 @@ def select_changepoints(sites, probs, hypers: Hyperparameters, scores=None):
     """
     c0 = threshold_select(sites, probs, hypers.threshold)
     clusters = cluster_partition(c0, hypers.delta)
-    ranking = probs if scores is None else scores
-    lookup = dict(zip((int(s) for s in np.asarray(sites)), np.asarray(ranking, dtype=float)))
+    ranking = np.asarray(probs if scores is None else scores, dtype=float)
+    # only the thresholded candidates are ranked
+    candidate = np.asarray(probs, dtype=float) > hypers.threshold
+    lookup = dict(zip(c0.locations, ranking[candidate].tolist()))
     selected = pick_representatives(clusters, lookup)
     return c0, clusters, selected
 
@@ -140,7 +142,7 @@ def single_cp_locate(
     if not isinstance(series, TimeSeries):
         raise InvalidConfigError("single-change-point location expects plain t,y data")
     if not 0.0 < edge_fraction < 0.5:
-        raise ValueError(f"edge_fraction must be in (0, 1/2), got {edge_fraction}")
+        raise InvalidConfigError(f"edge_fraction must be in (0, 1/2), got {edge_fraction}")
     t = series.length
     mu_fwd = posterior_mean_surface(series, hypers)
     reversed_neg = TimeSeries(-series.values[::-1], series.noise_sd)

@@ -20,7 +20,9 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidConfigError, LinearSolveFailureError, NumericOverflowError
-from .types import BinnedSeries, Hyperparameters, TimeSeries
+from .types import (
+    BinnedSeries, Hyperparameters, TimeSeries, inclusion_probability, prior_log_odds
+)
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,7 @@ def _log_odds_line(hypers: Hyperparameters, sigma: float) -> tuple[float, float]
     q = hypers.q
     if q <= 0.0 or q >= 1.0:
         return None
-    lq = np.log(q) - np.log1p(-q)
-    intercept = lq + 0.5 * (np.log(hypers.tau0_sq) - np.log(hypers.tau1_sq))
+    intercept = prior_log_odds(q) + 0.5 * (np.log(hypers.tau0_sq) - np.log(hypers.tau1_sq))
     with np.errstate(over="ignore", divide="ignore"):
         gap = 0.5 * (1.0 / hypers.tau0_sq - 1.0 / hypers.tau1_sq)
         slope = gap / np.square(np.float64(sigma))
@@ -109,9 +110,7 @@ def _draw_indicators(
     lo = intercept + slope * delta_f**2
     if not np.isfinite(lo).all():
         raise NumericOverflowError("indicator log-odds are not finite; rescale the data")
-    # no upper clip needed: past 700, 1 + exp(-lo) already rounds to 1
-    probs = 1.0 / (1.0 + np.exp(-np.maximum(lo, -700.0)))
-    return (rng.random(delta_f.size) < probs).astype(np.int8)
+    return (rng.random(delta_f.size) < inclusion_probability(lo)).astype(np.int8)
 
 
 def sample_deltaf_given_z(

@@ -16,13 +16,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EmptySetError, LinearSolveFailureError, SingularCovarianceError
-from .types import BinnedSeries, Hyperparameters, TimeSeries, stable_inclusion_probability
+from .types import (
+    BinnedSeries, Hyperparameters, TimeSeries, inclusion_probability, prior_log_odds
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _as_binned(series) -> BinnedSeries:
-    return series.to_binned() if isinstance(series, TimeSeries) else series
 
 
 def _expanded_design(counts: np.ndarray) -> np.ndarray:
@@ -30,12 +28,7 @@ def _expanded_design(counts: np.ndarray) -> np.ndarray:
     m = counts.size
     reps = counts.astype(int)
     cols = np.repeat(np.arange(m), reps)
-    t = cols.size
     return (np.arange(m)[None, :] <= cols[:, None]).astype(float)
-
-
-def _flat_observations(series: BinnedSeries) -> np.ndarray:
-    return np.concatenate([np.asarray(b, dtype=float) for b in series.bins])
 
 
 def _gaussian_logpdf_zero_mean(y: np.ndarray, cov: np.ndarray):
@@ -72,18 +65,16 @@ def oracle_site_posterior(
     Cost is O(T^3) per spike/slab component; refuses series longer than
     max_size observations.
     """
-    binned = _as_binned(series)
-    counts = binned.counts
-    m = counts.size
+    y = series.values
+    m = series.length
     if not 1 <= j <= m:
         raise IndexError(f"site {j} outside 1..{m}")
-    t = binned.total
+    t = y.size
     if t > max_size:
         raise ValueError(f"series of {t} observations exceeds oracle cap {max_size}")
-    y = _flat_observations(binned)
-    design = _expanded_design(counts)
+    design = _expanded_design(series.counts)
     xj = design[:, j - 1]
-    s2 = binned.noise_sd**2
+    s2 = series.noise_sd**2
     mus, xis, logms = [], [], []
     for tau_k in (hypers.tau0_sq, hypers.tau1_sq):
         d = np.full(m, hypers.tau_sq)
@@ -94,7 +85,7 @@ def oracle_site_posterior(
         mus.append(c * float(xj @ alpha))
         xis.append(c - c * c * float(xj @ scipy.linalg.cho_solve(chol, xj)))
         logms.append(logm)
-    prob = stable_inclusion_probability(hypers.q, logms[0], logms[1])
+    prob = float(inclusion_probability(prior_log_odds(hypers.q) + logms[1] - logms[0]))
     return OracleResult(
         site=j,
         mu=(mus[0], mus[1]),
@@ -115,17 +106,16 @@ def oracle_joint_marginal(
     z has one entry per time index; entry t selects the slab (1) or spike (0)
     variance for increment t.
     """
-    binned = _as_binned(series)
+    y = series.values
     z = np.asarray(z, dtype=int)
-    m = binned.counts.size
+    m = series.length
     if z.shape != (m,):
         raise ValueError(f"z must have length {m}")
-    if binned.total > max_size:
-        raise ValueError(f"series of {binned.total} observations exceeds cap {max_size}")
-    y = _flat_observations(binned)
-    design = _expanded_design(binned.counts)
+    if y.size > max_size:
+        raise ValueError(f"series of {y.size} observations exceeds cap {max_size}")
+    design = _expanded_design(series.counts)
     d = np.where(z == 1, hypers.tau1_sq, hypers.tau0_sq)
-    cov = binned.noise_sd**2 * (np.eye(binned.total) + (design * d) @ design.T)
+    cov = series.noise_sd**2 * (np.eye(y.size) + (design * d) @ design.T)
     logm, _, _ = _gaussian_logpdf_zero_mean(y, cov)
     return logm
 
@@ -137,9 +127,8 @@ def conditional_deltaf_moments(
 
     The reference for the Gibbs sampler's tridiagonal level draw.
     """
-    binned = _as_binned(series)
-    design = _expanded_design(binned.counts)
-    y = _flat_observations(binned)
+    design = _expanded_design(series.counts)
+    y = series.values
     z = np.asarray(z, dtype=int)
     d_inv = np.where(z == 1, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
     prec = design.T @ design + np.diag(d_inv)
@@ -156,8 +145,7 @@ def enumerate_inclusion_probabilities(
 ) -> np.ndarray:
     """Exact joint-model marginals P(Z_t = 1 | Y, sigma^2) for every site, by
     exhaustive enumeration of all 2^M indicator vectors."""
-    binned = _as_binned(series)
-    m = binned.counts.size
+    m = series.length
     if m > max_sites:
         raise ValueError(f"{m} sites would enumerate 2^{m} configurations")
     if not 0.0 < hypers.q < 1.0:
@@ -169,7 +157,7 @@ def enumerate_inclusion_probabilities(
     configs = np.empty((2**m, m))
     for idx, bits in enumerate(product((0, 1), repeat=m)):
         z = np.asarray(bits)
-        logm = oracle_joint_marginal(binned, z, hypers, max_size=binned.total)
+        logm = oracle_joint_marginal(series, z, hypers, max_size=series.values.size)
         log_posts[idx] = logm + z.sum() * log_q + (m - z.sum()) * log_1mq
         configs[idx] = z
     w = np.exp(log_posts - log_posts.max())
@@ -181,8 +169,7 @@ def exact_z_posterior(
     series: TimeSeries | BinnedSeries, hypers: Hyperparameters, max_sites: int = 12
 ) -> dict[tuple[int, ...], float]:
     """Full posterior over indicator configurations (small M only)."""
-    binned = _as_binned(series)
-    m = binned.counts.size
+    m = series.length
     if m > max_sites:
         raise ValueError(f"{m} sites would enumerate 2^{m} configurations")
     if not 0.0 < hypers.q < 1.0:
@@ -193,7 +180,7 @@ def exact_z_posterior(
     vals = []
     for bits in product((0, 1), repeat=m):
         z = np.asarray(bits)
-        logm = oracle_joint_marginal(binned, z, hypers, max_size=binned.total)
+        logm = oracle_joint_marginal(series, z, hypers, max_size=series.values.size)
         keys.append(bits)
         vals.append(logm + z.sum() * log_q + (m - z.sum()) * log_1mq)
     vals = np.asarray(vals)

@@ -41,7 +41,8 @@ from .types import (
     Hyperparameters,
     PosteriorSiteSummary,
     TimeSeries,
-    stable_inclusion_probability,
+    inclusion_probability,
+    prior_log_odds,
 )
 
 
@@ -146,19 +147,8 @@ def inclusion_scores(
     """
     fwd = forward_pass(series, hypers)
     _, (lw0, lw1) = _mixture_terms(fwd, series.noise_sd, hypers)
-    probs = np.array(
-        [
-            stable_inclusion_probability(hypers.q, float(a), float(b))
-            for a, b in zip(lw0[1:], lw1[1:])
-        ]
-    )
-    if hypers.q <= 0.0:
-        log_odds = np.full(probs.size, -np.inf)
-    elif hypers.q >= 1.0:
-        log_odds = np.full(probs.size, np.inf)
-    else:
-        log_odds = np.log(hypers.q) - np.log1p(-hypers.q) + lw1[1:] - lw0[1:]
-    return probs, log_odds
+    log_odds = prior_log_odds(hypers.q) + lw1[1:] - lw0[1:]
+    return inclusion_probability(log_odds), log_odds
 
 
 def all_site_posteriors(
@@ -168,13 +158,14 @@ def all_site_posteriors(
     fwd = forward_pass(series, hypers)
     (den0, den1), (lw0, lw1) = _mixture_terms(fwd, series.noise_sd, hypers)
     s2 = series.noise_sd * series.noise_sd
+    probs = inclusion_probability(prior_log_odds(hypers.q) + lw1 - lw0)
     return [
         PosteriorSiteSummary(
             site=j + 1,
             mu=(float(fwd.data[j] / den0[j]), float(fwd.data[j] / den1[j])),
             xi=(float(s2 / den0[j]), float(s2 / den1[j])),
             log_omega=(float(lw0[j]), float(lw1[j])),
-            inclusion_prob=stable_inclusion_probability(hypers.q, float(lw0[j]), float(lw1[j])),
+            inclusion_prob=float(probs[j]),
         )
         for j in range(fwd.length)
     ]

@@ -3,7 +3,7 @@ robust noise-scale estimator, and the block-aggregation statistic."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .errors import (
     TooShortError,
     UnknownSignalError,
 )
-from .types import BinnedSeries, TimeSeries
+from .types import BinnedSeries, TimeSeries, split_groups
 
 
 @dataclass(frozen=True)
@@ -209,16 +209,8 @@ def simulate_binned(
     x = np.sort(rng.uniform(0.0, 1.0, n))
     y = signal.value_at_fraction(x) + noise.draw(rng, n)
     cell = np.minimum((x * grid).astype(int), grid - 1)
-    groups = []
-    kept = []
-    for b in range(grid):
-        mask = cell == b
-        if mask.any():
-            groups.append(y[mask])
-            kept.append(b + 1)
-    return BinnedSeries(
-        bins=tuple(groups), noise_sd=noise.std, source_bins=tuple(kept)
-    )
+    kept, starts = np.unique(cell, return_index=True)  # x is sorted, so cells are too
+    return BinnedSeries(split_groups(y, starts), noise.std, tuple((kept + 1).tolist()))
 
 
 def map_changepoints_to_bins(
@@ -233,21 +225,14 @@ def map_changepoints_to_bins(
     cells = signal.grid_changepoints(grid)
     if source_bins is None:
         return cells
-    kept = np.asarray(source_bins, dtype=int)
-    out = []
-    for c in cells:
-        pos = int(np.searchsorted(kept, c, side="right"))
-        out.append(max(pos, 1))
-    return tuple(out)
+    pos = np.searchsorted(np.asarray(source_bins, dtype=int), cells, side="right")
+    return tuple(np.maximum(pos, 1).tolist())
 
 
 def estimate_sigma_mad(series: TimeSeries | BinnedSeries) -> float:
     """Robust noise-scale estimate: scaled median absolute deviation of the
     first differences, divided by sqrt(2)."""
-    if isinstance(series, TimeSeries):
-        values = series.values
-    else:
-        values = np.concatenate([np.asarray(b) for b in series.bins])
+    values = series.values
     if values.size < 3:
         raise TooShortError("need at least 3 observations to estimate sigma")
     d = np.diff(values)

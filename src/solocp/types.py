@@ -37,6 +37,9 @@ class TimeSeries:
 
     values: np.ndarray
     noise_sd: float
+    # one observation per time index: the same view BinnedSeries gives
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = _frozen_array(self.values)
@@ -47,32 +50,33 @@ class TimeSeries:
         if not (self.noise_sd > 0 and math.isfinite(self.noise_sd)):
             raise NonPositiveSigmaError(f"noise_sd must be positive, got {self.noise_sd}")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_counts", _frozen_array(np.ones(v.size)))
+        object.__setattr__(self, "counts", _frozen_array(np.ones(v.size)))
+        object.__setattr__(self, "sums", v)
 
     @property
     def length(self) -> int:
         return self.values.size
 
-    @property
-    def counts(self) -> np.ndarray:
-        """One observation per time index (the same view BinnedSeries gives)."""
-        return self._counts  # type: ignore[attr-defined]
-
-    @property
-    def sums(self) -> np.ndarray:
-        return self.values
-
     def to_binned(self) -> "BinnedSeries":
         """Equivalent series with every n_t = 1."""
-        return BinnedSeries(
-            bins=tuple(np.array([y]) for y in self.values), noise_sd=self.noise_sd
-        )
+        return BinnedSeries(bins=tuple(self.values[:, None]), noise_sd=self.noise_sd)
+
+
+def split_groups(values: np.ndarray, starts) -> tuple[np.ndarray, ...]:
+    """Views of the flat array `values` cut at the increasing group start
+    offsets `starts` (starts[0] == 0)."""
+    bounds = np.append(starts, values.size).tolist()
+    return tuple(values[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
 class BinnedSeries:
     """M groups of observations; group t holds the n_t >= 1 values recorded
     at time index t.
+
+    Stored like TimeSeries: `values` is one flat, read-only array holding the
+    groups back to back, `counts` holds each n_t and `sums` each group sum.
+    `bins` is a tuple of read-only views into `values`, one per group.
 
     source_bins, when present, records the original grid index (1-based) of
     each surviving group after empty grid cells were merged away during
@@ -82,45 +86,44 @@ class BinnedSeries:
     bins: tuple[np.ndarray, ...]
     noise_sd: float
     source_bins: tuple[int, ...] | None = None
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        groups = tuple(_frozen_array(b) for b in self.bins)
+        groups = tuple(self.bins)
         if len(groups) < 2:
             raise TooShortError(f"need at least 2 groups, got {len(groups)}")
-        for b in groups:
-            if b.ndim != 1 or b.size < 1:
-                raise TooShortError("every group needs at least one observation")
-            if not np.all(np.isfinite(b)):
-                raise NonFiniteValueError("series contains non-finite values")
+        values = np.concatenate(groups, dtype=float)
+        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+        if values.ndim != 1 or sizes.min() < 1:
+            raise TooShortError("every group needs at least one observation")
+        if not np.isfinite(values).all():
+            raise NonFiniteValueError("series contains non-finite values")
         if not (self.noise_sd > 0 and math.isfinite(self.noise_sd)):
             raise NonPositiveSigmaError(f"noise_sd must be positive, got {self.noise_sd}")
-        object.__setattr__(self, "bins", groups)
-        object.__setattr__(self, "_counts", _frozen_array([b.size for b in groups]))
-        object.__setattr__(self, "_sums", _frozen_array([b.sum() for b in groups]))
+        values.setflags(write=False)
+        starts = np.cumsum(sizes) - sizes
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "bins", split_groups(values, starts))
+        object.__setattr__(self, "counts", _frozen_array(sizes))
+        object.__setattr__(self, "sums", _frozen_array(np.add.reduceat(values, starts)))
 
     @property
     def length(self) -> int:
         """Number of groups M."""
-        return len(self.bins)
+        return self.counts.size
 
     @property
     def total(self) -> int:
         """Total sample size T = sum of n_t."""
-        return int(self.counts.sum())
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts  # type: ignore[attr-defined]
-
-    @property
-    def sums(self) -> np.ndarray:
-        return self._sums  # type: ignore[attr-defined]
+        return self.values.size
 
     def to_series(self) -> TimeSeries:
         """Inverse of TimeSeries.to_binned; requires every n_t = 1."""
-        if any(b.size != 1 for b in self.bins):
+        if self.total != self.length:
             raise ValueError("only a series with all n_t = 1 converts back")
-        return TimeSeries(np.array([b[0] for b in self.bins]), self.noise_sd)
+        return TimeSeries(self.values, self.noise_sd)
 
 
 def validate_series(raw_values, noise_sd: float) -> TimeSeries:
@@ -194,23 +197,24 @@ class Hyperparameters:
         return cls(**params)
 
 
-def stable_inclusion_probability(q: float, log_omega0: float, log_omega1: float) -> float:
-    """P(Z_j=1 | Y, sigma^2) = q*w1 / (q*w1 + (1-q)*w0), evaluated in log space.
+def prior_log_odds(q: float) -> float:
+    """log(q / (1 - q)), the prior log-odds of inclusion; -inf at q = 0 and
+    +inf at q = 1."""
+    with np.errstate(divide="ignore"):
+        return np.log(q) - np.log1p(-q)
 
-    This is the single code path for the mixture weight ratio; posterior
-    construction and any recomputation must both route through it so the
-    stored value is reproducible bit for bit.
+
+def inclusion_probability(log_odds):
+    """P(Z_j=1 | Y, sigma^2) = 1 / (1 + exp(-log_odds)), elementwise; exactly
+    0 and 1 at -inf and +inf.
+
+    This is the single code path from log-odds (prior log-odds plus
+    log w1 - log w0) to probabilities; posterior construction, recomputation,
+    the oracle and the Gibbs indicator draw all route through it, so a stored
+    value is reproducible bit for bit.
     """
-    if q <= 0.0:
-        return 0.0
-    if q >= 1.0:
-        return 1.0
-    gap = math.log1p(-q) - math.log(q) + log_omega0 - log_omega1
-    if gap > 700.0:
-        return 0.0
-    if gap < -700.0:
-        return 1.0
-    return 1.0 / (1.0 + math.exp(gap))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-log_odds))
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,8 @@ class PosteriorSiteSummary:
     inclusion_prob: float
 
     def recompute_inclusion(self, q: float) -> float:
-        return stable_inclusion_probability(q, self.log_omega[0], self.log_omega[1])
+        lo = prior_log_odds(q) + self.log_omega[1] - self.log_omega[0]
+        return float(inclusion_probability(lo))
 
 
 @dataclass(frozen=True)

@@ -265,3 +265,28 @@ def test_bench_single_on_binned_config_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[InvalidConfigError]")
     assert "Traceback" not in err
+
+
+_MALFORMED_CONFIG = {
+    "sigma_mode": {"sigma_mode": "fixed:abc"},
+    "replications": {"replications": "x"},
+    "signal": {"signal": {"length": 10}},
+    "noise": {"noise": {"family": "gaussian"}},
+    "hypers": {"hypers": {"q": "abc"}},
+    "binned": {"binned": {"n": 5}},
+}
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED_CONFIG, "edge_fraction"])
+def test_malformed_input_reported_not_traceback(tmp_path, capsys, case):
+    if case == "edge_fraction":
+        inp = tmp_path / "jump.csv"
+        _write_jump_csv(inp)
+        argv = ["detect", str(inp), "--method", "single", "--edge-fraction", "0.7"]
+    else:
+        argv = ["bench", str(_teeth_config(tmp_path, reps=1, extra=_MALFORMED_CONFIG[case]))]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error[InvalidConfigError]")
+    assert "Traceback" not in err

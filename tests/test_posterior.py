@@ -12,6 +12,7 @@ from solocp import (
     oracle_site_posterior,
 )
 from solocp.posterior import all_site_posteriors, forward_pass, inclusion_scores
+from solocp.types import inclusion_probability
 
 
 def _hyp(tau0, tau1, tau, q=0.1):
@@ -97,6 +98,17 @@ def test_probability_monotone_in_q():
         p = all_inclusion_probabilities(ts, h)
         assert np.all(p >= prev - 1e-15)
         prev = p
+
+
+def test_probabilities_are_one_function_of_log_odds():
+    rng = np.random.default_rng(21)
+    for series in (TimeSeries(rng.normal(0, 1, 300), 0.7), _random_binned(rng, max_groups=60)):
+        for q in (0.0, 0.1, 0.5, 1.0):
+            h = _hyp(0.01, 10.0, 0.5, q=q)
+            probs, log_odds = inclusion_scores(series, h)
+            assert np.array_equal(probs, inclusion_probability(log_odds))
+            summaries = all_site_posteriors(series, h)
+            assert np.array_equal([s.inclusion_prob for s in summaries[1:]], probs)
 
 
 def _assert_matches_oracle(series, h, rtol=1e-8):

@@ -132,6 +132,46 @@ def test_simulate_binned_sparse_grid_reduces_to_points():
     assert np.allclose(np.concatenate(bs.bins), y)
 
 
+@pytest.mark.parametrize(
+    "n,grid", [(1024, 200), (300, 700), (40, 4000), (5000, 64), (8192, 2048)]
+)
+def test_simulate_binned_matches_per_cell_grouping(n, grid):
+    # reference grouping built cell by cell from the same random stream
+    signal, noise = builtin_signal("BLOCKS"), NoiseSpec.gaussian(3.0)
+    rng = np.random.default_rng(5)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    y = signal.value_at_fraction(x) + noise.draw(rng, n)
+    cell = np.minimum((x * grid).astype(int), grid - 1)
+    kept = [b for b in range(grid) if (cell == b).any()]
+    bs = simulate_binned(signal, noise, n, grid, seed=5)
+    assert bs.source_bins == tuple(b + 1 for b in kept)
+    assert len(bs.bins) == len(kept)
+    for group, b in zip(bs.bins, kept):
+        assert np.array_equal(group, y[cell == b])
+
+
+def test_binned_layout_is_one_flat_read_only_array():
+    rng = np.random.default_rng(3)
+    counts = rng.integers(1, 9, size=300)
+    bs = BinnedSeries(tuple(rng.normal(0, 5, c) for c in counts), 1.0)
+    assert np.array_equal(bs.values, np.concatenate(bs.bins))
+    assert np.array_equal(bs.counts, counts)
+    for group in bs.bins:
+        assert group.base is bs.values
+        with pytest.raises(ValueError):
+            group[0] = 0.0
+    with pytest.raises(ValueError):
+        bs.values[0] = 0.0
+    per_group = np.array([b.sum() for b in bs.bins])
+    assert np.all(np.abs(bs.sums - per_group) <= 1e-12 * np.abs(bs.values).sum())
+
+
+def test_mad_of_binned_equals_mad_of_its_values():
+    bs = simulate_binned(builtin_signal("BLOCKS2"), NoiseSpec.gaussian(7.0), 1024, 200, seed=0)
+    plain = TimeSeries(bs.values, bs.noise_sd)
+    assert estimate_sigma_mad(bs) == estimate_sigma_mad(plain)
+
+
 def test_simulate_binned_zero_noise_bin_means():
     s = SignalSpec(length=100, changepoints=(51,), levels=(0.0, 3.0))
     bs = simulate_binned(s, NoiseSpec.gaussian(1e-12), n=500, grid=10, seed=8)
