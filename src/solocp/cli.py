@@ -146,7 +146,6 @@ def _hypers_for(length: int, method: str, overrides: dict) -> Hyperparameters:
     if unknown:
         raise InvalidConfigError(f"unknown hyperparameter keys {sorted(unknown)}")
     fields.update(overrides)
-    fields["delta"] = int(fields["delta"])
     return Hyperparameters(**fields)
 
 
@@ -195,6 +194,8 @@ def load_experiment_config(path: str) -> dict:
         gibbs = cfg.get("gibbs", {})
         int(gibbs.get("iterations", 5000)), int(gibbs.get("burn_in", 1000))
         float(cfg.get("edge_fraction", 0.05))
+        swept = (cfg.get("grid") or {}).values()
+        numbers = [*cfg["hypers"].values(), *(v for values in swept for v in values)]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(
             f"{path}: malformed config entry ({type(exc).__name__}: {exc})"
@@ -202,11 +203,8 @@ def load_experiment_config(path: str) -> dict:
     if replications < 1:
         raise InvalidConfigError("replications must be >= 1")
     _sigma_rule(cfg["sigma_mode"])
-    hypers = cfg["hypers"]
-    if not isinstance(hypers, dict) or any(
-        not isinstance(v, (int, float)) for v in hypers.values()
-    ):
-        raise InvalidConfigError(f"hypers must map names to numbers, got {hypers!r}")
+    if not all(isinstance(v, (int, float)) for v in numbers):
+        raise InvalidConfigError("hypers and grid values must be numbers")
     return cfg
 
 
@@ -294,7 +292,10 @@ def _n_jobs(flag_value) -> int:
     if flag_value is not None:
         return max(1, int(flag_value))
     env = os.environ.get("SOLOCP_JOBS")
-    return max(1, int(env)) if env else 1
+    try:
+        return max(1, int(env)) if env else 1
+    except ValueError:
+        raise InvalidConfigError(f"SOLOCP_JOBS must be an integer, got {env!r}") from None
 
 
 # ------------------------------------------------------------------ commands

@@ -274,12 +274,16 @@ _MALFORMED_CONFIG = {
     "noise": {"noise": {"family": "gaussian"}},
     "hypers": {"hypers": {"q": "abc"}},
     "binned": {"binned": {"n": 5}},
+    "grid": {"grid": {"q": ["abc"]}},
 }
 
 
-@pytest.mark.parametrize("case", [*_MALFORMED_CONFIG, "edge_fraction"])
-def test_malformed_input_reported_not_traceback(tmp_path, capsys, case):
-    if case == "edge_fraction":
+@pytest.mark.parametrize("case", [*_MALFORMED_CONFIG, "edge_fraction", "jobs_env"])
+def test_malformed_input_reported_not_traceback(tmp_path, capsys, monkeypatch, case):
+    if case == "jobs_env":
+        monkeypatch.setenv("SOLOCP_JOBS", "x")
+        argv = ["bench", str(_teeth_config(tmp_path, reps=1))]
+    elif case == "edge_fraction":
         inp = tmp_path / "jump.csv"
         _write_jump_csv(inp)
         argv = ["detect", str(inp), "--method", "single", "--edge-fraction", "0.7"]
@@ -290,3 +294,9 @@ def test_malformed_input_reported_not_traceback(tmp_path, capsys, case):
     assert rc == 1
     assert err.startswith("error[InvalidConfigError]")
     assert "Traceback" not in err
+
+
+def test_bench_fractional_delta_rejected_not_truncated(tmp_path, capsys):
+    cfg = _teeth_config(tmp_path, reps=1, extra={"hypers": {"delta": 1.5}})
+    assert main(["bench", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error[InvalidHyperparameterError]")

@@ -148,6 +148,9 @@ def test_simulate_binned_matches_per_cell_grouping(n, grid):
     assert len(bs.bins) == len(kept)
     for group, b in zip(bs.bins, kept):
         assert np.array_equal(group, y[cell == b])
+    truth = [max(int(np.searchsorted(bs.source_bins, c, side="right")), 1)
+             for c in signal.grid_changepoints(grid)]
+    assert map_changepoints_to_bins(signal, grid, bs.source_bins) == tuple(truth)
 
 
 def test_binned_layout_is_one_flat_read_only_array():
