@@ -25,12 +25,14 @@ Experiment configs are JSON objects; signal and noise are required:
     grid           {"<hyperparameter>": [values]}: one bench row per value
     edge_fraction  search window of method single (0.05)
 
+The detect report is one line of JSON with sorted keys.
 Every library error exits nonzero with an "error[<Type>]:" prefix.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -61,50 +63,84 @@ _CHAIN_SEED_OFFSET = 1_000_000  # decouple chain randomness from data seeds
 # ---------------------------------------------------------------- CSV input
 
 
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1)
+_PLAIN_ROW = np.dtype([("t", float), ("y", float)])
+_BINNED_ROW = np.dtype([("t", float), ("y", float), ("bin", np.int64)])
+
+
 def read_series_csv(path: str) -> TimeSeries | BinnedSeries:
     """Parse the t,y / t,y,bin schema into a series (noise_sd filled with a
-    placeholder 1.0; callers override)."""
+    placeholder 1.0; callers override).
+
+    Errors name the first offending line in file order; blank lines count."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        cols = [c.strip().lower() for c in header]
-        if cols == ["t", "y"]:
-            binned = False
-        elif cols == ["t", "y", "bin"]:
-            binned = True
-        else:
-            raise ParseError(f"{path}: header must be 't,y' or 't,y,bin', got {header}")
-        ts, ys, bins = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(cols):
-                raise ParseError(f"{path}: line {lineno}: expected {len(cols)} fields")
-            try:
-                t = float(row[0])
-                y = float(row[1])
-                b = int(row[2]) if binned else 0
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            if ts and t <= ts[-1]:
-                raise ParseError(f"{path}: line {lineno}: t must be strictly increasing")
-            if binned:
-                if b < 1:
-                    raise ParseError(f"{path}: line {lineno}: bin ids start at 1")
-                if bins and b < bins[-1]:
-                    raise ParseError(f"{path}: line {lineno}: bin ids must be nondecreasing")
-            ts.append(t)
-            ys.append(y)
-            bins.append(b)
-    if not ys:
+        header = next(csv.reader(fh), None)
+        lines = fh.readlines()
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    cols = [c.strip().lower() for c in header]
+    if cols == ["t", "y"]:
+        dtype = _PLAIN_ROW
+    elif cols == ["t", "y", "bin"]:
+        dtype = _BINNED_ROW
+    else:
+        raise ParseError(f"{path}: header must be 't,y' or 't,y,bin', got {header}")
+    if not any(line.strip("\r\n") for line in lines):
         raise ParseError(f"{path}: no data rows")
-    if not binned:
-        return TimeSeries(np.asarray(ys), 1.0)
-    _, starts = np.unique(bins, return_index=True)
-    return BinnedSeries(split_groups(np.asarray(ys), starts), 1.0)
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, **_LOADTXT)  # a blank line gives no row
+    except ValueError:
+        linenos = _line_numbers(lines)
+        data = [lines[n - 2] for n in linenos]
+        bad, reason = _first_bad_line(data, dtype)
+        if bad:  # an earlier line out of order is the first offence
+            _check_order(path, np.loadtxt(data[:bad], dtype=dtype, **_LOADTXT), lines)
+        raise ParseError(f"{path}: line {linenos[bad]}: {reason}") from None
+    _check_order(path, rows, lines)
+    if dtype is _PLAIN_ROW:
+        return TimeSeries(rows["y"], 1.0)
+    _, starts = np.unique(rows["bin"], return_index=True)
+    return BinnedSeries(split_groups(rows["y"], starts), 1.0)
+
+
+def _line_numbers(lines: list[str]) -> list[int]:
+    """File line number of each row; blank lines count but hold no row."""
+    return [n for n, line in enumerate(lines, start=2) if line.strip("\r\n")]
+
+
+def _first_bad_line(lines: list[str], dtype: np.dtype) -> tuple[int, str]:
+    """Index of the first line that does not parse as one row, and why."""
+    for k, line in enumerate(lines):
+        try:
+            np.loadtxt([line], dtype=dtype, **_LOADTXT)
+        except ValueError as exc:
+            if len(next(csv.reader([line]))) != len(dtype.names):
+                return k, f"expected {len(dtype.names)} fields"
+            return k, str(exc)
+    # each line parses alone, so a quoted field runs on over a line end
+    k = next((k for k, line in enumerate(lines) if line.count('"') % 2), len(lines) - 1)
+    return k, "quoted field not closed on its line"
+
+
+def _check_order(path: str, rows: np.ndarray, lines: list[str]) -> None:
+    """Raise on the first row, in file order, that breaks the ordering rules;
+    on one line the checks apply in the order listed."""
+    t = rows["t"]
+    checks = [(t[1:] <= t[:-1], 1, "t must be strictly increasing")]
+    if "bin" in rows.dtype.names:
+        b = rows["bin"]
+        checks += [
+            (b < 1, 0, "bin ids start at 1"),
+            (b[1:] < b[:-1], 1, "bin ids must be nondecreasing"),
+        ]
+    found = [
+        (int(mask.argmax()) + shift, rank, message)
+        for rank, (mask, shift, message) in enumerate(checks)
+        if mask.any()
+    ]
+    if found:
+        k, _, message = min(found)
+        raise ParseError(f"{path}: line {_line_numbers(lines)[k]}: {message}")
 
 
 # ------------------------------------------------------------ config loading
@@ -226,7 +262,9 @@ def _make_dataset(cfg: dict, rep: int):
         series = simulate(signal, noise, seed)
         truth = signal.changepoints
         domain = signal.length
-    series = replace(series, noise_sd=_resolve_sigma(series, cfg["sigma_mode"]))
+    sigma = _resolve_sigma(series, cfg["sigma_mode"])
+    if sigma != series.noise_sd:  # replacing rebuilds and revalidates the whole series
+        series = replace(series, noise_sd=sigma)
     return series, truth, domain, seed
 
 
@@ -331,7 +369,7 @@ def cmd_detect(args) -> int:
             criterion=located.criterion,
             low_confidence=located.low_confidence,
         )
-        probs_rows = None
+        result = None
     else:
         gibbs_cfg = None
         if args.method == "basad":
@@ -342,24 +380,23 @@ def cmd_detect(args) -> int:
         report.update(
             locations=list(result.selected.locations),
             count=result.selected.count,
-            probabilities=[float(p) for p in result.probabilities],
+            probabilities=result.probabilities.tolist(),
             clusters=[list(c) for c in result.clusters],
         )
-        probs_rows = list(zip(result.sites.tolist(), result.probabilities.tolist()))
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.probs_csv and probs_rows is not None:
-        fitted = _fitted_levels(series, report["locations"])
+    if args.probs_csv and result is not None:
+        fitted = _fitted_levels(series, report["locations"]).tolist()
         with open(args.probs_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["site", "probability", "fitted_mean"])
-            writer.writerow([1, "", repr(float(fitted[0]))])
-            for (site, prob), level in zip(probs_rows, fitted[1:]):
-                writer.writerow([site, repr(float(prob)), repr(float(level))])
+            writer.writerow([1, "", repr(fitted[0])])
+            rows = zip(result.sites.tolist(), report["probabilities"], fitted[1:])
+            writer.writerows((site, repr(prob), repr(level)) for site, prob, level in rows)
     return 0
 
 
@@ -446,7 +483,9 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------- entrypoint
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="solocp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from solocp.cli import main, read_series_csv
+from solocp.cli import build_parser, main, read_series_csv
 from solocp.types import BinnedSeries, TimeSeries
 
 
@@ -105,6 +105,91 @@ def test_detect_nonincreasing_t_rejected(tmp_path, capsys):
     rc = main(["detect", str(path), "--sigma", "1.0"])
     assert rc == 1
     assert "strictly increasing" in capsys.readouterr().err
+
+
+_READER_ERRORS = {
+    "non_numeric_after_blank": ("t,y\n1,0.5\n\n2,abc\n", "line 4: "),
+    "short_row": ("t,y\n1,0.5\n2\n3,0.7\n", "line 3: expected 2 fields"),
+    "long_row": ("t,y\n1,0.5\n2,0.6,7\n", "line 3: expected 2 fields"),
+    "every_row_too_long": ("t,y\n1,0.5,1\n2,0.6,2\n", "line 2: expected 2 fields"),
+    "repeated_t": ("t,y\n1,0.5\n2,0.6\n2,0.7\n", "line 4: t must be strictly increasing"),
+    "bin_zero": ("t,y,bin\n1,0.5,1\n2,0.6,0\n", "line 3: bin ids start at 1"),
+    "decreasing_bin": ("t,y,bin\n1,0.5,2\n2,0.6,1\n", "line 3: bin ids must be nondecreasing"),
+    "fractional_bin": ("t,y,bin\n1,0.5,1\n2,0.6,1.5\n", "line 3: "),
+    # the bin check on line 3 comes before the repeated t on line 4
+    "mixed_order": ("t,y,bin\n1,0.5,1\n2,0.7,0\n2,0.9,1\n", "line 3: bin ids start at 1"),
+    "disorder_before_bad_value": ("t,y\n1,0.5\n1,0.6\n3,abc\n", "line 3: t must be strictly"),
+    "trailing_comment": ("t,y\n1,0.5 # c\n2,0.6\n", "line 2: "),
+    "whitespace_line": ("t,y\n1,0.5\n   \n2,0.6\n", "line 3: expected 2 fields"),
+    "underscore_digits": ("t,y\n1,1_0\n2,0.6\n", "line 2: "),
+    "open_quote": ('t,y\n1,"2\n3,4\n', "line 2: quoted field not closed"),
+    "no_rows": ("t,y\n\n", "no data rows"),
+    "empty_file": ("", "empty file"),
+}
+
+
+@pytest.mark.parametrize("case", _READER_ERRORS)
+def test_reader_error_names_first_offending_line(tmp_path, capsys, case):
+    text, expected = _READER_ERRORS[case]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    assert main(["detect", str(path), "--sigma", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[ParseError]")
+    assert f"bad.csv: {expected}" in err
+
+
+def _reference_series(path):
+    """The series parsed with the csv module and float()/int()."""
+    with open(path, newline="") as fh:
+        rows = [r for r in list(csv.reader(fh))[1:] if r]
+    ys = [float(r[1]) for r in rows]
+    if len(rows[0]) == 2:
+        return TimeSeries(np.array(ys), 1.0)
+    bins = [int(r[2]) for r in rows]
+    groups = [np.array([y for y, b in zip(ys, bins) if b == g]) for g in sorted(set(bins))]
+    return BinnedSeries(tuple(groups), 1.0)
+
+
+@pytest.mark.parametrize("binned", [False, True])
+def test_reader_accepts_crlf_quotes_and_padding_bitwise(tmp_path, binned):
+    rng = np.random.default_rng(7)
+    y = rng.normal(0.0, 3.0, 300) * 10.0 ** rng.integers(-5, 6, 300)
+    fields = [repr(float(v)) if k % 3 else f"{v:.6g}" for k, v in enumerate(y)]
+    path = tmp_path / "ok.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("t,y,bin\r\n" if binned else "t,y\r\n")
+        for k, field in enumerate(fields):
+            if k % 4 == 1:
+                field = f'"{field}"'
+            elif k % 4 == 2:
+                field = f"  {field} "
+            row = f"{k + 1},{field}" + (f",{k // 3 + 1}" if binned else "")
+            fh.write(row + ("\r\n\r\n" if k == 10 else "\r\n"))
+    series = read_series_csv(str(path))
+    reference = _reference_series(path)
+    assert type(series) is type(reference)
+    for name in ("values", "counts", "sums"):
+        got, want = getattr(series, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    inp = tmp_path / "jump.csv"
+    _write_jump_csv(inp)
+    first, basad, second = (tmp_path / f"{name}.json" for name in ("first", "basad", "second"))
+    assert main(["detect", str(inp), "--out", str(first)]) == 0
+    assert main(["detect", str(inp), "--method", "basad", "--iterations", "50",
+                 "--burn-in", "10", "--seed", "3", "--out", str(basad)]) == 0
+    assert main(["detect", str(inp), "--out", str(second)]) == 0
+    report = json.loads(second.read_text())
+    assert report["method"] == "solo"
+    assert report == json.loads(first.read_text())
+    assert json.loads(basad.read_text())["method"] == "basad"
+    # one line of JSON with sorted keys
+    text = first.read_text()
+    assert text.count("\n") == 1 and list(report) == sorted(report)
 
 
 def test_missing_file_io_error(tmp_path, capsys):
