@@ -23,8 +23,8 @@ class InvalidHyperparameterError(SolocpError):
 
 
 class NumericOverflowError(SolocpError):
-    """A posterior score came out non-finite: the data, relative to sigma,
-    exceed the range of double precision."""
+    """A posterior score came out non-finite or lost its precision: the data,
+    relative to sigma, or 1/tau_sq exceed the range of double precision."""
 
 
 class LinearSolveFailureError(SolocpError):

@@ -4,9 +4,11 @@ Block 1 draws the whole increment vector from its Gaussian full conditional
 given the indicators; block 2 draws every indicator independently given its
 increment. The increment draw is done in the cumulative (fitted-level) space,
 where the posterior precision Q / sigma^2, Q = diag(n) + Delta' diag(w) Delta
-(Delta the first-difference operator, w_t = 1/tau^2_{z_t}), is tridiagonal. LAPACK dpttrf factors
-it as Q = L D L' (L unit lower bidiagonal) and dpttrs solves
-Q f = sums + sigma L D^{1/2} eps, so one sweep is O(M) in two calls (Rue 2001).
+(Delta the first-difference operator, w_t = 1/tau^2_{z_t}), is tridiagonal.
+types.level_precision builds it; the solo posterior factors the same matrix
+with w_t = 1/tau^2 everywhere. LAPACK dpttrf factors it as Q = L D L' (L unit
+lower bidiagonal) and dpttrs solves Q f = sums + sigma L D^{1/2} eps, so one
+sweep is O(M) in two calls (Rue 2001).
 With U = D^{1/2} L' the upper Cholesky factor of Q, Q^{-1} L D^{1/2} = U^{-1},
 so f is the usual Q^{-1} sums + sigma U^{-1} eps draw from the same normals.
 
@@ -21,7 +23,8 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidConfigError, LinearSolveFailureError, NumericOverflowError
 from .types import (
-    BinnedSeries, Hyperparameters, TimeSeries, inclusion_probability, prior_log_odds
+    BinnedSeries, Hyperparameters, TimeSeries, inclusion_probability, level_precision,
+    prior_log_odds,
 )
 
 
@@ -61,9 +64,7 @@ def _draw_increments(
     """One draw of the increments delta_f | z (block 1)."""
     noise = rng.standard_normal(series.length)
     weights = np.where(z == 1, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
-    diag = series.counts + weights
-    diag[:-1] += weights[1:]
-    d, e, info = dpttrf(diag, -weights[1:])
+    d, e, info = dpttrf(*level_precision(series.counts, weights))
     if info == 0:
         s = np.sqrt(d) * noise
         s[1:] += e * s[:-1]

@@ -217,6 +217,16 @@ def inclusion_probability(log_odds):
         return 1.0 / (1.0 + np.exp(-log_odds))
 
 
+def level_precision(counts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the level precision (sigma^2 units)
+    Q = diag(counts) + Delta' diag(weights) Delta, Delta the first differences
+    with f_1 - f_0 included; weights[j-1] is the prior precision of increment
+    j. The solo posterior and the Gibbs level draw both factor this matrix."""
+    diag = counts + weights
+    diag[:-1] += weights[1:]
+    return diag, -weights[1:]
+
+
 @dataclass(frozen=True)
 class PosteriorSiteSummary:
     """Per-site mixture posterior of the single-site model.

@@ -139,6 +139,18 @@ def test_reader_error_names_first_offending_line(tmp_path, capsys, case):
     assert f"bad.csv: {expected}" in err
 
 
+@pytest.mark.parametrize("bad_row", [0, 50_000, 99_999], ids=["first", "middle", "last"])
+def test_reader_error_in_long_file_names_its_line(tmp_path, capsys, bad_row):
+    rows = [f"{k + 1},{0.25 * k}\n" for k in range(100_000)]
+    rows[bad_row] = f"{bad_row + 1},abc\n"
+    path = tmp_path / "long.csv"
+    path.write_text("t,y\n" + "".join(rows))
+    assert main(["detect", str(path), "--sigma", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[ParseError]")
+    assert f"long.csv: line {bad_row + 2}: " in err
+
+
 def _reference_series(path):
     """The series parsed with the csv module and float()/int()."""
     with open(path, newline="") as fh:
@@ -329,6 +341,17 @@ def test_detect_basad_tiny_sigma_reported_not_silent(tmp_path, capsys):
     inp = tmp_path / "jump.csv"
     _write_jump_csv(inp)
     rc = main(["detect", str(inp), "--method", "basad", "--sigma", "1e-200"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[NumericOverflowError]")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tau_sq", ["3e-17", "1e-310"])
+def test_detect_tau_sq_below_double_precision_reported(tmp_path, capsys, tau_sq):
+    inp = tmp_path / "jump.csv"
+    _write_jump_csv(inp, t=200, jump_at=100)
+    rc = main(["detect", str(inp), "--sigma", "1.0", "--tau-sq", tau_sq])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error[NumericOverflowError]")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from solocp import (
     oracle_site_posterior,
 )
 from solocp.posterior import all_site_posteriors, forward_pass, inclusion_scores
-from solocp.types import inclusion_probability
+from solocp.types import inclusion_probability, level_precision
 
 
 def _hyp(tau0, tau1, tau, q=0.1):
@@ -46,6 +48,95 @@ def test_forward_shrinkage_limit():
     fwd = forward_pass(TimeSeries(y, 1.0), _hyp(1e-13, 1e-12, 1e-12))
     assert np.allclose(fwd.info, np.arange(8, 0, -1), rtol=1e-9)
     assert np.allclose(fwd.data, np.cumsum(y[::-1])[::-1], rtol=1e-9)
+
+
+def _filter_recurrences(counts, sums, tau_sq):
+    """The scalar two-filter smoother (Fraser & Potter 1969), one site at a
+    time: (tail_weight, tail_data, info, data) as in ForwardCache."""
+    m = len(counts)
+    tail_w, tail_d = np.empty(m), np.empty(m)
+    w_carry = d_carry = 0.0
+    for i in range(m - 1, -1, -1):
+        tail_w[i] = w = counts[i] + w_carry
+        tail_d[i] = d = sums[i] + d_carry
+        den = tau_sq * w + 1.0
+        w_carry, d_carry = w / den, d / den
+    lead_mean, lead_var = np.empty(m), np.empty(m)
+    mean = var = 0.0
+    for i in range(m):
+        lead_mean[i], lead_var[i] = mean, var
+        prior_var = var + tau_sq
+        den = 1.0 + counts[i] * prior_var
+        mean, var = (mean + prior_var * sums[i]) / den, prior_var / den
+    den = 1.0 + lead_var * tail_w
+    return tail_w, tail_d, tail_w / den, (tail_d - lead_mean * tail_w) / den
+
+
+def _recurrence_case(rng):
+    """A plain or unequal-count binned series of up to 3000 sites: a level
+    offset up to 1e3, a few jumps and unit noise; tau^2 in [1e-6, 1e3]."""
+    m = int(rng.integers(2, 3001))
+    levels = rng.uniform(-1e3, 1e3) + np.cumsum(rng.normal(0, 5, m) * (rng.random(m) < 0.01))
+    if rng.random() < 0.5:
+        series = TimeSeries(levels + rng.normal(0, 1, m), 1.0)
+    else:
+        counts = rng.integers(1, 6, m)
+        series = BinnedSeries(tuple(rng.normal(lv, 1, n) for lv, n in zip(levels, counts)), 1.0)
+    return series, float(10.0 ** rng.uniform(-6, 3))
+
+
+def _recurrence_errors(series, tau_sq):
+    """Per-field worst error of forward_pass against the recurrences: weights
+    relative, data relative to |data| + sqrt(weight)."""
+    fwd = forward_pass(series, _hyp(1e-3, 1e3, tau_sq))
+    w, d, a, b = _filter_recurrences(series.counts.tolist(), series.sums.tolist(), tau_sq)
+    return (
+        np.max(np.abs(fwd.tail_weight - w) / w),
+        np.max(np.abs(fwd.tail_data - d) / (np.abs(d) + np.sqrt(w))),
+        np.max(np.abs(fwd.info - a) / a),
+        np.max(np.abs(fwd.data - b) / (np.abs(b) + np.sqrt(a))),
+    )
+
+
+# set from seeds 0-49 of _recurrence_case (2,000 series), whose worst was a
+# B_j error of 2.3e-8 near tau^2 = 1e-6: eps * p * |x| in the level increments
+_RECURRENCE_BOUND = 1e-7
+
+
+def test_forward_pass_matches_filter_recurrences():
+    # the pivots and the level solve reproduce both filters site by site
+    rng = np.random.default_rng(2106)
+    for _ in range(40):
+        assert max(_recurrence_errors(*_recurrence_case(rng))) < _RECURRENCE_BOUND
+
+
+@pytest.mark.parametrize("binned", [False, True])
+@pytest.mark.parametrize("per_site", [False, True], ids=["scalar", "per_site"])
+def test_level_precision_is_the_dense_precision(binned, per_site):
+    rng = np.random.default_rng(4)
+    if binned:
+        series = _random_binned(rng, max_groups=40)
+    else:
+        series = TimeSeries(rng.normal(0, 1, 30), 1.0)
+    m = series.length
+    weights = rng.uniform(0.01, 100.0, m) if per_site else np.full(m, 1.0 / 0.3)
+    diff = np.eye(m) - np.eye(m, k=-1)
+    dense = np.diag(series.counts) + diff.T @ np.diag(weights) @ diff
+    diag, off = level_precision(series.counts, weights)
+    banded = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+    np.testing.assert_allclose(banded, dense, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("tau_sq", [3e-17, 1e-310])
+def test_tau_sq_below_double_precision_raises(tau_sq):
+    # 1/tau^2 overflows, or the tail weights pi_j - 1/tau^2 cancel to zero:
+    # an error, never A = 0 at every site
+    rng = np.random.default_rng(12)
+    ts = TimeSeries(rng.normal(0, 1, 200), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError):
+            detect(ts, _hyp(1.0 / 200, 200.0, tau_sq))
 
 
 def test_forward_cache_is_site_independent():
