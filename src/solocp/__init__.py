@@ -62,7 +62,6 @@ from .types import (
     Hyperparameters,
     PosteriorSiteSummary,
     TimeSeries,
-    validate_series,
 )
 
 __all__ = [
@@ -102,7 +101,6 @@ __all__ = [
     "simulate_binned",
     "single_cp_locate",
     "threshold_select",
-    "validate_series",
     # errors
     "SolocpError",
     "NonFiniteValueError",

@@ -25,6 +25,11 @@ Experiment configs are JSON objects; signal and noise are required:
     grid           {"<hyperparameter>": [values]}: one bench row per value
     edge_fraction  search window of method single (0.05)
 
+replications, seed, binned n and grid, gibbs iterations and burn_in, and the
+length of a custom signal must be JSON integers; hypers and grid values must
+be numbers, not true or false. Unknown keys at the top level and in hypers,
+binned and gibbs are errors, as is an unknown method.
+
 The detect report is one line of JSON with sorted keys.
 Every library error exits nonzero with an "error[<Type>]:" prefix.
 """
@@ -38,7 +43,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,7 +60,7 @@ from .signals import (
     simulate,
     simulate_binned,
 )
-from .types import BinnedSeries, Hyperparameters, TimeSeries, split_groups
+from .types import BinnedSeries, Hyperparameters, TimeSeries
 
 _CHAIN_SEED_OFFSET = 1_000_000  # decouple chain randomness from data seeds
 
@@ -99,8 +104,8 @@ def read_series_csv(path: str) -> TimeSeries | BinnedSeries:
     _check_order(path, rows, lines)
     if dtype is _PLAIN_ROW:
         return TimeSeries(rows["y"], 1.0)
-    _, starts = np.unique(rows["bin"], return_index=True)
-    return BinnedSeries(split_groups(rows["y"], starts), 1.0)
+    _, sizes = np.unique(rows["bin"], return_counts=True)
+    return BinnedSeries(rows["y"], 1.0, counts=sizes)
 
 
 def _line_numbers(lines: list[str]) -> list[int]:
@@ -156,14 +161,34 @@ def _check_order(path: str, rows: np.ndarray, lines: list[str]) -> None:
 # ------------------------------------------------------------ config loading
 
 
-def _signal_from_config(cfg) -> SignalSpec:
-    if isinstance(cfg, str):
-        return builtin_signal(cfg)
-    return SignalSpec(
-        length=int(cfg["length"]),
-        changepoints=tuple(cfg["changepoints"]),
-        levels=tuple(cfg["levels"]),
-    )
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment config, parsed and checked once; the replications read it."""
+
+    signal: SignalSpec
+    noise: NoiseSpec
+    method: str
+    hypers: dict  # hyperparameter overrides
+    replications: int
+    seed: int  # replication r simulates with seed + r
+    sigma_mode: str | float  # "true", "mad" or a fixed value
+    binned: tuple[int, int] | None  # (n, grid)
+    gibbs: GibbsConfig  # each replication sets its own chain seed
+    edge_fraction: float
+    grid: dict  # {hyperparameter: values}, at most one: one bench row per value
+    manifest: dict  # the signal, noise and binned entries as written
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(Experiment) if f.name != "manifest")
+_HYPER_KEYS = tuple(f.name for f in fields(Hyperparameters))
+
+
+def _typed(value, name: str, kinds=(int,)):
+    """value, when its JSON type is one of kinds (true and false load as bool)."""
+    if type(value) not in kinds:
+        expected = " or ".join(k.__name__ for k in kinds)
+        raise InvalidConfigError(f"{name} must be a JSON {expected}, got {value!r}")
+    return value
 
 
 def _noise_from_config(cfg: dict) -> NoiseSpec:
@@ -180,43 +205,21 @@ def _noise_from_config(cfg: dict) -> NoiseSpec:
 
 
 def _hypers_for(length: int, method: str, overrides: dict) -> Hyperparameters:
-    base = (
-        Hyperparameters.basad_defaults(length)
-        if method == "basad"
-        else Hyperparameters.solo_defaults(length)
-    )
-    if not overrides:
-        return base
-    fields = asdict(base)
-    unknown = set(overrides) - set(fields)
-    if unknown:
-        raise InvalidConfigError(f"unknown hyperparameter keys {sorted(unknown)}")
-    fields.update(overrides)
-    return Hyperparameters(**fields)
+    if method == "basad":
+        return Hyperparameters.basad_defaults(length, **overrides)
+    return Hyperparameters.solo_defaults(length, **overrides)
 
 
 def _sigma_rule(mode) -> str | float:
     """The sigma_mode as "true", "mad", or the value of "fixed:<value>"."""
     if mode in ("true", "mad"):
         return mode
-    if isinstance(mode, str) and mode.startswith("fixed:"):
-        try:
-            return float(mode[len("fixed:"):])
-        except ValueError:
-            pass
-    raise InvalidConfigError(f"sigma_mode must be true, mad, or fixed:<value>, got {mode!r}")
+    if not mode.startswith("fixed:"):
+        raise InvalidConfigError(f"sigma_mode must be true, mad, or fixed:<value>, got {mode!r}")
+    return float(mode[len("fixed:"):])
 
 
-def _resolve_sigma(series, mode) -> float:
-    rule = _sigma_rule(mode)
-    if rule == "true":
-        return series.noise_sd
-    if rule == "mad":
-        return estimate_sigma_mad(series)
-    return rule
-
-
-def load_experiment_config(path: str) -> dict:
+def load_experiment_config(path: str) -> Experiment:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -224,103 +227,108 @@ def load_experiment_config(path: str) -> dict:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict) or "signal" not in cfg or "noise" not in cfg:
         raise InvalidConfigError(f"{path}: config needs 'signal' and 'noise' entries")
-    cfg.setdefault("method", "solo")
-    cfg.setdefault("replications", 1)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("sigma_mode", "true")
-    cfg.setdefault("hypers", {})
-    # fail fast on malformed entries: every conversion the replications make
-    try:
-        replications = int(cfg["replications"])
-        int(cfg["seed"])
-        _signal_from_config(cfg["signal"])
-        _noise_from_config(cfg["noise"])
-        if cfg.get("binned"):
-            int(cfg["binned"]["n"]), int(cfg["binned"]["grid"])
-        gibbs = cfg.get("gibbs", {})
-        int(gibbs.get("iterations", 5000)), int(gibbs.get("burn_in", 1000))
-        float(cfg.get("edge_fraction", 0.05))
-        swept = (cfg.get("grid") or {}).values()
-        numbers = [*cfg["hypers"].values(), *(v for values in swept for v in values)]
+    try:  # a malformed entry raises one of these while it is read or converted
+        return _parse_experiment(cfg)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(
             f"{path}: malformed config entry ({type(exc).__name__}: {exc})"
         ) from None
-    if replications < 1:
-        raise InvalidConfigError("replications must be >= 1")
-    _sigma_rule(cfg["sigma_mode"])
-    if not all(isinstance(v, (int, float)) for v in numbers):
-        raise InvalidConfigError("hypers and grid values must be numbers")
-    return cfg
+
+
+def _parse_experiment(cfg: dict) -> Experiment:
+    hypers, gibbs = cfg.get("hypers", {}), cfg.get("gibbs", {})
+    binned, grid, signal = cfg.get("binned") or {}, cfg.get("grid") or {}, cfg["signal"]
+    for entries, allowed, what in (
+        (cfg, _CONFIG_KEYS, "config"),
+        ([*hypers, *grid], _HYPER_KEYS, "hyperparameter"),
+        (binned, ("n", "grid"), "binned"),
+        (gibbs, ("iterations", "burn_in"), "gibbs"),
+    ):
+        unknown = set(entries) - set(allowed)
+        if unknown:
+            raise InvalidConfigError(f"unknown {what} keys {sorted(unknown)}")
+    method = cfg.get("method", "solo")
+    if method not in ("solo", "basad", "single"):
+        raise InvalidConfigError(f"unknown method {method!r}")
+    if len(grid) > 1:
+        raise InvalidConfigError("grid supports exactly one swept parameter")
+    replications = _typed(cfg.get("replications", 1), "replications")
+    seed = _typed(cfg.get("seed", 0), "seed")
+    if replications < 1 or seed < 0:
+        raise InvalidConfigError("replications must be >= 1 and seed >= 0")
+    if binned:
+        binned = (_typed(binned["n"], "binned.n"), _typed(binned["grid"], "binned.grid"))
+    number = (int, float)
+    return Experiment(
+        signal=builtin_signal(signal) if isinstance(signal, str) else SignalSpec(
+            _typed(signal["length"], "signal.length"),
+            tuple(signal["changepoints"]),
+            tuple(signal["levels"]),
+        ),
+        noise=_noise_from_config(cfg["noise"]),
+        method=method,
+        hypers={k: _typed(v, f"hypers.{k}", number) for k, v in hypers.items()},
+        replications=replications,
+        seed=seed,
+        sigma_mode=_sigma_rule(cfg.get("sigma_mode", "true")),
+        binned=binned or None,
+        gibbs=GibbsConfig(
+            _typed(gibbs.get("iterations", 5000), "gibbs.iterations"),
+            _typed(gibbs.get("burn_in", 1000), "gibbs.burn_in"),
+            seed=seed + _CHAIN_SEED_OFFSET,
+        ),
+        edge_fraction=float(cfg.get("edge_fraction", 0.05)),
+        grid={k: tuple(_typed(v, f"grid.{k}", number) for v in vs) for k, vs in grid.items()},
+        manifest={"signal": signal, "noise": cfg["noise"], "binned": cfg.get("binned")},
+    )
 
 
 # -------------------------------------------------------------- replications
 
 
-def _make_dataset(cfg: dict, rep: int):
-    """Returns (series-with-resolved-sigma, truth locations, domain length)."""
-    signal = _signal_from_config(cfg["signal"])
-    noise = _noise_from_config(cfg["noise"])
-    seed = int(cfg["seed"]) + rep
-    if "binned" in cfg and cfg["binned"]:
-        n = int(cfg["binned"]["n"])
-        grid = int(cfg["binned"]["grid"])
-        series = simulate_binned(signal, noise, n, grid, seed)
-        truth = map_changepoints_to_bins(signal, grid, series.source_bins)
+def _make_dataset(exp: Experiment, rep: int):
+    """Returns (series-with-resolved-sigma, truth locations, domain length, seed)."""
+    seed = exp.seed + rep
+    if exp.binned:
+        n, grid = exp.binned
+        series = simulate_binned(exp.signal, exp.noise, n, grid, seed)
+        truth = map_changepoints_to_bins(exp.signal, grid, series.source_bins)
         domain = series.length
     else:
-        series = simulate(signal, noise, seed)
-        truth = signal.changepoints
-        domain = signal.length
-    sigma = _resolve_sigma(series, cfg["sigma_mode"])
-    if sigma != series.noise_sd:  # replacing rebuilds and revalidates the whole series
-        series = replace(series, noise_sd=sigma)
+        series = simulate(exp.signal, exp.noise, seed)
+        truth = exp.signal.changepoints
+        domain = exp.signal.length
+    sigma = exp.sigma_mode
+    if sigma in ("true", "mad"):
+        sigma = series.noise_sd if sigma == "true" else estimate_sigma_mad(series)
+    series = replace(series, noise_sd=sigma)
     return series, truth, domain, seed
 
 
-def run_replication(cfg: dict, rep: int) -> tuple[EvalReport, float]:
+def run_replication(exp: Experiment, rep: int) -> tuple[EvalReport, float]:
     """simulate -> detect -> evaluate for one seeded replication."""
-    series, truth, domain, seed = _make_dataset(cfg, rep)
-    method = cfg["method"]
-    hypers = _hypers_for(series.length, method, cfg["hypers"])
+    series, truth, domain, seed = _make_dataset(exp, rep)
+    hypers = _hypers_for(series.length, exp.method, exp.hypers)
     start = time.perf_counter()
-    if method in ("solo", "basad"):
-        gibbs_cfg = None
-        if method == "basad":
-            g = cfg.get("gibbs", {})
-            gibbs_cfg = GibbsConfig(
-                iterations=int(g.get("iterations", 5000)),
-                burn_in=int(g.get("burn_in", 1000)),
-                seed=seed + _CHAIN_SEED_OFFSET,
-            )
-        result = detect(series, hypers, method=method, gibbs_config=gibbs_cfg)
-        est = result.selected
-    elif method == "single":
-        located = single_cp_locate(series, hypers, float(cfg.get("edge_fraction", 0.05)))
-        est = [located.site]
+    if exp.method == "single":
+        est = [single_cp_locate(series, hypers, exp.edge_fraction).site]
     else:
-        raise InvalidConfigError(f"unknown method {method!r}")
+        gibbs_cfg = replace(exp.gibbs, seed=seed + _CHAIN_SEED_OFFSET)
+        est = detect(series, hypers, method=exp.method, gibbs_config=gibbs_cfg).selected
     elapsed = time.perf_counter() - start
     return evaluate_sets(est, truth, domain), elapsed
 
 
-def _grid_rows(cfg: dict) -> list[tuple[str, dict]]:
-    """Expand an optional {'grid': {param: [values]}} block into labeled
-    configs; no grid yields the single base row."""
-    grid = cfg.get("grid")
-    if not grid:
-        return [(cfg["method"], cfg)]
-    if len(grid) != 1:
-        raise InvalidConfigError("grid supports exactly one swept parameter")
-    (param, values), = grid.items()
-    rows = []
-    for v in values:
-        sub = dict(cfg)
-        sub["hypers"] = dict(cfg["hypers"])
-        sub["hypers"][param] = v
-        sub.pop("grid")
-        rows.append((f"{cfg['method']}-{param}{v}", sub))
-    return rows
+def _grid_rows(exp: Experiment) -> list[tuple[str, Experiment]]:
+    """One labeled experiment per value of the swept hyperparameter; no grid
+    yields the single base row."""
+    if not exp.grid:
+        return [(exp.method, exp)]
+    (param, values), = exp.grid.items()
+    return [
+        (f"{exp.method}-{param}{v}", replace(exp, hypers={**exp.hypers, param: v}, grid={}))
+        for v in values
+    ]
 
 
 def _aggregate(reports: list[EvalReport], times: list[float]) -> list[str]:
@@ -355,18 +363,7 @@ def cmd_detect(args) -> int:
     if sigma <= 0:
         raise InvalidConfigError("sigma must be positive (constant input data?)")
     series = replace(series, noise_sd=sigma)
-    overrides = {
-        k: v
-        for k, v in (
-            ("tau0_sq", args.tau0_sq),
-            ("tau1_sq", args.tau1_sq),
-            ("tau_sq", args.tau_sq),
-            ("q", args.q),
-            ("delta", args.delta),
-            ("threshold", args.threshold),
-        )
-        if v is not None
-    }
+    overrides = {k: getattr(args, k) for k in _HYPER_KEYS if getattr(args, k) is not None}
     hypers = _hypers_for(series.length, args.method, overrides)
     report: dict = {"method": args.method, "sigma_used": sigma, "hypers": vars(hypers).copy()}
     if args.method == "single":
@@ -424,12 +421,11 @@ def _fitted_levels(series, locations) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_experiment_config(args.config)
+    exp = load_experiment_config(args.config)
     os.makedirs(args.outdir, exist_ok=True)
-    reps = int(cfg["replications"])
     entries = []
-    for rep in range(reps):
-        series, truth, _, seed = _make_dataset(cfg, rep)
+    for rep in range(exp.replications):
+        series, truth, _, seed = _make_dataset(exp, rep)
         name = f"rep_{rep:03d}.csv"
         path = os.path.join(args.outdir, name)
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -444,34 +440,28 @@ def cmd_simulate(args) -> int:
                 group_ids = np.repeat(np.arange(1, series.length + 1), series.counts.astype(int))
                 writer.writerows(zip(ts, ys, group_ids.tolist()))
         entries.append({"file": name, "seed": seed, "changepoints": list(truth)})
-    manifest = {
-        "signal": cfg["signal"],
-        "noise": cfg["noise"],
-        "replications": reps,
-        "base_seed": int(cfg["seed"]),
-        "binned": cfg.get("binned"),
-        "datasets": entries,
-    }
+    manifest = dict(
+        exp.manifest, replications=exp.replications, base_seed=exp.seed, datasets=entries
+    )
     with open(os.path.join(args.outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {reps} datasets to {args.outdir}")
+    print(f"wrote {exp.replications} datasets to {args.outdir}")
     return 0
 
 
 def _bench_worker(payload):
-    cfg, rep = payload
-    report, elapsed = run_replication(cfg, rep)
+    exp, rep = payload
+    report, elapsed = run_replication(exp, rep)
     return rep, report, elapsed
 
 
 def cmd_bench(args) -> int:
-    cfg = load_experiment_config(args.config)
+    exp = load_experiment_config(args.config)
     jobs = _n_jobs(args.jobs)
     rows = []
-    for label, sub in _grid_rows(cfg):
-        reps = int(sub["replications"])
-        payloads = [(sub, rep) for rep in range(reps)]
+    for label, sub in _grid_rows(exp):
+        payloads = [(sub, rep) for rep in range(sub.replications)]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = sorted(pool.map(_bench_worker, payloads))

@@ -23,16 +23,19 @@ Both filters work in sigma^2 units, so sigma^2 enters only the formulas above.
 
 Both filters are Gaussian elimination on the level precision
 Q = diag(n) + p Delta' Delta, p = 1/tau^2 (types.level_precision, shared with
-the Gibbs level draw), so three LAPACK calls replace them (Rue 2001):
+the Gibbs level draw), so LAPACK calls replace them (Rue 2001):
 dpttrf(Q) gives pivots phi_j, where phi_j - p = 1/v_{j+1} is the precision of
 f_j given observations 1..j; dpttrf on Q reversed gives pivots pi_j = w_j + p;
-and x = dpttrs(Q, sums) is the posterior mean of the levels. Row j of each
+and x = Q^{-1} sums is the posterior mean of the levels. Row j of each
 elimination, phi_j x_j - p x_{j+1} = m_{j+1} / v_{j+1} and
-pi_j x_j - p x_{j-1} = d_j (x_0 = 0), gives m and d.
+pi_j x_j - p x_{j-1} = d_j (x_0 = 0), gives m and d. B_j = (A_j + p)(x_j - x_{j-1})
+would lose eps * p * |x| to the increments, so a second dpttrs solves for x - c,
+c = x_M, as Q (c 1) = c n + c p e_1: the last level, farthest from the pin f_0 = 0,
+is near the others both at a level offset and when a tiny tau^2 pins them to 0.
 
 Precision: pi_j - p loses about eps * p absolutely (phi_j - p >= p / j does
 not cancel). Against the scalar recurrences, A_j agrees to about 1e-10
-relative at tau^2 = 1e-6 and a few 1e-6 at 1e-11, and B_j to about 2e-8 of
+relative at tau^2 = 1e-6 and a few 1e-6 at 1e-11, and B_j to about 2e-10 of
 |B_j| + sqrt(A_j) at level offsets up to 1e3. As w_j >= n_j exactly,
 forward_pass raises NumericOverflowError when eps * p exceeds 1e-3 of the
 smallest w_j (tau^2 below about 2e-13 at unit counts) instead of returning
@@ -109,7 +112,12 @@ def forward_pass(series: TimeSeries | BinnedSeries, hypers: Hyperparameters) -> 
             "the tail weights cancel"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        step = np.diff(x, prepend=0.0)
+        c = x[-1]  # Q (c 1) = c counts + c p e_1
+        rhs = series.sums - c * counts
+        rhs[0] -= c * p
+        x_r = dpttrs(phi, e, rhs)[0]
+        step = np.diff(x_r, prepend=-c)
+        x = x_r + c
         tail_d = tail_w * x + p * step
         lead_var = np.concatenate(([0.0], 1.0 / (phi[:-1] - p)))
         lead_mean = np.concatenate(([0.0], x[:-1] - p * step[1:] * lead_var[1:]))

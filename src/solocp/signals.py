@@ -13,7 +13,7 @@ from .errors import (
     TooShortError,
     UnknownSignalError,
 )
-from .types import BinnedSeries, TimeSeries, split_groups
+from .types import BinnedSeries, TimeSeries
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,8 @@ def simulate_binned(
     x = np.sort(rng.uniform(0.0, 1.0, n))
     y = signal.value_at_fraction(x) + noise.draw(rng, n)
     cell = np.minimum((x * grid).astype(int), grid - 1)
-    kept, starts = np.unique(cell, return_index=True)  # x is sorted, so cells are too
-    return BinnedSeries(split_groups(y, starts), noise.std, tuple((kept + 1).tolist()))
+    kept, sizes = np.unique(cell, return_counts=True)  # x is sorted, so cells are too
+    return BinnedSeries(y, noise.std, tuple((kept + 1).tolist()), counts=sizes)
 
 
 def map_changepoints_to_bins(

@@ -27,6 +27,19 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
     return a
 
 
+def _observations(values, noise_sd: float) -> np.ndarray:
+    """The checks every series makes: at least 2 finite observations in one
+    dimension and a positive noise_sd. Returns the values read-only."""
+    v = _frozen_array(values)
+    if v.ndim != 1 or v.size < 2:
+        raise TooShortError(f"need at least 2 observations, got {v.size}")
+    if not np.isfinite(v).all():
+        raise NonFiniteValueError("series contains non-finite values")
+    if not (noise_sd > 0 and math.isfinite(noise_sd)):
+        raise NonPositiveSigmaError(f"noise_sd must be positive, got {noise_sd}")
+    return v
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Observations y_1..y_T with one observation per time index.
@@ -42,13 +55,7 @@ class TimeSeries:
     sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = _frozen_array(self.values)
-        if v.ndim != 1 or v.size < 2:
-            raise TooShortError(f"need at least 2 observations, got {v.size}")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteValueError("series contains non-finite values")
-        if not (self.noise_sd > 0 and math.isfinite(self.noise_sd)):
-            raise NonPositiveSigmaError(f"noise_sd must be positive, got {self.noise_sd}")
+        v = _observations(self.values, self.noise_sd)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "counts", _frozen_array(np.ones(v.size)))
         object.__setattr__(self, "sums", v)
@@ -59,14 +66,7 @@ class TimeSeries:
 
     def to_binned(self) -> "BinnedSeries":
         """Equivalent series with every n_t = 1."""
-        return BinnedSeries(bins=tuple(self.values[:, None]), noise_sd=self.noise_sd)
-
-
-def split_groups(values: np.ndarray, starts) -> tuple[np.ndarray, ...]:
-    """Views of the flat array `values` cut at the increasing group start
-    offsets `starts` (starts[0] == 0)."""
-    bounds = np.append(starts, values.size).tolist()
-    return tuple(values[a:b] for a, b in zip(bounds, bounds[1:]))
+        return BinnedSeries(self.values, self.noise_sd, counts=self.counts)
 
 
 @dataclass(frozen=True)
@@ -76,38 +76,46 @@ class BinnedSeries:
 
     Stored like TimeSeries: `values` is one flat, read-only array holding the
     groups back to back, `counts` holds each n_t and `sums` each group sum.
-    `bins` is a tuple of read-only views into `values`, one per group.
+    Two input forms give the same series: `BinnedSeries(groups, sd)` takes a
+    sequence of 1-D arrays, one per group, and `BinnedSeries(values, sd,
+    counts=sizes)` takes the flat array and the group sizes. `bins`, a tuple
+    of read-only views into `values`, one per group, is computed on demand.
 
     source_bins, when present, records the original grid index (1-based) of
     each surviving group after empty grid cells were merged away during
     simulation; it is metadata only.
     """
 
-    bins: tuple[np.ndarray, ...]
+    values: np.ndarray
     noise_sd: float
     source_bins: tuple[int, ...] | None = None
-    values: np.ndarray = field(init=False, repr=False, compare=False)
-    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray | None = field(default=None, repr=False, compare=False)
     sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        groups = tuple(self.bins)
-        if len(groups) < 2:
-            raise TooShortError(f"need at least 2 groups, got {len(groups)}")
-        values = np.concatenate(groups, dtype=float)
-        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-        if values.ndim != 1 or sizes.min() < 1:
-            raise TooShortError("every group needs at least one observation")
-        if not np.isfinite(values).all():
-            raise NonFiniteValueError("series contains non-finite values")
-        if not (self.noise_sd > 0 and math.isfinite(self.noise_sd)):
-            raise NonPositiveSigmaError(f"noise_sd must be positive, got {self.noise_sd}")
-        values.setflags(write=False)
-        starts = np.cumsum(sizes) - sizes
+        values, counts = self.values, self.counts
+        if counts is None:  # a sequence of groups
+            groups = tuple(values)
+            values = np.concatenate(groups, dtype=float) if groups else ()
+            counts = [len(g) for g in groups]
+        values = _observations(values, self.noise_sd)
+        counts = _frozen_array(counts)
+        if not (
+            counts.ndim == 1 and counts.size >= 2 and counts.sum() == values.size
+            and counts.min() >= 1 and np.array_equal(counts, np.floor(counts))
+        ):
+            raise TooShortError(
+                f"need at least 2 groups of whole sizes >= 1 adding up to {values.size}"
+            )
+        starts = np.concatenate(([0], counts[:-1].cumsum())).astype(np.intp)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "bins", split_groups(values, starts))
-        object.__setattr__(self, "counts", _frozen_array(sizes))
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "sums", _frozen_array(np.add.reduceat(values, starts)))
+
+    @property
+    def bins(self) -> tuple[np.ndarray, ...]:
+        """Read-only views of `values`, one per group."""
+        return tuple(np.split(self.values, self.counts[:-1].cumsum().astype(np.intp)))
 
     @property
     def length(self) -> int:
@@ -124,11 +132,6 @@ class BinnedSeries:
         if self.total != self.length:
             raise ValueError("only a series with all n_t = 1 converts back")
         return TimeSeries(self.values, self.noise_sd)
-
-
-def validate_series(raw_values, noise_sd: float) -> TimeSeries:
-    """Validate raw observations into a TimeSeries."""
-    return TimeSeries(np.asarray(raw_values, dtype=float), float(noise_sd))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,41 @@
+"""What the benchmark under benchmarks/ needs from the package.
+
+The benchmark files are read, never changed, here: `Tracer.install` skips a
+span boundary whose attribute is gone, so its per-layer metric would read 0
+without an error, and the oracle gate builds series the way the benchmark's
+own code does.
+"""
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from solocp import BinnedSeries, TimeSeries
+
+_BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", _BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_boundary_resolves():
+    for module_name, attr, span, _ in _load("spans").BOUNDARIES:
+        target = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(target), f"{span}: {module_name}.{attr} is missing"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 101])
+def test_every_workload_builds_its_gate_instances(seed):
+    for name, workload in _load("workloads").WORKLOADS.items():
+        instances = workload.gate_instances(seed)
+        assert instances, name
+        for series in instances:
+            assert isinstance(series, (TimeSeries, BinnedSeries)), name
+            assert series.length >= 2 and series.sums.size == series.length, name

@@ -383,6 +383,24 @@ _MALFORMED_CONFIG = {
     "hypers": {"hypers": {"q": "abc"}},
     "binned": {"binned": {"n": 5}},
     "grid": {"grid": {"q": ["abc"]}},
+    # integer entries must be JSON integers, not truncated or coerced
+    "replications_fraction": {"replications": 1.5},
+    "replications_string": {"replications": "2"},
+    "replications_bool": {"replications": True},
+    "seed_fraction": {"seed": 1.5},
+    "binned_n_fraction": {"binned": {"n": 100.5, "grid": 20}},
+    "binned_grid_string": {"binned": {"n": 100, "grid": "20"}},
+    "gibbs_iterations_bool": {"method": "basad", "gibbs": {"iterations": True, "burn_in": 0}},
+    "gibbs_burn_in_fraction": {"method": "basad", "gibbs": {"iterations": 20, "burn_in": 2.5}},
+    "signal_length_fraction": {"signal": {"length": 10.5, "changepoints": [], "levels": [0.0]}},
+    # numbers are not booleans
+    "hypers_bool": {"hypers": {"q": True}},
+    "grid_bool": {"grid": {"q": [0.1, True]}},
+    # unknown keys and methods are rejected, not ignored
+    "unknown_key": {"replication": 3},
+    "unknown_binned_key": {"binned": {"n": 100, "grid": 20, "cells": 4}},
+    "unknown_gibbs_key": {"gibbs": {"iterations": 2000, "burnin": 5}},
+    "unknown_method": {"method": "bogus"},
 }
 
 
@@ -402,6 +420,15 @@ def test_malformed_input_reported_not_traceback(tmp_path, capsys, monkeypatch, c
     assert rc == 1
     assert err.startswith("error[InvalidConfigError]")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", _MALFORMED_CONFIG)
+def test_malformed_config_rejected_at_load(tmp_path, capsys, case):
+    outdir = tmp_path / "out"
+    cfg = _teeth_config(tmp_path, reps=1, extra=_MALFORMED_CONFIG[case])
+    assert main(["simulate", str(cfg), str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("error[InvalidConfigError]")
+    assert not outdir.exists()
 
 
 def test_bench_fractional_delta_rejected_not_truncated(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,38 +13,37 @@ from solocp import (
     NonPositiveSigmaError,
     TimeSeries,
     TooShortError,
-    validate_series,
 )
 from solocp.posterior import all_site_posteriors
 
 
 def test_validate_series_minimal():
-    ts = validate_series([1.0, 2.0], 1.0)
+    ts = TimeSeries(np.asarray([1.0, 2.0], dtype=float), 1.0)
     assert ts.length == 2
     assert ts.noise_sd == 1.0
 
 
 def test_validate_series_too_short():
     with pytest.raises(TooShortError):
-        validate_series([1.0], 1.0)
+        TimeSeries(np.asarray([1.0], dtype=float), 1.0)
 
 
 def test_validate_series_non_finite():
     with pytest.raises(NonFiniteValueError):
-        validate_series([1.0, np.nan], 1.0)
+        TimeSeries(np.asarray([1.0, np.nan], dtype=float), 1.0)
     with pytest.raises(NonFiniteValueError):
-        validate_series([1.0, np.inf], 1.0)
+        TimeSeries(np.asarray([1.0, np.inf], dtype=float), 1.0)
 
 
 def test_validate_series_bad_sigma():
     with pytest.raises(NonPositiveSigmaError):
-        validate_series([1.0, 2.0], 0.0)
+        TimeSeries(np.asarray([1.0, 2.0], dtype=float), 0.0)
     with pytest.raises(NonPositiveSigmaError):
-        validate_series([1.0, 2.0], -1.0)
+        TimeSeries(np.asarray([1.0, 2.0], dtype=float), -1.0)
 
 
 def test_series_values_read_only():
-    ts = validate_series([1.0, 2.0, 3.0], 1.0)
+    ts = TimeSeries(np.asarray([1.0, 2.0, 3.0], dtype=float), 1.0)
     with pytest.raises(ValueError):
         ts.values[0] = 9.0
 
@@ -65,6 +66,39 @@ def test_binned_series_invariants():
         BinnedSeries((np.array([1.0]),), 1.0)
     with pytest.raises(TooShortError):
         BinnedSeries((np.array([1.0]), np.array([])), 1.0)
+
+
+def _same_series(a, b):
+    for name in ("values", "counts", "sums"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert len(a.bins) == len(b.bins)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.bins, b.bins))
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=2, max_size=30),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 10.0),
+)
+def test_flat_and_group_forms_agree(sizes, seed, s):
+    flat = np.random.default_rng(seed).normal(0.0, 3.0, sum(sizes))
+    groups = np.split(flat, np.cumsum(sizes)[:-1])
+    bs = BinnedSeries(tuple(groups), s)
+    assert all(b.tobytes() == g.tobytes() for b, g in zip(bs.bins, groups, strict=True))
+    _same_series(bs, BinnedSeries(flat, s, counts=sizes))
+    wider = replace(bs, noise_sd=2 * s)
+    assert wider.noise_sd == 2 * s
+    _same_series(wider, bs)
+    with pytest.raises(TooShortError):  # counts that miss a value
+        BinnedSeries(flat[:-1], s, counts=sizes)
+    with pytest.raises(TooShortError):  # an empty group
+        BinnedSeries(flat, s, counts=[*sizes, 0])
+    with pytest.raises(TooShortError):  # fewer than 2 groups
+        BinnedSeries(flat, s, counts=[flat.size])
+    with pytest.raises(NonFiniteValueError):
+        BinnedSeries(np.where(np.arange(flat.size) == seed % flat.size, np.nan, flat), s,
+                     counts=sizes)
 
 
 def test_hyperparameter_validation():
