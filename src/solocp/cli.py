@@ -181,6 +181,7 @@ class Experiment:
 
 _CONFIG_KEYS = tuple(f.name for f in fields(Experiment) if f.name != "manifest")
 _HYPER_KEYS = tuple(f.name for f in fields(Hyperparameters))
+_NUMBER = (int, float)
 
 
 def _typed(value, name: str, kinds=(int,)):
@@ -192,15 +193,21 @@ def _typed(value, name: str, kinds=(int,)):
 
 
 def _noise_from_config(cfg: dict) -> NoiseSpec:
+    def number(key, default=None):
+        return float(_typed(cfg.get(key, default), f"noise.{key}", _NUMBER))
+
     family = cfg.get("family")
     if family == "gaussian":
-        return NoiseSpec.gaussian(float(cfg["sd"]))
+        return NoiseSpec.gaussian(number("sd"))
     if family == "laplace":
-        return NoiseSpec.laplace(float(cfg["scale"]))
+        return NoiseSpec.laplace(number("scale"))
     if family == "student_t":
-        return NoiseSpec.student_t(float(cfg["df"]), float(cfg.get("scale", 1.0)))
+        return NoiseSpec.student_t(number("df"), number("scale", 1.0))
     if family == "gaussian_mixture":
-        return NoiseSpec.mixture(cfg["weights"], cfg["sds"])
+        return NoiseSpec.mixture(
+            [_typed(w, "noise.weights", _NUMBER) for w in cfg["weights"]],
+            [_typed(sd, "noise.sds", _NUMBER) for sd in cfg["sds"]],
+        )
     raise InvalidConfigError(f"unknown noise family {family!r}")
 
 
@@ -258,16 +265,15 @@ def _parse_experiment(cfg: dict) -> Experiment:
         raise InvalidConfigError("replications must be >= 1 and seed >= 0")
     if binned:
         binned = (_typed(binned["n"], "binned.n"), _typed(binned["grid"], "binned.grid"))
-    number = (int, float)
     return Experiment(
         signal=builtin_signal(signal) if isinstance(signal, str) else SignalSpec(
             _typed(signal["length"], "signal.length"),
-            tuple(signal["changepoints"]),
-            tuple(signal["levels"]),
+            tuple(_typed(c, "signal.changepoints") for c in signal["changepoints"]),
+            tuple(_typed(v, "signal.levels", _NUMBER) for v in signal["levels"]),
         ),
         noise=_noise_from_config(cfg["noise"]),
         method=method,
-        hypers={k: _typed(v, f"hypers.{k}", number) for k, v in hypers.items()},
+        hypers={k: _typed(v, f"hypers.{k}", _NUMBER) for k, v in hypers.items()},
         replications=replications,
         seed=seed,
         sigma_mode=_sigma_rule(cfg.get("sigma_mode", "true")),
@@ -277,8 +283,8 @@ def _parse_experiment(cfg: dict) -> Experiment:
             _typed(gibbs.get("burn_in", 1000), "gibbs.burn_in"),
             seed=seed + _CHAIN_SEED_OFFSET,
         ),
-        edge_fraction=float(cfg.get("edge_fraction", 0.05)),
-        grid={k: tuple(_typed(v, f"grid.{k}", number) for v in vs) for k, vs in grid.items()},
+        edge_fraction=float(_typed(cfg.get("edge_fraction", 0.05), "edge_fraction", _NUMBER)),
+        grid={k: tuple(_typed(v, f"grid.{k}", _NUMBER) for v in vs) for k, vs in grid.items()},
         manifest={"signal": signal, "noise": cfg["noise"], "binned": cfg.get("binned")},
     )
 

@@ -101,7 +101,7 @@ def detect(
         probs = gibbs_inclusion_probabilities(series, hypers, gibbs_config)[1:]
         scores = probs
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidConfigError(f"unknown method {method!r}")
     c0, clusters, selected = select_changepoints(sites, probs, hypers, scores=scores)
     return DetectionResult(
         sites=sites,

@@ -12,6 +12,17 @@ sweep is O(M) in two calls (Rue 2001).
 With U = D^{1/2} L' the upper Cholesky factor of Q, Q^{-1} L D^{1/2} = U^{-1},
 so f is the usual Q^{-1} sums + sigma U^{-1} eps draw from the same normals.
 
+One kernel runs C >= 1 chains on the same series. Their level systems are
+stacked into one block-diagonal tridiagonal system of size C*M, whose
+off-diagonal is 0 where one chain ends and the next begins, so one
+dpttrf/dpttrs pair per sweep draws every chain's levels. A zero coupling
+leaves each block's factor and solution bitwise what it is for that chain
+alone. Each chain keeps its own Generator and draws its normals and uniforms
+into its own rows, so a chain's random stream, and with it its indicator
+chain, does not depend on the chains stacked beside it. Every per-sweep
+array is allocated once, before the first sweep, and each step writes into
+it in place.
+
 sigma^2 is fixed at series.noise_sd^2 throughout (known-variance treatment).
 """
 from __future__ import annotations
@@ -23,7 +34,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidConfigError, LinearSolveFailureError, NumericOverflowError
 from .types import (
-    BinnedSeries, Hyperparameters, TimeSeries, inclusion_probability, level_precision,
+    BinnedSeries, Hyperparameters, TimeSeries, inclusion_probability_into, level_precision,
     prior_log_odds,
 )
 
@@ -55,29 +66,6 @@ class GibbsState:
     z: np.ndarray
 
 
-def _draw_increments(
-    series: TimeSeries | BinnedSeries,
-    hypers: Hyperparameters,
-    z: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One draw of the increments delta_f | z (block 1)."""
-    noise = rng.standard_normal(series.length)
-    weights = np.where(z == 1, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
-    d, e, info = dpttrf(*level_precision(series.counts, weights))
-    if info == 0:
-        s = np.sqrt(d) * noise
-        s[1:] += e * s[:-1]
-        f, info = dpttrs(d, e, series.sums + series.noise_sd * s)
-    if info != 0:
-        raise LinearSolveFailureError(
-            f"level precision is not positive definite (LAPACK info {info})"
-        )
-    delta_f = f.copy()  # cheaper than f[1:] -= f[:-1], which copies on overlap
-    delta_f[1:] -= f[:-1]
-    return delta_f
-
-
 def _log_odds_line(hypers: Hyperparameters, sigma: float) -> tuple[float, float] | None:
     """Intercept and slope of an indicator's log-odds as a function of
     delta_f^2, or None when q in {0, 1} fixes every indicator. Raises
@@ -96,22 +84,84 @@ def _log_odds_line(hypers: Hyperparameters, sigma: float) -> tuple[float, float]
     return intercept, slope
 
 
-def _draw_indicators(
-    delta_f: np.ndarray,
-    q: float,
-    line: tuple[float, float] | None,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Independent Bernoulli draws of every indicator (block 2). Raises
-    NumericOverflowError when a log-odds is not finite (delta_f too large);
-    callers silence the overflow warning that precedes it."""
-    if line is None:
-        return np.full(delta_f.size, q >= 1.0, dtype=np.int8)
-    intercept, slope = line
-    lo = intercept + slope * delta_f**2
-    if not np.isfinite(lo).all():
-        raise NumericOverflowError("indicator log-odds are not finite; rescale the data")
-    return (rng.random(delta_f.size) < inclusion_probability(lo)).astype(np.int8)
+class _LevelDraw:
+    """Block 1 for C chains stacked into one block-diagonal level system:
+    each call writes delta <- increments | z, row k for chain k, into
+    buffers allocated here, once."""
+
+    def __init__(self, rngs, series: TimeSeries | BinnedSeries, hypers: Hyperparameters, z, delta):
+        c, m = delta.shape
+        # table[z] is the prior precision of an increment with indicator z
+        self.table = np.array([1.0 / hypers.tau0_sq, 1.0 / hypers.tau1_sq])
+        self.z, self.sigma = z, series.noise_sd
+        self.counts, self.sums = (np.tile(a, (c, 1)) for a in (series.counts, series.sums))
+        self.weights, self.diag, self.levels = (np.empty((c, m)) for _ in range(3))
+        # row k's last entry stays 0: it decouples chain k from chain k + 1
+        coupling = np.zeros((c, m))
+        self.off = coupling[:, :-1]
+        noise = np.empty((c, m))
+        self.normal_draws = [(rng.standard_normal, row) for rng, row in zip(rngs, noise)]
+        self.carry = np.empty(c * m - 1)
+        # views made once: slicing a 2-D array costs more than the work on
+        # M = 140 sites it selects
+        self.flat_diag, self.flat_off = self.diag.ravel(), coupling.ravel()[:-1]
+        self.flat_noise, self.rhs = noise.ravel(), self.levels.ravel()
+        self.steps = (self.levels[:, 1:], self.levels[:, :-1], delta[:, 1:])
+        self.firsts = (delta[:, 0], self.levels[:, 0])
+
+    def __call__(self) -> None:
+        # mode "clip" spares the buffered copy that "raise" makes of out; z is 0 or 1
+        self.table.take(self.z, out=self.weights, mode="clip")
+        level_precision(self.counts, self.weights, self.diag, self.off)
+        for draw, row in self.normal_draws:
+            draw(out=row)
+        # overwrite flags passed by position: f2py parses keywords slowly
+        d, e, info = dpttrf(self.flat_diag, self.flat_off, 1, 1)
+        if info == 0:
+            rhs, carry = self.rhs, self.carry
+            np.sqrt(d, out=rhs)
+            np.multiply(rhs, self.flat_noise, out=rhs)
+            np.multiply(e, rhs[:-1], out=carry)
+            np.add(rhs[1:], carry, out=rhs[1:])
+            np.multiply(rhs, self.sigma, out=rhs)
+            np.add(self.levels, self.sums, out=self.levels)
+            _, info = dpttrs(d, e, rhs, 1)
+        if info != 0:
+            raise LinearSolveFailureError(
+                f"level precision is not positive definite (LAPACK info {info})"
+            )
+        later, earlier, steps = self.steps
+        np.subtract(later, earlier, out=steps)
+        np.copyto(*self.firsts)
+
+
+class _IndicatorDraw:
+    """Block 2 for C chains: each call writes z <- independent Bernoulli
+    draws given delta, row k for chain k, into buffers allocated here, once.
+    Raises NumericOverflowError when a log-odds is not finite (delta too
+    large); the caller silences the overflow warning that precedes it."""
+
+    def __init__(self, rngs, q: float, line: tuple[float, float] | None, delta, z):
+        self.q, self.line, self.delta, self.z = q, line, delta, z
+        self.log_odds, self.prob, self.uniform = (np.empty(z.shape) for _ in range(3))
+        self.finite = np.empty(z.shape, dtype=bool)
+        self.uniform_draws = [(rng.random, row) for rng, row in zip(rngs, self.uniform)]
+
+    def __call__(self) -> None:
+        if self.line is None:
+            self.z.fill(self.q >= 1.0)
+            return
+        intercept, slope = self.line
+        lo = self.log_odds
+        np.multiply(self.delta, self.delta, out=lo)
+        np.multiply(lo, slope, out=lo)
+        np.add(lo, intercept, out=lo)
+        if not np.isfinite(lo, out=self.finite).all():
+            raise NumericOverflowError("indicator log-odds are not finite; rescale the data")
+        inclusion_probability_into(lo, self.prob)
+        for draw, row in self.uniform_draws:
+            draw(out=row)
+        np.less(self.uniform, self.prob, out=self.z)
 
 
 def sample_deltaf_given_z(
@@ -121,7 +171,10 @@ def sample_deltaf_given_z(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One exact draw of the increment vector from its full conditional."""
-    return _draw_increments(series, hypers, state.z, rng)
+    delta = np.empty((1, series.length))
+    z = np.reshape(state.z, (1, -1))
+    _LevelDraw([rng], series, hypers, z, delta)()
+    return delta[0]
 
 
 def sample_z_given_deltaf(
@@ -132,8 +185,36 @@ def sample_z_given_deltaf(
 ) -> np.ndarray:
     """Independent Bernoulli draws of every indicator given its increment."""
     line = _log_odds_line(hypers, sigma)
+    z = np.empty((1, state.delta_f.size), dtype=bool)
+    draw = _IndicatorDraw([rng], hypers.q, line, np.reshape(state.delta_f, (1, -1)), z)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _draw_indicators(state.delta_f, hypers.q, line, rng)
+        draw()
+    return z[0].view(np.int8)
+
+
+def _run_chains(
+    series: TimeSeries | BinnedSeries,
+    hypers: Hyperparameters,
+    iterations: int,
+    burn_in: int,
+    seeds,
+) -> np.ndarray:
+    """Post-burn-in averages of the indicators of one chain per seed, shape
+    (len(seeds), M). Row k equals a single-chain run with seeds[k]."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    z = np.zeros((len(rngs), series.length), dtype=bool)
+    delta = np.empty(z.shape)
+    line = _log_odds_line(hypers, series.noise_sd)
+    draw_increments = _LevelDraw(rngs, series, hypers, z, delta)
+    draw_indicators = _IndicatorDraw(rngs, hypers.q, line, delta, z)
+    z_total = np.zeros(z.shape, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(iterations):
+            draw_increments()
+            draw_indicators()
+            if sweep >= burn_in:
+                np.add(z_total, z, out=z_total)
+    return z_total / (iterations - burn_in)
 
 
 def gibbs_inclusion_probabilities(
@@ -146,14 +227,4 @@ def gibbs_inclusion_probabilities(
     Deterministic given config.seed. Detection consumes entries 2..M; entry 1
     is the baseline-increment indicator.
     """
-    rng = np.random.default_rng(config.seed)
-    line = _log_odds_line(hypers, series.noise_sd)
-    z = np.zeros(series.length, dtype=np.int8)
-    z_total = np.zeros(series.length)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sweep in range(config.iterations):
-            delta_f = _draw_increments(series, hypers, z, rng)
-            z = _draw_indicators(delta_f, hypers.q, line, rng)
-            if sweep >= config.burn_in:
-                z_total += z
-    return z_total / (config.iterations - config.burn_in)
+    return _run_chains(series, hypers, config.iterations, config.burn_in, (config.seed,))[0]

@@ -217,17 +217,29 @@ def inclusion_probability(log_odds):
     value is reproducible bit for bit.
     """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-log_odds))
+        return inclusion_probability_into(log_odds, np.empty(np.shape(log_odds)))
 
 
-def level_precision(counts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def inclusion_probability_into(log_odds, out: np.ndarray) -> np.ndarray:
+    """inclusion_probability written into out. Enters no np.errstate:
+    exp(-log_odds) overflows below log_odds = -709, and the caller silences
+    that warning."""
+    np.negative(log_odds, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def level_precision(counts, weights, diag=None, off=None) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the level precision (sigma^2 units)
     Q = diag(counts) + Delta' diag(weights) Delta, Delta the first differences
-    with f_1 - f_0 included; weights[j-1] is the prior precision of increment
-    j. The solo posterior and the Gibbs level draw both factor this matrix."""
-    diag = counts + weights
-    diag[:-1] += weights[1:]
-    return diag, -weights[1:]
+    with f_1 - f_0 included; weights[..., j-1] is the prior precision of
+    increment j. The solo posterior and the Gibbs level draw both factor this
+    matrix; the draw passes one row of weights per chain and writes into its
+    own diag (same shape) and off (one column fewer)."""
+    diag = np.add(counts, weights, out=diag)
+    diag[..., :-1] += weights[..., 1:]
+    return diag, np.negative(weights[..., 1:], out=off)
 
 
 @dataclass(frozen=True)

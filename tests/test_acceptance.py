@@ -16,7 +16,6 @@ from solocp import (
     detect,
     estimate_sigma_mad,
     evaluate_sets,
-    gibbs_inclusion_probabilities,
     hausdorff,
     map_changepoints_to_bins,
     one_sided_hausdorff,
@@ -26,6 +25,7 @@ from solocp import (
     single_cp_locate,
 )
 from solocp.detect import select_changepoints
+from solocp.gibbs import _run_chains
 from solocp.metrics import distance_histogram
 from solocp.oracle import enumerate_inclusion_probabilities
 from solocp.posterior import all_site_posteriors, forward_pass
@@ -217,14 +217,9 @@ def test_criterion_06_gibbs_exactness_small_series():
             delta=1,
         )
         exact = enumerate_inclusion_probabilities(ts, hypers)
-        estimates = np.vstack(
-            [
-                gibbs_inclusion_probabilities(
-                    ts, hypers, GibbsConfig(iters, burn, seed=int(rng.integers(1 << 30)))
-                )
-                for _ in range(chains)
-            ]
-        )
+        seeds = [int(rng.integers(1 << 30)) for _ in range(chains)]
+        # one stacked call; row k equals a single-chain run with seeds[k]
+        estimates = _run_chains(ts, hypers, iters, burn, seeds)
         mean = estimates.mean(axis=0)
         se = estimates.std(axis=0, ddof=1) / np.sqrt(chains)
         tol = np.maximum(3.0 * se, 1e-3)

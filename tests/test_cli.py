@@ -393,6 +393,20 @@ _MALFORMED_CONFIG = {
     "gibbs_iterations_bool": {"method": "basad", "gibbs": {"iterations": True, "burn_in": 0}},
     "gibbs_burn_in_fraction": {"method": "basad", "gibbs": {"iterations": 20, "burn_in": 2.5}},
     "signal_length_fraction": {"signal": {"length": 10.5, "changepoints": [], "levels": [0.0]}},
+    "changepoint_fraction": {
+        "signal": {"length": 60, "changepoints": [20.7, 40], "levels": [0.0, 1.0, 0.0]}
+    },
+    "level_bool": {"signal": {"length": 60, "changepoints": [30], "levels": [0.0, True]}},
+    # noise parameters and edge_fraction are numbers, not booleans or strings
+    "noise_sd_bool": {"noise": {"family": "gaussian", "sd": True}},
+    "noise_scale_string": {"noise": {"family": "laplace", "scale": "0.5"}},
+    "noise_df_bool": {"noise": {"family": "student_t", "df": True}},
+    "noise_t_scale_bool": {"noise": {"family": "student_t", "df": 3, "scale": True}},
+    "noise_mixture_bool": {
+        "noise": {"family": "gaussian_mixture", "weights": [0.5, 0.5], "sds": [1.0, True]}
+    },
+    "edge_fraction_bool": {"method": "single", "edge_fraction": True},
+    "edge_fraction_string": {"method": "single", "edge_fraction": "0.1"},
     # numbers are not booleans
     "hypers_bool": {"hypers": {"q": True}},
     "grid_bool": {"grid": {"q": [0.1, True]}},

@@ -6,6 +6,7 @@ from solocp import (
     ChangePointSet,
     EmptySearchWindowError,
     Hyperparameters,
+    InvalidConfigError,
     TimeSeries,
     cluster_partition,
     detect,
@@ -112,6 +113,11 @@ def test_detect_constant_series_finds_nothing():
     assert r.selected.count == 0
     assert r.raw_candidates.count == 0
     assert r.clusters == ()
+
+
+def test_detect_unknown_method_is_config_error():
+    with pytest.raises(InvalidConfigError):
+        detect(TimeSeries(np.zeros(10), 1.0), Hyperparameters.solo_defaults(10), method="bogus")
 
 
 def test_detect_single_jump_exact():

@@ -16,7 +16,7 @@ from solocp import (
     detect,
     gibbs_inclusion_probabilities,
 )
-from solocp.gibbs import sample_deltaf_given_z, sample_z_given_deltaf
+from solocp.gibbs import _LevelDraw, _run_chains, sample_deltaf_given_z, sample_z_given_deltaf
 from solocp.oracle import (
     conditional_deltaf_moments,
     enumerate_inclusion_probabilities,
@@ -153,6 +153,49 @@ def test_chain_output_is_pinned():
     h = _hyp(0.01, 4.0)
     p = gibbs_inclusion_probabilities(TimeSeries(y, 0.5), h, GibbsConfig(1000, 200, seed=17))
     assert np.array_equal(p, np.array([36, 91, 118, 800, 72, 107, 122, 787]) / 800)
+
+
+@pytest.mark.parametrize("binned", [False, True], ids=["plain", "unequal"])
+@pytest.mark.parametrize("m", [2, 8, 140])
+def test_stacked_chains_equal_single_chains(m, binned):
+    # the zero coupling between stacked blocks and the per-chain generators
+    # leave every row bitwise equal to that chain run alone
+    rng = np.random.default_rng(100 + m)
+    level = np.where(np.arange(m) >= m // 2, 2.0, 0.0)
+    if binned:
+        counts = rng.integers(1, 6, m)
+        series = BinnedSeries(np.repeat(level, counts) + rng.normal(0, 0.5, counts.sum()),
+                              0.5, counts=counts)
+    else:
+        series = TimeSeries(level + rng.normal(0, 0.5, m), 0.5)
+    h = _hyp(0.01, 4.0)
+    seeds = [3, 17, 17, 2**40]
+    rows = _run_chains(series, h, 300, 50, seeds)
+    singles = [gibbs_inclusion_probabilities(series, h, GibbsConfig(300, 50, s)) for s in seeds]
+    assert rows.shape == (4, m)
+    assert np.array_equal(rows, np.vstack(singles))
+    # one stacked level draw, on indicators that differ between chains
+    z = rng.random((4, m)) < 0.3
+    stacked = np.empty((4, m))
+    _LevelDraw([np.random.default_rng(s) for s in seeds], series, h, z, stacked)()
+    for k, s in enumerate(seeds):
+        state = GibbsState(delta_f=np.zeros(m), z=z[k])
+        draw = sample_deltaf_given_z(state, series, h, np.random.default_rng(s))
+        assert np.array_equal(stacked[k], draw)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_stacked_chains_fixed_indicators(q):
+    series = TimeSeries(np.random.default_rng(7).normal(0, 1, 12), 1.0)
+    rows = _run_chains(series, _hyp(0.01, 4.0, q=q), 50, 10, [1, 2, 3])
+    assert np.array_equal(rows, np.full((3, 12), q))
+
+
+def test_stacked_chains_reject_nonpositive_precision():
+    series = TimeSeries(np.zeros(6), 1.0)
+    hypers = SimpleNamespace(tau0_sq=-0.1, tau1_sq=1.0, q=1.0)
+    with pytest.raises(LinearSolveFailureError):
+        _run_chains(series, hypers, 10, 0, [0, 1, 2])
 
 
 @pytest.mark.parametrize(
