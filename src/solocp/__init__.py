@@ -29,21 +29,16 @@ from .errors import (
     TooShortError,
     UnknownSignalError,
 )
-from .gibbs import GibbsConfig, GibbsState, gibbs_inclusion_probabilities
+from .gibbs import GibbsConfig, gibbs_inclusion_probabilities
 from .metrics import (
     EvalReport,
     distance_histogram,
-    evaluate,
     evaluate_sets,
     hausdorff,
     one_sided_hausdorff,
 )
 from .oracle import OracleResult, oracle_joint_marginal, oracle_site_posterior
-from .posterior import (
-    all_inclusion_probabilities,
-    all_site_posteriors,
-    posterior_mean_surface,
-)
+from .posterior import all_site_posteriors, posterior_mean_surface
 from .signals import (
     NoiseSpec,
     SignalSpec,
@@ -51,7 +46,6 @@ from .signals import (
     builtin_signal,
     estimate_sigma_mad,
     map_changepoints_to_bins,
-    sample_noise,
     simulate,
     simulate_binned,
 )
@@ -70,7 +64,6 @@ __all__ = [
     "DetectionResult",
     "EvalReport",
     "GibbsConfig",
-    "GibbsState",
     "Hyperparameters",
     "NoiseSpec",
     "OracleResult",
@@ -78,7 +71,6 @@ __all__ = [
     "SignalSpec",
     "SingleChangePoint",
     "TimeSeries",
-    "all_inclusion_probabilities",
     "all_site_posteriors",
     "block_aggregate",
     "builtin_signal",
@@ -86,7 +78,6 @@ __all__ = [
     "detect",
     "distance_histogram",
     "estimate_sigma_mad",
-    "evaluate",
     "evaluate_sets",
     "gibbs_inclusion_probabilities",
     "hausdorff",
@@ -96,7 +87,6 @@ __all__ = [
     "oracle_site_posterior",
     "pick_representatives",
     "posterior_mean_surface",
-    "sample_noise",
     "simulate",
     "simulate_binned",
     "single_cp_locate",

@@ -97,9 +97,8 @@ def read_series_csv(path: str) -> TimeSeries | BinnedSeries:
     except ValueError:
         linenos = _line_numbers(lines)
         data = [lines[n - 2] for n in linenos]
-        bad, reason = _first_bad_line(data, dtype)
-        if bad:  # an earlier line out of order is the first offence
-            _check_order(path, np.loadtxt(data[:bad], dtype=dtype, **_LOADTXT), lines)
+        bad, reason, parsed = _first_bad_line(data, dtype)
+        _check_order(path, parsed[:bad], lines)  # an earlier line out of order comes first
         raise ParseError(f"{path}: line {linenos[bad]}: {reason}") from None
     _check_order(path, rows, lines)
     if dtype is _PLAIN_ROW:
@@ -113,28 +112,30 @@ def _line_numbers(lines: list[str]) -> list[int]:
     return [n for n, line in enumerate(lines, start=2) if line.strip("\r\n")]
 
 
-def _first_bad_line(lines: list[str], dtype: np.dtype) -> tuple[int, str]:
-    """Index of the first line that does not parse as one row, and why.
+def _first_bad_line(lines: list[str], dtype: np.dtype) -> tuple[int, str, np.ndarray]:
+    """Index of the first line that does not parse as one row, why, and the
+    rows the search parsed on the way, which cover every line before it.
 
     Bisects with bulk parses, O(log n) of them over 2n lines in all."""
-    lo, hi = 0, len(lines)
-    while hi - lo > 1:  # lines[:lo] parse; the first bad line is in lines[lo:hi]
+    lo, hi, chunks = 0, len(lines), [np.empty(0, dtype)]
+    while hi - lo > 1:  # lines[:lo] parse, into chunks; the first bad line is in lines[lo:hi]
         mid = (lo + hi) // 2
         try:
-            np.loadtxt(lines[lo:mid], dtype=dtype, **_LOADTXT)
+            chunks.append(np.loadtxt(lines[lo:mid], dtype=dtype, **_LOADTXT))
         except ValueError:
             hi = mid
         else:
             lo = mid
+    parsed = np.concatenate(chunks)
     try:
         np.loadtxt(lines[lo : lo + 1], dtype=dtype, **_LOADTXT)
     except ValueError as exc:
         if len(next(csv.reader([lines[lo]]))) != len(dtype.names):
-            return lo, f"expected {len(dtype.names)} fields"
-        return lo, str(exc)
+            return lo, f"expected {len(dtype.names)} fields", parsed
+        return lo, str(exc), parsed
     # the line parses alone, so a quoted field runs on over a line end
     k = next((k for k, line in enumerate(lines[: lo + 1]) if line.count('"') % 2), lo)
-    return k, "quoted field not closed on its line"
+    return k, "quoted field not closed on its line", parsed
 
 
 def _check_order(path: str, rows: np.ndarray, lines: list[str]) -> None:
@@ -193,21 +194,16 @@ def _typed(value, name: str, kinds=(int,)):
 
 
 def _noise_from_config(cfg: dict) -> NoiseSpec:
-    def number(key, default=None):
-        return float(_typed(cfg.get(key, default), f"noise.{key}", _NUMBER))
-
+    """The noise entry as a NoiseSpec, which checks the parameter types."""
     family = cfg.get("family")
     if family == "gaussian":
-        return NoiseSpec.gaussian(number("sd"))
+        return NoiseSpec.gaussian(cfg["sd"])
     if family == "laplace":
-        return NoiseSpec.laplace(number("scale"))
+        return NoiseSpec.laplace(cfg["scale"])
     if family == "student_t":
-        return NoiseSpec.student_t(number("df"), number("scale", 1.0))
+        return NoiseSpec.student_t(cfg["df"], cfg.get("scale", 1.0))
     if family == "gaussian_mixture":
-        return NoiseSpec.mixture(
-            [_typed(w, "noise.weights", _NUMBER) for w in cfg["weights"]],
-            [_typed(sd, "noise.sds", _NUMBER) for sd in cfg["sds"]],
-        )
+        return NoiseSpec.mixture(cfg["weights"], cfg["sds"])
     raise InvalidConfigError(f"unknown noise family {family!r}")
 
 
@@ -267,9 +263,7 @@ def _parse_experiment(cfg: dict) -> Experiment:
         binned = (_typed(binned["n"], "binned.n"), _typed(binned["grid"], "binned.grid"))
     return Experiment(
         signal=builtin_signal(signal) if isinstance(signal, str) else SignalSpec(
-            _typed(signal["length"], "signal.length"),
-            tuple(_typed(c, "signal.changepoints") for c in signal["changepoints"]),
-            tuple(_typed(v, "signal.levels", _NUMBER) for v in signal["levels"]),
+            signal["length"], signal["changepoints"], signal["levels"]
         ),
         noise=_noise_from_config(cfg["noise"]),
         method=method,
@@ -351,19 +345,25 @@ def _aggregate(reports: list[EvalReport], times: list[float]) -> list[str]:
 
 
 def _n_jobs(flag_value) -> int:
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    env = os.environ.get("SOLOCP_JOBS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        raise InvalidConfigError(f"SOLOCP_JOBS must be an integer, got {env!r}") from None
+    """Worker processes: --jobs, else SOLOCP_JOBS, else 1; below 1 is an error."""
+    jobs = flag_value
+    if jobs is None:
+        env = os.environ.get("SOLOCP_JOBS")
+        try:
+            jobs = int(env) if env else 1
+        except ValueError:
+            raise InvalidConfigError(f"SOLOCP_JOBS must be an integer, got {env!r}") from None
+    if jobs < 1:
+        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 # ------------------------------------------------------------------ commands
 
 
 def cmd_detect(args) -> int:
+    if args.probs_csv and args.method == "single":
+        raise InvalidConfigError("--probs-csv needs per-site probabilities; single has none")
     series = read_series_csv(args.input)
     sigma = args.sigma if args.sigma is not None else estimate_sigma_mad(series)
     if sigma <= 0:
@@ -382,7 +382,6 @@ def cmd_detect(args) -> int:
             criterion=located.criterion,
             low_confidence=located.low_confidence,
         )
-        result = None
     else:
         gibbs_cfg = None
         if args.method == "basad":
@@ -402,7 +401,7 @@ def cmd_detect(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.probs_csv and result is not None:
+    if args.probs_csv:
         fitted = _fitted_levels(series, report["locations"]).tolist()
         with open(args.probs_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

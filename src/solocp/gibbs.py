@@ -58,14 +58,6 @@ class GibbsConfig:
             raise InvalidConfigError("seed must be a nonnegative integer")
 
 
-@dataclass
-class GibbsState:
-    """Current increments and indicators of one chain."""
-
-    delta_f: np.ndarray
-    z: np.ndarray
-
-
 def _log_odds_line(hypers: Hyperparameters, sigma: float) -> tuple[float, float] | None:
     """Intercept and slope of an indicator's log-odds as a function of
     delta_f^2, or None when q in {0, 1} fixes every indicator. Raises
@@ -162,34 +154,6 @@ class _IndicatorDraw:
         for draw, row in self.uniform_draws:
             draw(out=row)
         np.less(self.uniform, self.prob, out=self.z)
-
-
-def sample_deltaf_given_z(
-    state: GibbsState,
-    series: TimeSeries | BinnedSeries,
-    hypers: Hyperparameters,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One exact draw of the increment vector from its full conditional."""
-    delta = np.empty((1, series.length))
-    z = np.reshape(state.z, (1, -1))
-    _LevelDraw([rng], series, hypers, z, delta)()
-    return delta[0]
-
-
-def sample_z_given_deltaf(
-    state: GibbsState,
-    hypers: Hyperparameters,
-    rng: np.random.Generator,
-    sigma: float = 1.0,
-) -> np.ndarray:
-    """Independent Bernoulli draws of every indicator given its increment."""
-    line = _log_odds_line(hypers, sigma)
-    z = np.empty((1, state.delta_f.size), dtype=bool)
-    draw = _IndicatorDraw([rng], hypers.q, line, np.reshape(state.delta_f, (1, -1)), z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        draw()
-    return z[0].view(np.int8)
 
 
 def _run_chains(

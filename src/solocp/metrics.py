@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySetError
-from .signals import SignalSpec
-from .types import ChangePointSet, DetectionResult
+from .types import ChangePointSet
 
 _HIST_HEADER = ("zero", "one", "two", "ge3")
 
@@ -88,18 +87,10 @@ class EvalReport:
         cols = [f"true_{h}" for h in _HIST_HEADER] + [f"est_{h}" for h in _HIST_HEADER]
         return cols + ["k_bias", "hausdorff", "time_s"]
 
-    def csv_row(self, elapsed: float) -> list[str]:
-        vals = list(self.hist_true) + list(self.hist_est) + [
-            self.k_bias,
-            self.hausdorff,
-            elapsed,
-        ]
-        return [f"{v:.6g}" if isinstance(v, float) else str(v) for v in vals]
-
 
 def evaluate_sets(est, truth, domain_length: int) -> EvalReport:
     """Criteria for an estimated set against true locations on a domain of
-    the given length (used directly when truth lives on a grid)."""
+    the given length (the signal length, or the group count of binned data)."""
     est_arr = _locations(est)
     truth_arr = _locations(truth)
     k_bias = truth_arr.size - est_arr.size
@@ -123,8 +114,3 @@ def evaluate_sets(est, truth, domain_length: int) -> EvalReport:
         hist_true=hist_true,
         hist_est=hist_est,
     )
-
-
-def evaluate(result: DetectionResult, truth: SignalSpec) -> EvalReport:
-    """Criteria for a detection result against the generating signal."""
-    return evaluate_sets(result.selected, truth.changepoints, truth.length)

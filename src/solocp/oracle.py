@@ -140,28 +140,37 @@ def conditional_deltaf_moments(
     return mean, series.noise_sd**2 * cov
 
 
+def _enumerate(
+    series: TimeSeries | BinnedSeries, hypers: Hyperparameters, max_sites: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^M indicator vectors, one row each, and their normalized joint-model
+    posterior weights. Raises EmptySetError when q in {0, 1} leaves a single
+    configuration."""
+    m = series.length
+    if m > max_sites:
+        raise ValueError(f"{m} sites would enumerate 2^{m} configurations")
+    if not 0.0 < hypers.q < 1.0:
+        raise EmptySetError("degenerate q leaves a single configuration")
+    configs = np.array(list(product((0, 1), repeat=m)))
+    log_posts = np.array([
+        oracle_joint_marginal(series, z, hypers, max_size=series.values.size) for z in configs
+    ])
+    ones = configs.sum(axis=1)
+    log_posts = log_posts + ones * math.log(hypers.q) + (m - ones) * math.log1p(-hypers.q)
+    w = np.exp(log_posts - log_posts.max())
+    w /= w.sum()
+    return configs, w
+
+
 def enumerate_inclusion_probabilities(
     series: TimeSeries | BinnedSeries, hypers: Hyperparameters, max_sites: int = 20
 ) -> np.ndarray:
     """Exact joint-model marginals P(Z_t = 1 | Y, sigma^2) for every site, by
     exhaustive enumeration of all 2^M indicator vectors."""
-    m = series.length
-    if m > max_sites:
-        raise ValueError(f"{m} sites would enumerate 2^{m} configurations")
-    if not 0.0 < hypers.q < 1.0:
-        # degenerate priors fix every indicator
-        return np.full(m, float(hypers.q))
-    log_q = math.log(hypers.q)
-    log_1mq = math.log1p(-hypers.q)
-    log_posts = np.empty(2**m)
-    configs = np.empty((2**m, m))
-    for idx, bits in enumerate(product((0, 1), repeat=m)):
-        z = np.asarray(bits)
-        logm = oracle_joint_marginal(series, z, hypers, max_size=series.values.size)
-        log_posts[idx] = logm + z.sum() * log_q + (m - z.sum()) * log_1mq
-        configs[idx] = z
-    w = np.exp(log_posts - log_posts.max())
-    w /= w.sum()
+    try:
+        configs, w = _enumerate(series, hypers, max_sites)
+    except EmptySetError:  # degenerate priors fix every indicator
+        return np.full(series.length, float(hypers.q))
     return w @ configs
 
 
@@ -169,21 +178,5 @@ def exact_z_posterior(
     series: TimeSeries | BinnedSeries, hypers: Hyperparameters, max_sites: int = 12
 ) -> dict[tuple[int, ...], float]:
     """Full posterior over indicator configurations (small M only)."""
-    m = series.length
-    if m > max_sites:
-        raise ValueError(f"{m} sites would enumerate 2^{m} configurations")
-    if not 0.0 < hypers.q < 1.0:
-        raise EmptySetError("degenerate q leaves a single configuration")
-    log_q = math.log(hypers.q)
-    log_1mq = math.log1p(-hypers.q)
-    keys = []
-    vals = []
-    for bits in product((0, 1), repeat=m):
-        z = np.asarray(bits)
-        logm = oracle_joint_marginal(series, z, hypers, max_size=series.values.size)
-        keys.append(bits)
-        vals.append(logm + z.sum() * log_q + (m - z.sum()) * log_1mq)
-    vals = np.asarray(vals)
-    w = np.exp(vals - vals.max())
-    w /= w.sum()
-    return dict(zip(keys, w))
+    configs, w = _enumerate(series, hypers, max_sites)
+    return dict(zip(map(tuple, configs.tolist()), w))

@@ -150,16 +150,6 @@ def _mixture_terms(
     return (dens[0], dens[1]), (log_ws[0], log_ws[1])
 
 
-def all_inclusion_probabilities(
-    series: TimeSeries | BinnedSeries, hypers: Hyperparameters
-) -> np.ndarray:
-    """Inclusion probabilities for candidate sites 2..M (site 1 is baseline).
-
-    One forward and one backward filter: O(M) total.
-    """
-    return inclusion_scores(series, hypers)[0]
-
-
 def inclusion_scores(
     series: TimeSeries | BinnedSeries, hypers: Hyperparameters
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@ robust noise-scale estimator, and the block-aggregation statistic."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,24 +17,47 @@ from .errors import (
 from .types import BinnedSeries, TimeSeries
 
 
+def _number(value, what: str, kind=numbers.Real):
+    """value as an int (kind Integral) or a float (kind Real). A bool, a
+    string, a fraction where an integer is due, or any other type raises
+    InvalidConfigError instead of being converted."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise InvalidConfigError(f"{what} must be {noun}, got {value!r}")
+    return int(value) if kind is numbers.Integral else float(value)
+
+
+def _numbers(values, what: str, kind=numbers.Real) -> tuple:
+    """_number of every entry of a sequence, as a tuple."""
+    try:
+        entries = tuple(values)
+    except TypeError:
+        raise InvalidConfigError(f"{what} must be a sequence, got {values!r}") from None
+    return tuple(_number(v, what, kind) for v in entries)
+
+
 @dataclass(frozen=True)
 class SignalSpec:
     """Piecewise-constant ground truth: levels[k] holds on the k-th segment,
-    segments change at the listed (strictly increasing) first-new-index sites."""
+    segments change at the listed (strictly increasing) first-new-index sites.
+    length and change points are integers and levels real numbers; bools and
+    strings are rejected, not converted."""
 
     length: int
     changepoints: tuple[int, ...]
     levels: tuple[float, ...]
 
     def __post_init__(self):
-        cps = tuple(int(c) for c in self.changepoints)
-        levels = tuple(float(v) for v in self.levels)
+        length = _number(self.length, "signal length", numbers.Integral)
+        cps = _numbers(self.changepoints, "changepoints", numbers.Integral)
+        levels = _numbers(self.levels, "levels")
         if len(levels) != len(cps) + 1:
             raise InvalidConfigError("need exactly one more level than changepoints")
         if any(b <= a for a, b in zip(cps, cps[1:])):
             raise InvalidConfigError("changepoints must be strictly increasing")
-        if cps and not (1 < cps[0] and cps[-1] <= self.length):
+        if cps and not (1 < cps[0] and cps[-1] <= length):
             raise InvalidConfigError("changepoints must lie in (1, length]")
+        object.__setattr__(self, "length", length)
         object.__setattr__(self, "changepoints", cps)
         object.__setattr__(self, "levels", levels)
 
@@ -97,10 +121,17 @@ def builtin_signal(name: str) -> SignalSpec:
         ) from None
 
 
+# the parameters each noise family reads, besides a mixture's weights and sds
+_NOISE_PARAMS = {"gaussian": ("sd",), "laplace": ("scale",), "student_t": ("df", "scale"),
+                 "gaussian_mixture": ()}
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """I.i.d. error distribution. Families: gaussian (sd), laplace (dispersion
-    scale), student_t (df, scale), gaussian_mixture (weights, sds)."""
+    scale), student_t (df, scale), gaussian_mixture (weights, sds). Every
+    parameter the family reads must be a real number, not a bool or a
+    string, and is stored as a float."""
 
     family: str
     sd: float = 1.0
@@ -110,20 +141,16 @@ class NoiseSpec:
     sds: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "laplace", "student_t", "gaussian_mixture"):
+        if not (isinstance(self.family, str) and self.family in _NOISE_PARAMS):
             raise InvalidConfigError(f"unknown noise family {self.family!r}")
-        if self.family == "gaussian" and not self.sd > 0:
-            raise InvalidConfigError("gaussian sd must be positive")
-        if self.family == "laplace" and not self.scale > 0:
-            raise InvalidConfigError("laplace scale must be positive")
-        if self.family == "student_t":
-            if not self.scale > 0:
-                raise InvalidConfigError("student_t scale must be positive")
-            if not self.df > 0:
-                raise InvalidConfigError("student_t df must be positive")
+        for name in _NOISE_PARAMS[self.family]:
+            value = _number(getattr(self, name), f"{self.family} {name}")
+            if not value > 0:
+                raise InvalidConfigError(f"{self.family} {name} must be positive")
+            object.__setattr__(self, name, value)
         if self.family == "gaussian_mixture":
-            w = np.asarray(self.weights, dtype=float)
-            s = np.asarray(self.sds, dtype=float)
+            w = np.array(_numbers(self.weights, "mixture weights"), dtype=float)
+            s = np.array(_numbers(self.sds, "mixture sds"), dtype=float)
             if w.size == 0 or w.size != s.size:
                 raise InvalidConfigError("mixture needs matching weights and sds")
             if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
@@ -147,7 +174,7 @@ class NoiseSpec:
 
     @classmethod
     def mixture(cls, weights, sds) -> "NoiseSpec":
-        return cls(family="gaussian_mixture", weights=tuple(weights), sds=tuple(sds))
+        return cls(family="gaussian_mixture", weights=weights, sds=sds)
 
     @property
     def std(self) -> float:
@@ -175,11 +202,6 @@ class NoiseSpec:
             return self.scale * rng.standard_t(self.df, count)
         comp = rng.choice(len(self.weights), size=count, p=np.asarray(self.weights))
         return rng.standard_normal(count) * np.asarray(self.sds)[comp]
-
-
-def sample_noise(spec: NoiseSpec, count: int, seed: int) -> np.ndarray:
-    """i.i.d. noise draws, deterministic per seed."""
-    return spec.draw(np.random.default_rng(seed), count)
 
 
 def simulate(signal: SignalSpec, noise: NoiseSpec, seed: int) -> TimeSeries:

@@ -127,12 +127,6 @@ class BinnedSeries:
         """Total sample size T = sum of n_t."""
         return self.values.size
 
-    def to_series(self) -> TimeSeries:
-        """Inverse of TimeSeries.to_binned; requires every n_t = 1."""
-        if self.total != self.length:
-            raise ValueError("only a series with all n_t = 1 converts back")
-        return TimeSeries(self.values, self.noise_sd)
-
 
 @dataclass(frozen=True)
 class Hyperparameters:
@@ -212,9 +206,9 @@ def inclusion_probability(log_odds):
     0 and 1 at -inf and +inf.
 
     This is the single code path from log-odds (prior log-odds plus
-    log w1 - log w0) to probabilities; posterior construction, recomputation,
-    the oracle and the Gibbs indicator draw all route through it, so a stored
-    value is reproducible bit for bit.
+    log w1 - log w0) to probabilities; the solo posterior, the oracle and the
+    Gibbs indicator draw all route through it, so a probability recomputed
+    from a summary's log_omega matches the stored one bit for bit.
     """
     with np.errstate(over="ignore"):
         return inclusion_probability_into(log_odds, np.empty(np.shape(log_odds)))
@@ -256,10 +250,6 @@ class PosteriorSiteSummary:
     xi: tuple[float, float]
     log_omega: tuple[float, float]
     inclusion_prob: float
-
-    def recompute_inclusion(self, q: float) -> float:
-        lo = prior_log_odds(q) + self.log_omega[1] - self.log_omega[0]
-        return float(inclusion_probability(lo))
 
 
 @dataclass(frozen=True)

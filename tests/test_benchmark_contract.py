@@ -10,6 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from solocp import BinnedSeries, TimeSeries
@@ -39,3 +40,16 @@ def test_every_workload_builds_its_gate_instances(seed):
         for series in instances:
             assert isinstance(series, (TimeSeries, BinnedSeries)), name
             assert series.length >= 2 and series.sums.size == series.length, name
+
+
+def test_oracle_gate_passes_on_small_series():
+    # the gate imports from the package and reads the summary fields; a
+    # deletion that breaks either fails here, not in the benchmark run
+    mismatches = _load("oracle_gate").mismatches
+    rng = np.random.default_rng(5)
+    plain = TimeSeries(np.where(np.arange(12) >= 6, 3.0, 0.0) + rng.normal(0, 1, 12), 1.0)
+    counts = np.array([1, 3, 2, 1, 2, 3])
+    binned = BinnedSeries(np.repeat([0.0, 0.0, 0.0, 2.0, 2.0, 2.0], counts)
+                          + rng.normal(0, 0.5, counts.sum()), 0.5, counts=counts)
+    assert mismatches(plain) == []
+    assert mismatches(binned) == []

@@ -89,6 +89,17 @@ def test_detect_single_method(tmp_path):
     assert "criterion" in report and "low_confidence" in report
 
 
+def test_detect_single_method_rejects_probs_csv(tmp_path, capsys):
+    # method single has no per-site probabilities; the file was once skipped silently
+    inp = tmp_path / "jump.csv"
+    _write_jump_csv(inp, t=200, jump_at=100, size=2.0)
+    probs = tmp_path / "probs.csv"
+    rc = main(["detect", str(inp), "--method", "single", "--probs-csv", str(probs)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[InvalidConfigError]")
+    assert not probs.exists()
+
+
 def test_detect_malformed_row_names_line(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("t,y\n1,0.5\n2,not_a_number\n")
@@ -418,11 +429,15 @@ _MALFORMED_CONFIG = {
 }
 
 
-@pytest.mark.parametrize("case", [*_MALFORMED_CONFIG, "edge_fraction", "jobs_env"])
+@pytest.mark.parametrize(
+    "case", [*_MALFORMED_CONFIG, "edge_fraction", "jobs_env", "jobs_env_zero", "jobs_zero"]
+)
 def test_malformed_input_reported_not_traceback(tmp_path, capsys, monkeypatch, case):
-    if case == "jobs_env":
-        monkeypatch.setenv("SOLOCP_JOBS", "x")
+    if case in ("jobs_env", "jobs_env_zero"):
+        monkeypatch.setenv("SOLOCP_JOBS", "x" if case == "jobs_env" else "0")
         argv = ["bench", str(_teeth_config(tmp_path, reps=1))]
+    elif case == "jobs_zero":
+        argv = ["bench", str(_teeth_config(tmp_path, reps=1)), "--jobs", "0"]
     elif case == "edge_fraction":
         inp = tmp_path / "jump.csv"
         _write_jump_csv(inp)

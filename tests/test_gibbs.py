@@ -7,7 +7,6 @@ import scipy.linalg
 from solocp import (
     BinnedSeries,
     GibbsConfig,
-    GibbsState,
     Hyperparameters,
     InvalidConfigError,
     LinearSolveFailureError,
@@ -16,7 +15,7 @@ from solocp import (
     detect,
     gibbs_inclusion_probabilities,
 )
-from solocp.gibbs import _LevelDraw, _run_chains, sample_deltaf_given_z, sample_z_given_deltaf
+from solocp.gibbs import _IndicatorDraw, _LevelDraw, _log_odds_line, _run_chains
 from solocp.oracle import (
     conditional_deltaf_moments,
     enumerate_inclusion_probabilities,
@@ -59,11 +58,12 @@ def test_conditional_draw_matches_analytic_mean():
     z = np.array([0, 0, 0, 0, 0, 1, 0, 0, 0, 0])
     mean, cov = conditional_deltaf_moments(ts, z, h)
     draws = 100_000
-    state = GibbsState(delta_f=np.zeros(10), z=z)
-    rng_chain = np.random.default_rng(42)
+    delta = np.empty((1, 10))
+    draw = _LevelDraw([np.random.default_rng(42)], ts, h, z[None], delta)
     total = np.zeros(10)
     for _ in range(draws):
-        total += sample_deltaf_given_z(state, ts, h, rng_chain)
+        draw()
+        total += delta[0]
     mc_mean = total / draws
     se = np.sqrt(np.diag(cov) / draws)
     assert np.all(np.abs(mc_mean - mean) <= 3.0 * se)
@@ -73,18 +73,18 @@ def test_spike_collapse():
     rng = np.random.default_rng(2)
     ts = TimeSeries(rng.normal(0, 1, 15), 1.0)
     h = Hyperparameters(tau0_sq=1e-10, tau1_sq=1.0, tau_sq=0.5, q=0.2, delta=1)
-    state = GibbsState(delta_f=np.zeros(15), z=np.zeros(15, int))
-    rng_chain = np.random.default_rng(0)
+    delta = np.empty((1, 15))
+    draw = _LevelDraw([np.random.default_rng(0)], ts, h, np.zeros((1, 15), int), delta)
     for _ in range(20):
-        df = sample_deltaf_given_z(state, ts, h, rng_chain)
-        assert np.max(np.abs(df)) < 1e-3
+        draw()
+        assert np.max(np.abs(delta)) < 1e-3
 
 
 def test_z_conditional_equal_variances_is_prior():
     h = _hyp(0.5, 0.5, q=0.3)
-    state = GibbsState(delta_f=np.zeros(2000), z=np.zeros(2000, int))
-    rng = np.random.default_rng(3)
-    z = sample_z_given_deltaf(state, h, rng, sigma=1.0)
+    z = np.empty((1, 2000), dtype=bool)
+    line = _log_odds_line(h, 1.0)
+    _IndicatorDraw([np.random.default_rng(3)], h.q, line, np.zeros((1, 2000)), z)()
     freq = z.mean()
     se = np.sqrt(0.3 * 0.7 / 2000)
     assert abs(freq - 0.3) <= 4 * se
@@ -92,15 +92,15 @@ def test_z_conditional_equal_variances_is_prior():
 
 def test_z_conditional_slab_tail_dominance():
     h = _hyp(0.01, 10.0, q=0.2)
-    state = GibbsState(delta_f=np.full(50, 100.0), z=np.zeros(50, int))
-    z = sample_z_given_deltaf(state, h, np.random.default_rng(4), sigma=1.0)
+    z, line = np.zeros((1, 50), dtype=bool), _log_odds_line(h, 1.0)
+    _IndicatorDraw([np.random.default_rng(4)], h.q, line, np.full((1, 50), 100.0), z)()
     assert np.all(z == 1)
 
 
 def test_z_conditional_q_zero():
     h = _hyp(0.01, 10.0, q=0.0)
-    state = GibbsState(delta_f=np.full(50, 100.0), z=np.ones(50, int))
-    z = sample_z_given_deltaf(state, h, np.random.default_rng(5), sigma=1.0)
+    z, line = np.ones((1, 50), dtype=bool), _log_odds_line(h, 1.0)
+    _IndicatorDraw([np.random.default_rng(5)], h.q, line, np.full((1, 50), 100.0), z)()
     assert np.all(z == 0)
 
 
@@ -132,17 +132,9 @@ def test_level_draw_matches_dense_cholesky(m, unit_counts):
     upper = np.linalg.cholesky(prec).T
     eps = np.random.default_rng(11).standard_normal(m)
     f = np.linalg.solve(prec, series.sums) + 1.3 * scipy.linalg.solve_triangular(upper, eps)
-    state = GibbsState(delta_f=np.zeros(m), z=z)
-    draw = sample_deltaf_given_z(state, series, h, np.random.default_rng(11))
-    assert np.allclose(draw, diff @ f, rtol=1e-9, atol=1e-9)
-
-
-def test_level_draw_rejects_nonpositive_precision():
-    series = TimeSeries(np.zeros(6), 1.0)
-    hypers = SimpleNamespace(tau0_sq=-0.1, tau1_sq=1.0)
-    state = GibbsState(delta_f=np.zeros(6), z=np.zeros(6, int))
-    with pytest.raises(LinearSolveFailureError):
-        sample_deltaf_given_z(state, series, hypers, np.random.default_rng(0))
+    draw = np.empty((1, m))
+    _LevelDraw([np.random.default_rng(11)], series, h, z[None], draw)()
+    assert np.allclose(draw[0], diff @ f, rtol=1e-9, atol=1e-9)
 
 
 def test_chain_output_is_pinned():
@@ -179,9 +171,9 @@ def test_stacked_chains_equal_single_chains(m, binned):
     stacked = np.empty((4, m))
     _LevelDraw([np.random.default_rng(s) for s in seeds], series, h, z, stacked)()
     for k, s in enumerate(seeds):
-        state = GibbsState(delta_f=np.zeros(m), z=z[k])
-        draw = sample_deltaf_given_z(state, series, h, np.random.default_rng(s))
-        assert np.array_equal(stacked[k], draw)
+        single = np.empty((1, m))
+        _LevelDraw([np.random.default_rng(s)], series, h, z[k : k + 1], single)()
+        assert np.array_equal(stacked[k], single[0])
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0])
@@ -191,11 +183,12 @@ def test_stacked_chains_fixed_indicators(q):
     assert np.array_equal(rows, np.full((3, 12), q))
 
 
-def test_stacked_chains_reject_nonpositive_precision():
+@pytest.mark.parametrize("seeds", [[0], [0, 1, 2]], ids=["1", "3"])
+def test_chains_reject_nonpositive_precision(seeds):
     series = TimeSeries(np.zeros(6), 1.0)
     hypers = SimpleNamespace(tau0_sq=-0.1, tau1_sq=1.0, q=1.0)
     with pytest.raises(LinearSolveFailureError):
-        _run_chains(series, hypers, 10, 0, [0, 1, 2])
+        _run_chains(series, hypers, 10, 0, seeds)
 
 
 @pytest.mark.parametrize(
@@ -236,14 +229,15 @@ def test_chain_visits_configurations_at_posterior_rates():
     h = _hyp(0.02, 3.0, q=0.25)
     exact = exact_z_posterior(ts, h)
     iters, burn = 100_000, 1000
-    state = GibbsState(delta_f=np.zeros(5), z=np.zeros(5, int))
-    rng_chain = np.random.default_rng(12)
+    rngs, z, delta = [np.random.default_rng(12)], np.zeros((1, 5), dtype=bool), np.empty((1, 5))
+    draw_increments = _LevelDraw(rngs, ts, h, z, delta)
+    draw_indicators = _IndicatorDraw(rngs, h.q, _log_odds_line(h, ts.noise_sd), delta, z)
     counts: dict[tuple, int] = {}
     for sweep in range(iters):
-        state.delta_f = sample_deltaf_given_z(state, ts, h, rng_chain)
-        state.z = sample_z_given_deltaf(state, h, rng_chain, sigma=ts.noise_sd)
+        draw_increments()
+        draw_indicators()
         if sweep >= burn:
-            key = tuple(int(b) for b in state.z)
+            key = tuple(z[0].tolist())  # bools: hash and compare equal to 0/1 keys
             counts[key] = counts.get(key, 0) + 1
     kept = iters - burn
     tv = 0.5 * sum(

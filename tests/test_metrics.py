@@ -9,12 +9,12 @@ from solocp import (
     TimeSeries,
     detect,
     distance_histogram,
-    evaluate,
     evaluate_sets,
     hausdorff,
     one_sided_hausdorff,
     simulate,
 )
+from solocp.cli import _aggregate
 from solocp.metrics import EvalReport
 from solocp.signals import NoiseSpec, builtin_signal
 
@@ -88,7 +88,7 @@ def test_evaluate_perfect_detection():
     signal = builtin_signal("TEETH")
     ts = simulate(signal, NoiseSpec.gaussian(0.05), seed=0)
     r = detect(ts, Hyperparameters.solo_defaults(140))
-    report = evaluate(r, signal)
+    report = evaluate_sets(r.selected, signal.changepoints, signal.length)
     assert report.k_bias == 0
     assert report.hausdorff == 0
     assert report.hist_true.tolist() == [1, 0, 0, 0]
@@ -120,7 +120,7 @@ def test_csv_row_layout():
         "k_bias", "hausdorff", "time_s",
     ]
     report = evaluate_sets([31, 62], (31, 61), 140)
-    row = report.csv_row(0.125)
+    row = _aggregate([report], [0.125])  # the row the bench command writes
     assert len(row) == len(header)
     assert row[0] == "0.5"  # one of two true points matched exactly
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import solocp
 from solocp import (
     BinnedSeries,
     ChangePointSet,
@@ -15,6 +16,7 @@ from solocp import (
     TooShortError,
 )
 from solocp.posterior import all_site_posteriors
+from solocp.types import inclusion_probability, prior_log_odds
 
 
 def test_validate_series_minimal():
@@ -51,9 +53,9 @@ def test_series_values_read_only():
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=20))
 def test_binned_round_trip_is_identity(values):
     ts = TimeSeries(np.asarray(values), 1.5)
-    back = ts.to_binned().to_series()
-    assert np.array_equal(back.values, ts.values)
-    assert back.noise_sd == ts.noise_sd
+    back = ts.to_binned()
+    assert np.array_equal(back.values, ts.values) and np.array_equal(back.sums, ts.sums)
+    assert back.noise_sd == ts.noise_sd and back.length == back.total == ts.length
 
 
 def test_binned_series_invariants():
@@ -130,7 +132,8 @@ def test_summary_inclusion_recomputes_bit_for_bit():
     ts = TimeSeries(rng.normal(0, 1, 15), 1.0)
     h = Hyperparameters.solo_defaults(15)
     for s in all_site_posteriors(ts, h):
-        assert s.recompute_inclusion(h.q) == s.inclusion_prob
+        lo = prior_log_odds(h.q) + s.log_omega[1] - s.log_omega[0]
+        assert float(inclusion_probability(lo)) == s.inclusion_prob
         assert s.xi[0] <= s.xi[1]  # tau0 <= tau1
         assert 0.0 <= s.inclusion_prob <= 1.0
 
@@ -145,3 +148,9 @@ def test_changepoint_set_rules():
         ChangePointSet((3, 3))
     with pytest.raises(ValueError):
         ChangePointSet((1, 5))
+
+
+def test_public_names_resolve_once():
+    assert len(set(solocp.__all__)) == len(solocp.__all__)
+    missing = [name for name in solocp.__all__ if not hasattr(solocp, name)]
+    assert not missing

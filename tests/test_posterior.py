@@ -9,7 +9,6 @@ from solocp import (
     Hyperparameters,
     NumericOverflowError,
     TimeSeries,
-    all_inclusion_probabilities,
     detect,
     oracle_site_posterior,
 )
@@ -200,7 +199,7 @@ def test_degenerate_prior_probability(q, expected):
     rng = np.random.default_rng(3)
     ts = TimeSeries(rng.normal(0, 3, 8), 1.0)
     h = Hyperparameters(tau0_sq=0.01, tau1_sq=10.0, tau_sq=0.3, q=q, delta=1)
-    assert np.all(all_inclusion_probabilities(ts, h) == expected)
+    assert np.all(inclusion_scores(ts, h)[0] == expected)
 
 
 def test_probability_monotone_in_q():
@@ -209,7 +208,7 @@ def test_probability_monotone_in_q():
     prev = np.zeros(15)
     for q in (0.01, 0.1, 0.3, 0.6, 0.9, 0.99):
         h = Hyperparameters(tau0_sq=0.01, tau1_sq=10.0, tau_sq=0.3, q=q, delta=1)
-        p = all_inclusion_probabilities(ts, h)
+        p = inclusion_scores(ts, h)[0]
         assert np.all(p >= prev - 1e-15)
         prev = p
 
@@ -309,7 +308,7 @@ def test_constant_series_stays_below_threshold():
     # level within the reach of the baseline prior; confirmed via the oracle
     ts = TimeSeries(np.full(30, 1.0), 1.0)
     h = Hyperparameters.solo_defaults(30)
-    probs = all_inclusion_probabilities(ts, h)
+    probs = inclusion_scores(ts, h)[0]
     assert probs.max() < 0.5
     for j in (2, 15, 30):
         assert oracle_site_posterior(ts, j, h).inclusion_prob < 0.5
@@ -343,8 +342,8 @@ def test_shift_sensitivity_decays_with_shared_shrinkage():
     diffs = []
     for tau in (2.0 / 60, 1e3, 1e6):
         h = _hyp(1.0 / 60, 60.0, tau)
-        p0 = all_inclusion_probabilities(TimeSeries(y, 0.25), h)
-        p5 = all_inclusion_probabilities(TimeSeries(y + 5.0, 0.25), h)
+        p0 = inclusion_scores(TimeSeries(y, 0.25), h)[0]
+        p5 = inclusion_scores(TimeSeries(y + 5.0, 0.25), h)[0]
         diffs.append(np.max(np.abs(p5 - p0)))
     assert diffs[0] > 1e-3  # benchmark regime genuinely shifts
     assert diffs[1] < 1e-2

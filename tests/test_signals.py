@@ -5,6 +5,7 @@ from scipy.stats import kurtosis
 from solocp import (
     BinnedSeries,
     InvalidBlockCountError,
+    InvalidConfigError,
     TimeSeries,
     TooShortError,
     UnknownSignalError,
@@ -12,7 +13,6 @@ from solocp import (
     builtin_signal,
     estimate_sigma_mad,
     map_changepoints_to_bins,
-    sample_noise,
     simulate,
     simulate_binned,
 )
@@ -52,8 +52,40 @@ def test_signal_values_segments():
     assert s.values().tolist() == [0.0, 0.0, 2.0, 2.0, -1.0, -1.0]
 
 
+# each of these was once converted silently (20.7 -> 20, "1" -> 1.0, True -> 1)
+_MALFORMED_SPECS = {
+    "length_fraction": lambda: SignalSpec(60.0, (20, 40), (0.0, 1.0, 0.0)),
+    "changepoint_fraction": lambda: SignalSpec(60, (20.7, 40), (0.0, 1.0, 0.0)),
+    "changepoint_bool": lambda: SignalSpec(60, (20, True), (0.0, 1.0, 0.0)),
+    "level_string": lambda: SignalSpec(60, (20, 40), (0.0, "1", 0.0)),
+    "level_bool": lambda: SignalSpec(60, (20, 40), (0.0, True, 0.0)),
+    "gaussian_sd_bool": lambda: NoiseSpec.gaussian(True),
+    "laplace_scale_string": lambda: NoiseSpec.laplace("0.5"),
+    "student_t_df_string": lambda: NoiseSpec.student_t("3"),
+    "student_t_scale_bool": lambda: NoiseSpec.student_t(3.0, scale=True),
+    "mixture_weight_string": lambda: NoiseSpec.mixture(("0.5", 0.5), (1.0, 2.0)),
+    "mixture_sd_bool": lambda: NoiseSpec.mixture((0.5, 0.5), (1.0, True)),
+    "mixture_weights_scalar": lambda: NoiseSpec.mixture(1.0, (1.0,)),
+    "family_list": lambda: NoiseSpec(["gaussian"]),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_SPECS)
+def test_constructors_reject_rather_than_convert(case):
+    with pytest.raises(InvalidConfigError):
+        _MALFORMED_SPECS[case]()
+
+
+def test_constructors_store_ints_and_floats():
+    s = SignalSpec(np.int64(60), np.array([20, 40]), np.array([0, 1, 0]))
+    assert s == SignalSpec(60, (20, 40), (0.0, 1.0, 0.0))
+    assert [type(v) for v in (s.length, s.changepoints[0], s.levels[1])] == [int, int, float]
+    t, mix = NoiseSpec.student_t(3, scale=2), NoiseSpec.mixture([0.5, 0.5], [1, 2])
+    assert (t.df, t.scale, mix.sds) == (3.0, 2.0, (1.0, 2.0)) and type(t.df) is float
+
+
 def test_gaussian_noise_scale():
-    draws = sample_noise(NoiseSpec.gaussian(1.0), 1_000_000, seed=0)
+    draws = NoiseSpec.gaussian(1.0).draw(np.random.default_rng(0), 1_000_000)
     assert abs(draws.std() - 1.0) < 0.01
     assert abs(draws.mean()) < 0.01
 
@@ -61,20 +93,20 @@ def test_gaussian_noise_scale():
 def test_mixture_variance_analytic():
     spec = NoiseSpec.mixture((0.95, 0.05), (7.0, 28.0))
     assert spec.std == pytest.approx(np.sqrt(85.75))
-    draws = sample_noise(spec, 1_000_000, seed=1)
+    draws = spec.draw(np.random.default_rng(1), 1_000_000)
     assert abs(draws.var() - 85.75) / 85.75 < 0.03
 
 
 def test_student_t_heavy_tails():
-    t_draws = sample_noise(NoiseSpec.student_t(df=4.0), 200_000, seed=2)
-    g_draws = sample_noise(NoiseSpec.gaussian(1.0), 200_000, seed=2)
+    t_draws = NoiseSpec.student_t(df=4.0).draw(np.random.default_rng(2), 200_000)
+    g_draws = NoiseSpec.gaussian(1.0).draw(np.random.default_rng(2), 200_000)
     assert kurtosis(t_draws) > kurtosis(g_draws) + 0.5
 
 
 def test_laplace_std():
     spec = NoiseSpec.laplace(7.0)
     assert spec.std == pytest.approx(7.0 * np.sqrt(2.0))
-    draws = sample_noise(spec, 500_000, seed=3)
+    draws = spec.draw(np.random.default_rng(3), 500_000)
     assert abs(draws.std() - spec.std) / spec.std < 0.02
 
 
