@@ -5,14 +5,7 @@ joint model, detection post-processing with delta-clustering, a dense
 conjugate oracle for auditing, benchmark signal/noise generators, and the
 evaluation metrics used to score detections.
 """
-from .detect import (
-    SingleChangePoint,
-    cluster_partition,
-    detect,
-    pick_representatives,
-    single_cp_locate,
-    threshold_select,
-)
+from .detect import SingleChangePoint, detect, select_changepoints, single_cp_locate
 from .errors import (
     EmptySearchWindowError,
     EmptySetError,
@@ -74,7 +67,6 @@ __all__ = [
     "all_site_posteriors",
     "block_aggregate",
     "builtin_signal",
-    "cluster_partition",
     "detect",
     "distance_histogram",
     "estimate_sigma_mad",
@@ -85,12 +77,11 @@ __all__ = [
     "one_sided_hausdorff",
     "oracle_joint_marginal",
     "oracle_site_posterior",
-    "pick_representatives",
     "posterior_mean_surface",
+    "select_changepoints",
     "simulate",
     "simulate_binned",
     "single_cp_locate",
-    "threshold_select",
     # errors
     "SolocpError",
     "NonFiniteValueError",

@@ -26,9 +26,10 @@ Experiment configs are JSON objects; signal and noise are required:
     edge_fraction  search window of method single (0.05)
 
 replications, seed, binned n and grid, gibbs iterations and burn_in, and the
-length of a custom signal must be JSON integers; hypers and grid values must
-be numbers, not true or false. Unknown keys at the top level and in hypers,
-binned and gibbs are errors, as is an unknown method.
+length (at least 2) of a custom signal must be JSON integers; hypers and grid
+values must be numbers, not true or false, and levels and noise parameters
+finite numbers. Unknown keys at the top level and in hypers, binned and
+gibbs are errors, as is an unknown method.
 
 The detect report is one line of JSON with sorted keys.
 Every library error exits nonzero with an "error[<Type>]:" prefix.
@@ -174,7 +175,7 @@ class Experiment:
     seed: int  # replication r simulates with seed + r
     sigma_mode: str | float  # "true", "mad" or a fixed value
     binned: tuple[int, int] | None  # (n, grid)
-    gibbs: GibbsConfig  # each replication sets its own chain seed
+    gibbs: GibbsConfig  # replication r runs its chains with gibbs.seed + r
     edge_fraction: float
     grid: dict  # {hyperparameter: values}, at most one: one bench row per value
     manifest: dict  # the signal, noise and binned entries as written
@@ -272,11 +273,7 @@ def _parse_experiment(cfg: dict) -> Experiment:
         seed=seed,
         sigma_mode=_sigma_rule(cfg.get("sigma_mode", "true")),
         binned=binned or None,
-        gibbs=GibbsConfig(
-            _typed(gibbs.get("iterations", 5000), "gibbs.iterations"),
-            _typed(gibbs.get("burn_in", 1000), "gibbs.burn_in"),
-            seed=seed + _CHAIN_SEED_OFFSET,
-        ),
+        gibbs=GibbsConfig(**gibbs, seed=seed + _CHAIN_SEED_OFFSET),
         edge_fraction=float(_typed(cfg.get("edge_fraction", 0.05), "edge_fraction", _NUMBER)),
         grid={k: tuple(_typed(v, f"grid.{k}", _NUMBER) for v in vs) for k, vs in grid.items()},
         manifest={"signal": signal, "noise": cfg["noise"], "binned": cfg.get("binned")},
@@ -307,13 +304,13 @@ def _make_dataset(exp: Experiment, rep: int):
 
 def run_replication(exp: Experiment, rep: int) -> tuple[EvalReport, float]:
     """simulate -> detect -> evaluate for one seeded replication."""
-    series, truth, domain, seed = _make_dataset(exp, rep)
+    series, truth, domain, _ = _make_dataset(exp, rep)
     hypers = _hypers_for(series.length, exp.method, exp.hypers)
     start = time.perf_counter()
     if exp.method == "single":
         est = [single_cp_locate(series, hypers, exp.edge_fraction).site]
     else:
-        gibbs_cfg = replace(exp.gibbs, seed=seed + _CHAIN_SEED_OFFSET)
+        gibbs_cfg = replace(exp.gibbs, seed=exp.gibbs.seed + rep)
         est = detect(series, hypers, method=exp.method, gibbs_config=gibbs_cfg).selected
     elapsed = time.perf_counter() - start
     return evaluate_sets(est, truth, domain), elapsed
@@ -427,10 +424,10 @@ def _fitted_levels(series, locations) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     exp = load_experiment_config(args.config)
-    os.makedirs(args.outdir, exist_ok=True)
     entries = []
     for rep in range(exp.replications):
         series, truth, _, seed = _make_dataset(exp, rep)
+        os.makedirs(args.outdir, exist_ok=True)  # a config failing here leaves no OUTDIR
         name = f"rep_{rep:03d}.csv"
         path = os.path.join(args.outdir, name)
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -507,9 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--q", type=float, default=None)
     p_detect.add_argument("--threshold", type=float, default=None)
     p_detect.add_argument("--delta", type=int, default=None)
-    p_detect.add_argument("--seed", type=int, default=0, help="basad chain seed")
-    p_detect.add_argument("--iterations", type=int, default=5000)
-    p_detect.add_argument("--burn-in", dest="burn_in", type=int, default=1000)
+    p_detect.add_argument("--seed", type=int, default=GibbsConfig.seed, help="basad chain seed")
+    p_detect.add_argument("--iterations", type=int, default=GibbsConfig.iterations)
+    p_detect.add_argument("--burn-in", dest="burn_in", type=int, default=GibbsConfig.burn_in)
     p_detect.add_argument("--edge-fraction", dest="edge_fraction", type=float, default=0.05)
     p_detect.add_argument("--out", default=None, help="JSON report path (default stdout)")
     p_detect.add_argument("--probs-csv", dest="probs_csv", default=None,

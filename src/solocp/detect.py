@@ -1,11 +1,13 @@
-"""Detection post-processing: threshold the per-site inclusion probabilities,
-merge candidates closer than delta into clusters, keep one representative per
-cluster. Also the symmetrized single-change-point location criterion."""
+"""Detection post-processing and the single-change-point locator.
+
+select_changepoints thresholds the per-site inclusion probabilities, merges
+candidates within delta of each other into clusters and keeps one
+representative per cluster, all in one pass over the candidates. Also the
+symmetrized single-change-point location criterion."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -15,68 +17,34 @@ from .posterior import inclusion_scores, posterior_mean_surface
 from .types import BinnedSeries, ChangePointSet, DetectionResult, Hyperparameters, TimeSeries
 
 
-def threshold_select(sites, probs, threshold: float) -> ChangePointSet:
-    """Sites whose probability strictly exceeds the threshold."""
-    sites = np.asarray(sites, dtype=int)
-    probs = np.asarray(probs, dtype=float)
-    keep = probs > threshold
-    return ChangePointSet(tuple(int(s) for s in sites[keep]))
-
-
-def cluster_partition(c0: ChangePointSet, delta: int) -> tuple[tuple[int, ...], ...]:
-    """Split the sorted candidate set wherever a gap exceeds delta.
-
-    This is the transitive closure of the pairwise |a - b| <= delta linkage
-    on a line: within a group consecutive members are within delta, across
-    groups all pairs are farther apart.
-    """
-    locs = c0.locations
-    if not locs:
-        return ()
-    groups: list[list[int]] = [[locs[0]]]
-    for a, b in zip(locs, locs[1:]):
-        if b - a <= delta:
-            groups[-1].append(b)
-        else:
-            groups.append([b])
-    return tuple(tuple(g) for g in groups)
-
-
-def pick_representatives(
-    partition: tuple[tuple[int, ...], ...], probs: Mapping[int, float]
-) -> ChangePointSet:
-    """Highest-scoring member of each group; ties go to the smallest index.
-
-    Scores are the inclusion probabilities or any monotone transform of them
-    (the pipeline passes log-odds, which rank identically but do not saturate
-    when several sites sit at probability 1.0 in double precision).
-    """
-    chosen = []
-    for group in partition:
-        best = group[0]
-        best_p = probs[best]
-        for site in group[1:]:
-            p = probs[site]
-            if p > best_p:
-                best, best_p = site, p
-        chosen.append(best)
-    return ChangePointSet(tuple(chosen))
-
-
 def select_changepoints(sites, probs, hypers: Hyperparameters, scores=None):
-    """threshold -> cluster -> representative, returning all intermediates.
+    """Candidates, their clusters and one representative per cluster, in one
+    pass over the sites whose probability strictly exceeds hypers.threshold.
 
-    probs drive the thresholding; scores (default probs) drive the in-cluster
-    ranking.
+    A gap greater than hypers.delta between consecutive candidates starts a
+    new cluster: on a line this is the transitive closure of the pairwise
+    |a - b| <= delta linkage. Each cluster keeps its highest-scoring member,
+    the smallest site on ties. scores (default probs) are the probabilities
+    or any monotone transform of them (the solo path passes log-odds, which
+    rank identically but do not saturate when several sites sit at
+    probability 1.0 in double precision).
     """
-    c0 = threshold_select(sites, probs, hypers.threshold)
-    clusters = cluster_partition(c0, hypers.delta)
-    ranking = np.asarray(probs if scores is None else scores, dtype=float)
-    # only the thresholded candidates are ranked
-    candidate = np.asarray(probs, dtype=float) > hypers.threshold
-    lookup = dict(zip(c0.locations, ranking[candidate].tolist()))
-    selected = pick_representatives(clusters, lookup)
-    return c0, clusters, selected
+    probs = np.asarray(probs, dtype=float)
+    keep = probs > hypers.threshold
+    candidates = np.asarray(sites, dtype=int)[keep].tolist()
+    ranking = (probs if scores is None else np.asarray(scores, dtype=float))[keep].tolist()
+    clusters, selected = [], []
+    for site, score in zip(candidates, ranking):
+        if clusters and site - clusters[-1][-1] <= hypers.delta:
+            clusters[-1].append(site)
+            if score > best:
+                selected[-1], best = site, score
+        else:
+            clusters.append([site])
+            selected.append(site)
+            best = score
+    clusters = tuple(tuple(c) for c in clusters)
+    return ChangePointSet(tuple(candidates)), clusters, ChangePointSet(tuple(selected))
 
 
 def detect(
@@ -97,7 +65,7 @@ def detect(
         probs, scores = inclusion_scores(series, hypers)
     elif method == "basad":
         if gibbs_config is None:
-            gibbs_config = GibbsConfig(iterations=5000, burn_in=1000, seed=0)
+            gibbs_config = GibbsConfig()
         probs = gibbs_inclusion_probabilities(series, hypers, gibbs_config)[1:]
         scores = probs
     else:

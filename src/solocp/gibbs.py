@@ -27,6 +27,7 @@ sigma^2 is fixed at series.noise_sd^2 throughout (known-variance treatment).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,20 +35,24 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidConfigError, LinearSolveFailureError, NumericOverflowError
 from .types import (
-    BinnedSeries, Hyperparameters, TimeSeries, inclusion_probability_into, level_precision,
-    prior_log_odds,
+    BinnedSeries, Hyperparameters, TimeSeries, checked_number, inclusion_probability_into,
+    level_precision, prior_log_odds,
 )
 
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Chain length bookkeeping: total sweeps, sweeps discarded, RNG seed."""
+    """Chain length bookkeeping: total sweeps, sweeps discarded, RNG seed.
+    All three are integers; bools, strings and fractions are rejected."""
 
-    iterations: int
-    burn_in: int
-    seed: int
+    iterations: int = 5000
+    burn_in: int = 1000
+    seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "burn_in", "seed"):
+            value = checked_number(getattr(self, name), f"gibbs {name}", numbers.Integral)
+            object.__setattr__(self, name, value)
         if self.iterations < 1:
             raise InvalidConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not 0 <= self.burn_in < self.iterations:

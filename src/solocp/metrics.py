@@ -8,17 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySetError
-from .types import ChangePointSet
 
 _HIST_HEADER = ("zero", "one", "two", "ge3")
 
 
 def _locations(s) -> np.ndarray:
-    if isinstance(s, ChangePointSet):
-        arr = np.asarray(s.locations, dtype=float)
-    else:
-        arr = np.asarray(sorted(int(x) for x in s), dtype=float)
-    return arr
+    return np.asarray(sorted(int(x) for x in s), dtype=float)
 
 
 def _min_distances(reference: np.ndarray, other: np.ndarray) -> np.ndarray:

@@ -14,43 +14,28 @@ from .errors import (
     TooShortError,
     UnknownSignalError,
 )
-from .types import BinnedSeries, TimeSeries
-
-
-def _number(value, what: str, kind=numbers.Real):
-    """value as an int (kind Integral) or a float (kind Real). A bool, a
-    string, a fraction where an integer is due, or any other type raises
-    InvalidConfigError instead of being converted."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a real number"
-        raise InvalidConfigError(f"{what} must be {noun}, got {value!r}")
-    return int(value) if kind is numbers.Integral else float(value)
-
-
-def _numbers(values, what: str, kind=numbers.Real) -> tuple:
-    """_number of every entry of a sequence, as a tuple."""
-    try:
-        entries = tuple(values)
-    except TypeError:
-        raise InvalidConfigError(f"{what} must be a sequence, got {values!r}") from None
-    return tuple(_number(v, what, kind) for v in entries)
+from .types import BinnedSeries, TimeSeries, checked_number, checked_numbers
 
 
 @dataclass(frozen=True)
 class SignalSpec:
     """Piecewise-constant ground truth: levels[k] holds on the k-th segment,
     segments change at the listed (strictly increasing) first-new-index sites.
-    length and change points are integers and levels real numbers; bools and
-    strings are rejected, not converted."""
+    length (at least 2) and change points are integers and levels finite real
+    numbers; bools and strings are rejected, not converted."""
 
     length: int
     changepoints: tuple[int, ...]
     levels: tuple[float, ...]
 
     def __post_init__(self):
-        length = _number(self.length, "signal length", numbers.Integral)
-        cps = _numbers(self.changepoints, "changepoints", numbers.Integral)
-        levels = _numbers(self.levels, "levels")
+        length = checked_number(self.length, "signal length", numbers.Integral)
+        cps = checked_numbers(self.changepoints, "changepoints", numbers.Integral)
+        levels = checked_numbers(self.levels, "levels")
+        if length < 2:
+            raise InvalidConfigError(f"signal length must be at least 2, got {length}")
+        if not all(map(math.isfinite, levels)):
+            raise InvalidConfigError(f"levels must be finite, got {levels}")
         if len(levels) != len(cps) + 1:
             raise InvalidConfigError("need exactly one more level than changepoints")
         if any(b <= a for a, b in zip(cps, cps[1:])):
@@ -130,7 +115,7 @@ _NOISE_PARAMS = {"gaussian": ("sd",), "laplace": ("scale",), "student_t": ("df",
 class NoiseSpec:
     """I.i.d. error distribution. Families: gaussian (sd), laplace (dispersion
     scale), student_t (df, scale), gaussian_mixture (weights, sds). Every
-    parameter the family reads must be a real number, not a bool or a
+    parameter the family reads must be a finite real number, not a bool or a
     string, and is stored as a float."""
 
     family: str
@@ -144,19 +129,19 @@ class NoiseSpec:
         if not (isinstance(self.family, str) and self.family in _NOISE_PARAMS):
             raise InvalidConfigError(f"unknown noise family {self.family!r}")
         for name in _NOISE_PARAMS[self.family]:
-            value = _number(getattr(self, name), f"{self.family} {name}")
-            if not value > 0:
-                raise InvalidConfigError(f"{self.family} {name} must be positive")
+            value = checked_number(getattr(self, name), f"{self.family} {name}")
+            if not (value > 0 and math.isfinite(value)):
+                raise InvalidConfigError(f"{self.family} {name} must be positive and finite")
             object.__setattr__(self, name, value)
         if self.family == "gaussian_mixture":
-            w = np.array(_numbers(self.weights, "mixture weights"), dtype=float)
-            s = np.array(_numbers(self.sds, "mixture sds"), dtype=float)
+            w = np.array(checked_numbers(self.weights, "mixture weights"), dtype=float)
+            s = np.array(checked_numbers(self.sds, "mixture sds"), dtype=float)
             if w.size == 0 or w.size != s.size:
                 raise InvalidConfigError("mixture needs matching weights and sds")
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+            if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
                 raise InvalidConfigError("mixture weights must be in [0,1] and sum to 1")
-            if np.any(s <= 0):
-                raise InvalidConfigError("mixture sds must be positive")
+            if not np.all((s > 0) & np.isfinite(s)):
+                raise InvalidConfigError("mixture sds must be positive and finite")
             object.__setattr__(self, "weights", tuple(float(x) for x in w))
             object.__setattr__(self, "sds", tuple(float(x) for x in s))
 

@@ -9,16 +9,37 @@ point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    InvalidConfigError,
     InvalidHyperparameterError,
     NonFiniteValueError,
     NonPositiveSigmaError,
     TooShortError,
 )
+
+
+def checked_number(value, what: str, kind=numbers.Real):
+    """value as an int (kind Integral) or a float (kind Real). A bool, a
+    string, a fraction where an integer is due, or any other type raises
+    InvalidConfigError instead of being converted."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise InvalidConfigError(f"{what} must be {noun}, got {value!r}")
+    return int(value) if kind is numbers.Integral else float(value)
+
+
+def checked_numbers(values, what: str, kind=numbers.Real) -> tuple:
+    """checked_number of every entry of a sequence, as a tuple."""
+    try:
+        entries = tuple(values)
+    except TypeError:
+        raise InvalidConfigError(f"{what} must be a sequence, got {values!r}") from None
+    return tuple(checked_number(v, what, kind) for v in entries)
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:

@@ -7,12 +7,14 @@ own code does.
 """
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import solocp.cli
 from solocp import BinnedSeries, TimeSeries
 
 _BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -53,3 +55,34 @@ def test_oracle_gate_passes_on_small_series():
                           + rng.normal(0, 0.5, counts.sum()), 0.5, counts=counts)
     assert mismatches(plain) == []
     assert mismatches(binned) == []
+
+
+_BASAD_FLAGS = ["--method", "basad", "--iterations", "200", "--burn-in", "50"]
+
+
+@pytest.mark.parametrize("extra", [[], _BASAD_FLAGS], ids=["solo", "basad"])
+def test_span_counters_read_the_detection_result(tmp_path, extra):
+    # the per-layer counts come from DetectionResult fields and the Gibbs
+    # config; a renamed field would read 0 in a benchmark run, not fail
+    rng = np.random.default_rng(7)
+    y = np.repeat([0.0, 4.0, 0.0], 20) + rng.normal(0, 0.5, 60)
+    data = tmp_path / "jumps.csv"
+    rows = "".join(f"{t},{v!r}\n" for t, v in enumerate(y.tolist(), start=1))
+    data.write_text("t,y\n" + rows)
+    out = tmp_path / "report.json"
+    tracer = _load("spans").Tracer()
+    tracer.install()
+    try:
+        assert solocp.cli.main(["detect", str(data), "--out", str(out), *extra]) == 0
+    finally:
+        tracer.uninstall()
+    report = json.loads(out.read_text())
+    spans = {s["name"]: s["counts"] for s in tracer.spans}
+    assert report["count"] >= 1
+    assert spans["detect.detect"] == {
+        "raw_candidates": sum(map(len, report["clusters"])),
+        "selected": report["count"],
+    }
+    assert "detect.select_changepoints" in spans
+    if extra:
+        assert spans["gibbs.gibbs_inclusion_probabilities"] == {"sweeps": 200}

@@ -416,6 +416,12 @@ _MALFORMED_CONFIG = {
     "noise_mixture_bool": {
         "noise": {"family": "gaussian_mixture", "weights": [0.5, 0.5], "sds": [1.0, True]}
     },
+    # values that would fail only in the first replication, after OUTDIR exists
+    "noise_sd_infinite": {"noise": {"family": "gaussian", "sd": float("inf")}},
+    "signal_length_one": {"signal": {"length": 1, "changepoints": [], "levels": [0.0]}},
+    "level_infinite": {
+        "signal": {"length": 60, "changepoints": [30], "levels": [0.0, float("inf")]}
+    },
     "edge_fraction_bool": {"method": "single", "edge_fraction": True},
     "edge_fraction_string": {"method": "single", "edge_fraction": "0.1"},
     # numbers are not booleans
@@ -457,6 +463,16 @@ def test_malformed_config_rejected_at_load(tmp_path, capsys, case):
     cfg = _teeth_config(tmp_path, reps=1, extra=_MALFORMED_CONFIG[case])
     assert main(["simulate", str(cfg), str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error[InvalidConfigError]")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "extra", [{"sigma_mode": "fixed:-1"}, {"binned": {"n": 1, "grid": 20}}], ids=["sigma", "n"]
+)
+def test_simulate_failing_first_replication_leaves_no_outdir(tmp_path, capsys, extra):
+    outdir = tmp_path / "out"
+    assert main(["simulate", str(_teeth_config(tmp_path, reps=1, extra=extra)), str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("error[")
     assert not outdir.exists()
 
 

@@ -3,62 +3,66 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solocp import (
-    ChangePointSet,
     EmptySearchWindowError,
     Hyperparameters,
     InvalidConfigError,
     TimeSeries,
-    cluster_partition,
     detect,
-    pick_representatives,
+    select_changepoints,
     single_cp_locate,
-    threshold_select,
 )
-from solocp.detect import select_changepoints
+
+
+def _select(sites, probs, delta=2, threshold=0.5, scores=None):
+    """select_changepoints with only the post-processing knobs set."""
+    h = Hyperparameters(
+        tau0_sq=0.1, tau1_sq=1.0, tau_sq=0.1, q=0.1, delta=delta, threshold=threshold
+    )
+    return select_changepoints(sites, probs, h, scores=scores)
 
 
 def test_threshold_all_below():
-    got = threshold_select([2, 3, 4], [0.3, 0.3, 0.3], 0.5)
-    assert got.locations == ()
+    c0, clusters, selected = _select([2, 3, 4], [0.3, 0.3, 0.3])
+    assert c0.locations == () and clusters == () and selected.locations == ()
 
 
 def test_threshold_by_definition():
     probs = {7: 0.9, 8: 0.6, 20: 0.8}
     sites = list(range(2, 31))
     p = [probs.get(s, 0.0) for s in sites]
-    assert threshold_select(sites, p, 0.5).locations == (7, 8, 20)
+    assert _select(sites, p)[0].locations == (7, 8, 20)
+    assert _select(np.array(sites), np.array(p))[0].locations == (7, 8, 20)
 
 
 def test_threshold_is_strict():
-    got = threshold_select([2, 3], [0.5, 0.6], 0.5)
-    assert got.locations == (3,)
+    assert _select([2, 3], [0.5, 0.6])[0].locations == (3,)
 
 
 def test_cluster_gap_rule():
-    assert cluster_partition(ChangePointSet((10, 12, 30)), 2) == ((10, 12), (30,))
+    assert _select([10, 12, 30], [0.9, 0.9, 0.9], delta=2)[1] == ((10, 12), (30,))
 
 
 def test_cluster_delta_zero_singletons():
-    assert cluster_partition(ChangePointSet((4, 5, 9)), 0) == ((4,), (5,), (9,))
+    assert _select([4, 5, 9], [0.9, 0.9, 0.9], delta=0)[1] == ((4,), (5,), (9,))
 
 
 def test_cluster_chained_linkage():
-    # pairwise linkage is transitive on a line: 1..7 chain in steps of 2
-    assert cluster_partition(ChangePointSet((3, 5, 7, 9)), 2) == ((3, 5, 7, 9),)
+    # pairwise linkage is transitive on a line: 3..9 chain in steps of 2
+    assert _select([3, 5, 7, 9], [0.9] * 4, delta=2)[1] == ((3, 5, 7, 9),)
 
 
 def test_representatives_argmax():
-    part = ((10, 12),)
-    assert pick_representatives(part, {10: 0.9, 12: 0.6}).locations == (10,)
+    assert _select([10, 12], [0.9, 0.6])[2].locations == (10,)
+    # scores, not probabilities, rank the members of a cluster
+    assert _select([10, 12], [0.9, 0.6], scores=[1.0, 2.0])[2].locations == (12,)
 
 
 def test_representatives_tie_smallest():
-    part = ((10, 12),)
-    assert pick_representatives(part, {10: 0.9, 12: 0.9}).locations == (10,)
+    assert _select([10, 12], [0.9, 0.9])[2].locations == (10,)
 
 
 def test_representatives_singleton():
-    assert pick_representatives(((8,),), {8: 0.7}).locations == (8,)
+    assert _select([8], [0.7])[2].locations == (8,)
 
 
 def _brute_components(locs, delta):
@@ -88,15 +92,37 @@ def _brute_components(locs, delta):
     st.integers(0, 8),
 )
 def test_partition_matches_brute_force_components(locs, delta):
-    c0 = ChangePointSet(tuple(sorted(locs)))
-    assert cluster_partition(c0, delta) == _brute_components(locs, delta)
+    sites = sorted(locs)
+    assert _select(sites, [0.9] * len(sites), delta=delta)[1] == _brute_components(locs, delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=40),
+    st.integers(0, 8),
+    st.sampled_from([0.1, 0.25, 0.5, 0.75]),
+    st.booleans(),
+)
+def test_selection_matches_brute_force(rows, delta, threshold, rank_by_probs):
+    # coarse probabilities and scores force ties at the threshold and in clusters
+    sites = list(range(2, len(rows) + 2))
+    probs = [p / 4 for p, _ in rows]
+    scores = None if rank_by_probs else [float(r) for _, r in rows]
+    c0, clusters, selected = _select(sites, probs, delta, threshold, scores)
+    ranking = dict(zip(sites, probs if scores is None else scores))
+    want_c0 = tuple(s for s, p in zip(sites, probs) if p > threshold)
+    want_clusters = _brute_components(want_c0, delta) if want_c0 else ()
+    # max returns the first maximum, and each group is in site order
+    want_selected = tuple(max(g, key=ranking.__getitem__) for g in want_clusters)
+    assert (c0.locations, clusters, selected.locations) == (
+        want_c0, want_clusters, want_selected
+    )
 
 
 def test_khat_monotone_nonincreasing_in_delta():
     rng = np.random.default_rng(0)
     sites = np.arange(2, 60)
     probs = rng.random(sites.size)
-    h0 = Hyperparameters(tau0_sq=0.1, tau1_sq=1.0, tau_sq=0.1, q=0.1, delta=0)
     prev = None
     for delta in (0, 1, 2, 4, 8, 16):
         h = Hyperparameters(tau0_sq=0.1, tau1_sq=1.0, tau_sq=0.1, q=0.1, delta=delta)
@@ -104,7 +130,6 @@ def test_khat_monotone_nonincreasing_in_delta():
         if prev is not None:
             assert selected.count <= prev
         prev = selected.count
-    del h0
 
 
 def test_detect_constant_series_finds_nothing():

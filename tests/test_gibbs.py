@@ -35,6 +35,13 @@ def test_config_validation():
     with pytest.raises(InvalidConfigError):
         GibbsConfig(iterations=100, burn_in=200, seed=1)
     GibbsConfig(iterations=100, burn_in=0, seed=1)
+    # each field is an integer: fractions, bools and strings are rejected, not run
+    for bad in ((10.5, 1, 0), (100, 10, 1.5), (100, 10.0, 1), (True, 0, 0), (100, False, 1),
+                (100, 10, True), ("100", 10, 1), (100, "10", 1), (100, 10, "1")):
+        with pytest.raises(InvalidConfigError):
+            GibbsConfig(*bad)
+    assert GibbsConfig(np.int64(100), np.int64(10), np.int64(1)) == GibbsConfig(100, 10, 1)
+    assert GibbsConfig() == GibbsConfig(iterations=5000, burn_in=1000, seed=0)
 
 
 def test_likelihood_dominance_interpolates():

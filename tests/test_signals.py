@@ -67,6 +67,15 @@ _MALFORMED_SPECS = {
     "mixture_sd_bool": lambda: NoiseSpec.mixture((0.5, 0.5), (1.0, True)),
     "mixture_weights_scalar": lambda: NoiseSpec.mixture(1.0, (1.0,)),
     "family_list": lambda: NoiseSpec(["gaussian"]),
+    # every parameter that is read must be finite, and a signal needs 2 sites
+    "length_one": lambda: SignalSpec(1, (), (0.0,)),
+    "level_infinite": lambda: SignalSpec(60, (20, 40), (0.0, float("inf"), 0.0)),
+    "level_nan": lambda: SignalSpec(60, (20, 40), (0.0, float("nan"), 0.0)),
+    "gaussian_sd_infinite": lambda: NoiseSpec.gaussian(float("inf")),
+    "laplace_scale_nan": lambda: NoiseSpec.laplace(float("nan")),
+    "student_t_df_infinite": lambda: NoiseSpec.student_t(float("inf")),
+    "mixture_sd_infinite": lambda: NoiseSpec.mixture((0.5, 0.5), (1.0, float("inf"))),
+    "mixture_weight_nan": lambda: NoiseSpec.mixture((float("nan"), 1.0), (1.0, 2.0)),
 }
 
 
