@@ -9,7 +9,6 @@ from .detect import SingleChangePoint, detect, select_changepoints, single_cp_lo
 from .errors import (
     EmptySearchWindowError,
     EmptySetError,
-    InvalidBlockCountError,
     InvalidConfigError,
     InvalidHyperparameterError,
     LinearSolveFailureError,
@@ -35,7 +34,6 @@ from .posterior import all_site_posteriors, posterior_mean_surface
 from .signals import (
     NoiseSpec,
     SignalSpec,
-    block_aggregate,
     builtin_signal,
     estimate_sigma_mad,
     map_changepoints_to_bins,
@@ -65,7 +63,6 @@ __all__ = [
     "SingleChangePoint",
     "TimeSeries",
     "all_site_posteriors",
-    "block_aggregate",
     "builtin_signal",
     "detect",
     "distance_histogram",
@@ -93,7 +90,6 @@ __all__ = [
     "SingularCovarianceError",
     "InvalidConfigError",
     "UnknownSignalError",
-    "InvalidBlockCountError",
     "EmptySearchWindowError",
     "EmptySetError",
     "ParseError",

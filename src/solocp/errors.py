@@ -43,10 +43,6 @@ class UnknownSignalError(SolocpError):
     """No built-in signal with that name."""
 
 
-class InvalidBlockCountError(SolocpError):
-    """Block count outside 1..T."""
-
-
 class EmptySearchWindowError(SolocpError):
     """No candidate site satisfies the edge constraint."""
 

@@ -17,11 +17,22 @@ stacked into one block-diagonal tridiagonal system of size C*M, whose
 off-diagonal is 0 where one chain ends and the next begins, so one
 dpttrf/dpttrs pair per sweep draws every chain's levels. A zero coupling
 leaves each block's factor and solution bitwise what it is for that chain
-alone. Each chain keeps its own Generator and draws its normals and uniforms
-into its own rows, so a chain's random stream, and with it its indicator
-chain, does not depend on the chains stacked beside it. Every per-sweep
-array is allocated once, before the first sweep, and each step writes into
-it in place.
+alone. Every per-sweep array is allocated once, before the first sweep,
+and each step writes into it in place.
+
+Randomness is drawn in blocks of _BLOCK sweeps. Chain k has two child
+streams, SeedSequence(seeds[k]).spawn(2): one Generator for the normals of
+the level draw and one for the uniforms of the indicator draw. One call per
+stream fills a block, and the work that depends only on the draws is done
+once per block: the normals are scaled by sigma, and each uniform u becomes
+the log-odds cut log(u) - log1p(-u) - intercept. An indicator is then drawn
+as slope * delta^2 > cut, which is u < inclusion_probability(intercept +
+slope * delta^2) rearranged, with no exp or divide per sweep. A running
+maximum of slope * delta^2 stands in for a finiteness check on every sweep:
+NaN and inf stay in it, so one check after the last sweep raises
+NumericOverflowError. Each stream is consumed in sweep order, so a chain's
+output depends neither on the block size nor on the chains stacked beside
+it.
 
 sigma^2 is fixed at series.noise_sd^2 throughout (known-variance treatment).
 """
@@ -35,8 +46,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidConfigError, LinearSolveFailureError, NumericOverflowError
 from .types import (
-    BinnedSeries, Hyperparameters, TimeSeries, checked_number, inclusion_probability_into,
-    level_precision, prior_log_odds,
+    BinnedSeries, Hyperparameters, TimeSeries, checked_number, level_precision, prior_log_odds,
 )
 
 
@@ -81,47 +91,48 @@ def _log_odds_line(hypers: Hyperparameters, sigma: float) -> tuple[float, float]
     return intercept, slope
 
 
+# sweeps of normals and uniforms drawn per Generator call
+_BLOCK = 128
+
+
 class _LevelDraw:
     """Block 1 for C chains stacked into one block-diagonal level system:
-    each call writes delta <- increments | z, row k for chain k, into
-    buffers allocated here, once."""
+    each call writes delta <- increments | z, row k for chain k, from a
+    (C, M) row of standard normals already scaled by sigma, into buffers
+    allocated here, once."""
 
-    def __init__(self, rngs, series: TimeSeries | BinnedSeries, hypers: Hyperparameters, z, delta):
+    def __init__(self, series: TimeSeries | BinnedSeries, hypers: Hyperparameters, z, delta):
         c, m = delta.shape
         # table[z] is the prior precision of an increment with indicator z
         self.table = np.array([1.0 / hypers.tau0_sq, 1.0 / hypers.tau1_sq])
-        self.z, self.sigma = z, series.noise_sd
+        self.z = z
         self.counts, self.sums = (np.tile(a, (c, 1)) for a in (series.counts, series.sums))
         self.weights, self.diag, self.levels = (np.empty((c, m)) for _ in range(3))
         # row k's last entry stays 0: it decouples chain k from chain k + 1
         coupling = np.zeros((c, m))
         self.off = coupling[:, :-1]
-        noise = np.empty((c, m))
-        self.normal_draws = [(rng.standard_normal, row) for rng, row in zip(rngs, noise)]
         self.carry = np.empty(c * m - 1)
         # views made once: slicing a 2-D array costs more than the work on
         # M = 140 sites it selects
         self.flat_diag, self.flat_off = self.diag.ravel(), coupling.ravel()[:-1]
-        self.flat_noise, self.rhs = noise.ravel(), self.levels.ravel()
+        rhs = self.levels.ravel()
+        self.rhs, self.heads, self.tails = rhs, rhs[:-1], rhs[1:]
         self.steps = (self.levels[:, 1:], self.levels[:, :-1], delta[:, 1:])
         self.firsts = (delta[:, 0], self.levels[:, 0])
 
-    def __call__(self) -> None:
+    def __call__(self, noise) -> None:
         # mode "clip" spares the buffered copy that "raise" makes of out; z is 0 or 1
         self.table.take(self.z, out=self.weights, mode="clip")
         level_precision(self.counts, self.weights, self.diag, self.off)
-        for draw, row in self.normal_draws:
-            draw(out=row)
         # overwrite flags passed by position: f2py parses keywords slowly
         d, e, info = dpttrf(self.flat_diag, self.flat_off, 1, 1)
         if info == 0:
-            rhs, carry = self.rhs, self.carry
+            rhs, levels = self.rhs, self.levels
             np.sqrt(d, out=rhs)
-            np.multiply(rhs, self.flat_noise, out=rhs)
-            np.multiply(e, rhs[:-1], out=carry)
-            np.add(rhs[1:], carry, out=rhs[1:])
-            np.multiply(rhs, self.sigma, out=rhs)
-            np.add(self.levels, self.sums, out=self.levels)
+            np.multiply(levels, noise, out=levels)
+            np.multiply(e, self.heads, out=self.carry)
+            np.add(self.tails, self.carry, out=self.tails)
+            np.add(levels, self.sums, out=levels)
             _, info = dpttrs(d, e, rhs, 1)
         if info != 0:
             raise LinearSolveFailureError(
@@ -134,31 +145,34 @@ class _LevelDraw:
 
 class _IndicatorDraw:
     """Block 2 for C chains: each call writes z <- independent Bernoulli
-    draws given delta, row k for chain k, into buffers allocated here, once.
-    Raises NumericOverflowError when a log-odds is not finite (delta too
-    large); the caller silences the overflow warning that precedes it."""
+    draws given delta, row k for chain k, from a (C, M) row of log-odds cuts
+    made by `cut`, into buffers allocated here, once. `peak` holds the
+    running maximum of slope * delta^2, which stays NaN or inf once one
+    score is not finite; the caller checks it after the last sweep."""
 
-    def __init__(self, rngs, q: float, line: tuple[float, float] | None, delta, z):
+    def __init__(self, q: float, line: tuple[float, float] | None, delta, z):
         self.q, self.line, self.delta, self.z = q, line, delta, z
-        self.log_odds, self.prob, self.uniform = (np.empty(z.shape) for _ in range(3))
-        self.finite = np.empty(z.shape, dtype=bool)
-        self.uniform_draws = [(rng.random, row) for rng, row in zip(rngs, self.uniform)]
+        self.score, self.peak = np.empty(z.shape), np.zeros(z.shape)
 
-    def __call__(self) -> None:
+    def cut(self, u):
+        """Uniforms u turned, in place, into log(u) - log1p(-u) - intercept:
+        u < inclusion_probability(intercept + slope * delta^2) exactly when
+        slope * delta^2 > cut, which needs no exp or divide per sweep."""
+        odds = np.negative(u)
+        np.log1p(odds, out=odds)
+        np.log(u, out=u)
+        np.subtract(u, odds, out=u)
+        return np.subtract(u, self.line[0], out=u)
+
+    def __call__(self, cut) -> None:
         if self.line is None:
             self.z.fill(self.q >= 1.0)
             return
-        intercept, slope = self.line
-        lo = self.log_odds
-        np.multiply(self.delta, self.delta, out=lo)
-        np.multiply(lo, slope, out=lo)
-        np.add(lo, intercept, out=lo)
-        if not np.isfinite(lo, out=self.finite).all():
-            raise NumericOverflowError("indicator log-odds are not finite; rescale the data")
-        inclusion_probability_into(lo, self.prob)
-        for draw, row in self.uniform_draws:
-            draw(out=row)
-        np.less(self.uniform, self.prob, out=self.z)
+        score = self.score
+        np.multiply(self.delta, self.delta, out=score)
+        np.multiply(score, self.line[1], out=score)
+        np.maximum(self.peak, score, out=self.peak)
+        np.greater(score, cut, out=self.z)
 
 
 def _run_chains(
@@ -170,19 +184,38 @@ def _run_chains(
 ) -> np.ndarray:
     """Post-burn-in averages of the indicators of one chain per seed, shape
     (len(seeds), M). Row k equals a single-chain run with seeds[k]."""
-    rngs = [np.random.default_rng(s) for s in seeds]
-    z = np.zeros((len(rngs), series.length), dtype=bool)
+    c, m = len(seeds), series.length
+    streams = [
+        [np.random.default_rng(child) for child in np.random.SeedSequence(s).spawn(2)]
+        for s in seeds
+    ]
+    z = np.zeros((c, m), dtype=bool)
     delta = np.empty(z.shape)
     line = _log_odds_line(hypers, series.noise_sd)
-    draw_increments = _LevelDraw(rngs, series, hypers, z, delta)
-    draw_indicators = _IndicatorDraw(rngs, hypers.q, line, delta, z)
+    draw_increments = _LevelDraw(series, hypers, z, delta)
+    draw_indicators = _IndicatorDraw(hypers.q, line, delta, z)
+    block = min(_BLOCK, iterations)
+    normals, uniforms = np.empty((c, block, m)), np.empty((c, block, m))
+    # per-sweep (C, M) rows, views made once into buffers refilled per block
+    rows = [(normals[:, b], uniforms[:, b]) for b in range(block)]
     z_total = np.zeros(z.shape, dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sweep in range(iterations):
-            draw_increments()
-            draw_indicators()
-            if sweep >= burn_in:
-                np.add(z_total, z, out=z_total)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, iterations, block):
+            n = min(block, iterations - start)
+            for (normal, uniform), chain_normals, chain_uniforms in zip(streams, normals, uniforms):
+                normal.standard_normal(out=chain_normals[:n])
+                if line is not None:
+                    uniform.random(out=chain_uniforms[:n])
+            np.multiply(normals[:, :n], series.noise_sd, out=normals[:, :n])
+            if line is not None:
+                draw_indicators.cut(uniforms[:, :n])
+            for sweep, (noise, cut) in enumerate(rows[:n], start):
+                draw_increments(noise)
+                draw_indicators(cut)
+                if sweep >= burn_in:
+                    np.add(z_total, z, out=z_total)
+    if not np.isfinite(draw_indicators.peak).all():
+        raise NumericOverflowError("indicator log-odds are not finite; rescale the data")
     return z_total / (iterations - burn_in)
 
 

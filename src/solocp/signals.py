@@ -1,5 +1,5 @@
-"""Ground-truth signals, noise families, benchmark dataset generation, the
-robust noise-scale estimator, and the block-aggregation statistic."""
+"""Ground-truth signals, noise families, benchmark dataset generation and
+the robust noise-scale estimator."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InvalidBlockCountError,
     InvalidConfigError,
     TooShortError,
     UnknownSignalError,
@@ -246,22 +245,3 @@ def estimate_sigma_mad(series: TimeSeries | BinnedSeries) -> float:
     mad = 1.4826 * np.median(np.abs(d - np.median(d)))
     return float(mad / math.sqrt(2.0))
 
-
-def block_aggregate(series: TimeSeries, m: int) -> np.ndarray:
-    """Scaled block sums: each of m contiguous blocks contributes its sum
-    divided by the square root of its size, preserving the noise variance.
-
-    When m does not divide T the last block absorbs the remainder and is
-    scaled by its own size.
-    """
-    t = series.length
-    if not 1 <= m <= t:
-        raise InvalidBlockCountError(f"block count must be in 1..{t}, got {m}")
-    size = t // m
-    out = np.empty(m)
-    for k in range(m):
-        lo = k * size
-        hi = lo + size if k < m - 1 else t
-        block = series.values[lo:hi]
-        out[k] = block.sum() / math.sqrt(block.size)
-    return out

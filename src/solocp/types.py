@@ -25,12 +25,16 @@ from .errors import (
 
 def checked_number(value, what: str, kind=numbers.Real):
     """value as an int (kind Integral) or a float (kind Real). A bool, a
-    string, a fraction where an integer is due, or any other type raises
-    InvalidConfigError instead of being converted."""
+    string, a fraction where an integer is due, an integer too large for a
+    float where a real is due, or any other type raises InvalidConfigError
+    instead of being converted."""
+    noun = "an integer" if kind is numbers.Integral else "a real number"
     if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a real number"
         raise InvalidConfigError(f"{what} must be {noun}, got {value!r}")
-    return int(value) if kind is numbers.Integral else float(value)
+    try:
+        return int(value) if kind is numbers.Integral else float(value)
+    except OverflowError:  # an int beyond the float range
+        raise InvalidConfigError(f"{what} must be {noun} within the float range") from None
 
 
 def checked_numbers(values, what: str, kind=numbers.Real) -> tuple:
@@ -156,7 +160,8 @@ class Hyperparameters:
     Variances are sigma^2-scaled: the prior variance of an increment under
     the spike is sigma^2 * tau0_sq, etc. tau_sq is the shared shrinkage
     variance placed on all non-candidate increments by the single-site model.
-    delta is the cluster radius of the detection post-processing.
+    delta is the cluster radius of the detection post-processing. Every field
+    is a real number and delta a whole one; bools and strings are rejected.
     """
 
     tau0_sq: float
@@ -167,6 +172,8 @@ class Hyperparameters:
     threshold: float = 0.5
 
     def __post_init__(self):
+        for name in ("tau0_sq", "tau1_sq", "tau_sq", "q", "delta", "threshold"):
+            object.__setattr__(self, name, checked_number(getattr(self, name), name))
         for name in ("tau0_sq", "tau1_sq", "tau_sq"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
@@ -179,10 +186,11 @@ class Hyperparameters:
             raise InvalidHyperparameterError(
                 f"threshold must be in (0,1), got {self.threshold}"
             )
-        if self.delta < 0 or int(self.delta) != self.delta:
+        if not (self.delta >= 0 and self.delta.is_integer()):
             raise InvalidHyperparameterError(
                 f"delta must be a nonnegative integer, got {self.delta}"
             )
+        object.__setattr__(self, "delta", int(self.delta))
 
     @classmethod
     def solo_defaults(cls, length: int, **overrides) -> "Hyperparameters":
@@ -227,22 +235,17 @@ def inclusion_probability(log_odds):
     0 and 1 at -inf and +inf.
 
     This is the single code path from log-odds (prior log-odds plus
-    log w1 - log w0) to probabilities; the solo posterior, the oracle and the
-    Gibbs indicator draw all route through it, so a probability recomputed
-    from a summary's log_omega matches the stored one bit for bit.
+    log w1 - log w0) to probabilities; the solo posterior and the oracle
+    route through it, so a probability recomputed from a summary's log_omega
+    matches the stored one bit for bit. The Gibbs indicator draw compares a
+    uniform with it in rearranged form (see the gibbs module).
     """
-    with np.errstate(over="ignore"):
-        return inclusion_probability_into(log_odds, np.empty(np.shape(log_odds)))
-
-
-def inclusion_probability_into(log_odds, out: np.ndarray) -> np.ndarray:
-    """inclusion_probability written into out. Enters no np.errstate:
-    exp(-log_odds) overflows below log_odds = -709, and the caller silences
-    that warning."""
-    np.negative(log_odds, out=out)
-    np.exp(out, out=out)
-    np.add(out, 1.0, out=out)
-    return np.divide(1.0, out, out=out)
+    out = np.empty(np.shape(log_odds))
+    with np.errstate(over="ignore"):  # exp(-log_odds) overflows below -709
+        np.negative(log_odds, out=out)
+        np.exp(out, out=out)
+        np.add(out, 1.0, out=out)
+        return np.divide(1.0, out, out=out)
 
 
 def level_precision(counts, weights, diag=None, off=None) -> tuple[np.ndarray, np.ndarray]:

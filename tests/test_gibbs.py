@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from solocp import (
     BinnedSeries,
@@ -15,12 +16,14 @@ from solocp import (
     detect,
     gibbs_inclusion_probabilities,
 )
+from solocp import gibbs
 from solocp.gibbs import _IndicatorDraw, _LevelDraw, _log_odds_line, _run_chains
 from solocp.oracle import (
     conditional_deltaf_moments,
     enumerate_inclusion_probabilities,
     exact_z_posterior,
 )
+from solocp.types import inclusion_probability, prior_log_odds
 
 
 def _hyp(tau0, tau1, q=0.2, tau=0.5):
@@ -66,10 +69,10 @@ def test_conditional_draw_matches_analytic_mean():
     mean, cov = conditional_deltaf_moments(ts, z, h)
     draws = 100_000
     delta = np.empty((1, 10))
-    draw = _LevelDraw([np.random.default_rng(42)], ts, h, z[None], delta)
+    draw = _LevelDraw(ts, h, z[None], delta)
     total = np.zeros(10)
-    for _ in range(draws):
-        draw()
+    for noise in np.random.default_rng(42).standard_normal((draws, 1, 10)):
+        draw(noise)
         total += delta[0]
     mc_mean = total / draws
     se = np.sqrt(np.diag(cov) / draws)
@@ -81,17 +84,18 @@ def test_spike_collapse():
     ts = TimeSeries(rng.normal(0, 1, 15), 1.0)
     h = Hyperparameters(tau0_sq=1e-10, tau1_sq=1.0, tau_sq=0.5, q=0.2, delta=1)
     delta = np.empty((1, 15))
-    draw = _LevelDraw([np.random.default_rng(0)], ts, h, np.zeros((1, 15), int), delta)
-    for _ in range(20):
-        draw()
+    draw = _LevelDraw(ts, h, np.zeros((1, 15), int), delta)
+    for noise in np.random.default_rng(0).standard_normal((20, 1, 15)):
+        draw(noise)
         assert np.max(np.abs(delta)) < 1e-3
 
 
 def test_z_conditional_equal_variances_is_prior():
     h = _hyp(0.5, 0.5, q=0.3)
     z = np.empty((1, 2000), dtype=bool)
-    line = _log_odds_line(h, 1.0)
-    _IndicatorDraw([np.random.default_rng(3)], h.q, line, np.zeros((1, 2000)), z)()
+    draw = _IndicatorDraw(h.q, _log_odds_line(h, 1.0), np.zeros((1, 2000)), z)
+    assert draw.line[1] == 0.0  # slope 0: only the cut, that is u, decides
+    draw(draw.cut(np.random.default_rng(3).random((1, 2000))))
     freq = z.mean()
     se = np.sqrt(0.3 * 0.7 / 2000)
     assert abs(freq - 0.3) <= 4 * se
@@ -100,14 +104,17 @@ def test_z_conditional_equal_variances_is_prior():
 def test_z_conditional_slab_tail_dominance():
     h = _hyp(0.01, 10.0, q=0.2)
     z, line = np.zeros((1, 50), dtype=bool), _log_odds_line(h, 1.0)
-    _IndicatorDraw([np.random.default_rng(4)], h.q, line, np.full((1, 50), 100.0), z)()
+    draw = _IndicatorDraw(h.q, line, np.full((1, 50), 100.0), z)
+    draw(draw.cut(np.random.default_rng(4).random((1, 50))))
     assert np.all(z == 1)
 
 
 def test_z_conditional_q_zero():
     h = _hyp(0.01, 10.0, q=0.0)
     z, line = np.ones((1, 50), dtype=bool), _log_odds_line(h, 1.0)
-    _IndicatorDraw([np.random.default_rng(5)], h.q, line, np.full((1, 50), 100.0), z)()
+    # q = 0 fixes every indicator, so no uniform is turned into a cut
+    draw = _IndicatorDraw(h.q, line, np.full((1, 50), 100.0), z)
+    draw(np.random.default_rng(5).random((1, 50)))
     assert np.all(z == 0)
 
 
@@ -140,18 +147,56 @@ def test_level_draw_matches_dense_cholesky(m, unit_counts):
     eps = np.random.default_rng(11).standard_normal(m)
     f = np.linalg.solve(prec, series.sums) + 1.3 * scipy.linalg.solve_triangular(upper, eps)
     draw = np.empty((1, m))
-    _LevelDraw([np.random.default_rng(11)], series, h, z[None], draw)()
+    _LevelDraw(series, h, z[None], draw)(1.3 * eps[None])
     assert np.allclose(draw[0], diff @ f, rtol=1e-9, atol=1e-9)
 
 
 def test_chain_output_is_pinned():
-    # counts of z_t = 1 over 800 kept sweeps, recorded from the banded and
-    # dense Cholesky sampler this kernel replaced; the draws agree to
-    # rounding, so the indicator chain must not move
+    # counts of z_t = 1 over 800 kept sweeps, recorded from the plain sampler
+    # below: per sweep, the levels by dense Cholesky and each indicator as
+    # u < inclusion_probability(log-odds), on the kernel's two child streams.
+    # The kernel's draws agree with it to rounding, so its chain must not move
     y = np.array([0.1, -0.3, 0.2, 1.9, 2.2, 1.6, 2.0, -0.4])
+    h, sigma, m = _hyp(0.01, 4.0), 0.5, 8
+    pinned = np.array([45, 101, 204, 723, 112, 69, 146, 591])
+    normal, uniform = (np.random.default_rng(c) for c in np.random.SeedSequence(17).spawn(2))
+    diff = np.eye(m) - np.eye(m, k=-1)
+    z, counts = np.zeros(m, dtype=bool), np.zeros(m, dtype=int)
+    for sweep in range(1000):
+        weights = np.where(z, 1.0 / h.tau1_sq, 1.0 / h.tau0_sq)
+        prec = np.eye(m) + diff.T @ np.diag(weights) @ diff
+        upper = np.linalg.cholesky(prec).T
+        eps = normal.standard_normal(m)
+        f = np.linalg.solve(prec, y) + sigma * scipy.linalg.solve_triangular(upper, eps)
+        d = diff @ f
+        slab, spike = (scipy.stats.norm.logpdf(d, scale=sigma * np.sqrt(t))
+                       for t in (h.tau1_sq, h.tau0_sq))
+        z = uniform.random(m) < inclusion_probability(prior_log_odds(h.q) + slab - spike)
+        if sweep >= 200:
+            counts += z
+    assert np.array_equal(counts, pinned)
+    p = gibbs_inclusion_probabilities(TimeSeries(y, sigma), h, GibbsConfig(1000, 200, seed=17))
+    assert np.array_equal(p, pinned / 800)
+
+
+_B = gibbs._BLOCK
+
+
+@pytest.mark.parametrize("iterations", [_B - 1, _B, _B + 1, 2 * _B + 3])
+def test_output_does_not_depend_on_block_size(monkeypatch, iterations):
+    # each stream is consumed in sweep order, so how many sweeps of draws
+    # one Generator call makes leaves every row bitwise the same; burn-in
+    # 61 ends inside a block for every block size tried
+    rng = np.random.default_rng(13)
+    series = TimeSeries(np.where(np.arange(12) >= 6, 1.5, 0.0) + rng.normal(0, 0.5, 12), 0.5)
     h = _hyp(0.01, 4.0)
-    p = gibbs_inclusion_probabilities(TimeSeries(y, 0.5), h, GibbsConfig(1000, 200, seed=17))
-    assert np.array_equal(p, np.array([36, 91, 118, 800, 72, 107, 122, 787]) / 800)
+    runs = []
+    for block in (1, 7, _B):
+        monkeypatch.setattr(gibbs, "_BLOCK", block)
+        runs.append(_run_chains(series, h, iterations, 61, [3, 2**40]))
+    assert 0.0 < runs[0].mean() < 1.0
+    for rows in runs[1:]:
+        assert np.array_equal(rows, runs[0])
 
 
 @pytest.mark.parametrize("binned", [False, True], ids=["plain", "unequal"])
@@ -175,11 +220,12 @@ def test_stacked_chains_equal_single_chains(m, binned):
     assert np.array_equal(rows, np.vstack(singles))
     # one stacked level draw, on indicators that differ between chains
     z = rng.random((4, m)) < 0.3
+    noise = np.vstack([np.random.default_rng(s).standard_normal(m) for s in seeds])
     stacked = np.empty((4, m))
-    _LevelDraw([np.random.default_rng(s) for s in seeds], series, h, z, stacked)()
-    for k, s in enumerate(seeds):
+    _LevelDraw(series, h, z, stacked)(noise)
+    for k in range(len(seeds)):
         single = np.empty((1, m))
-        _LevelDraw([np.random.default_rng(s)], series, h, z[k : k + 1], single)()
+        _LevelDraw(series, h, z[k : k + 1], single)(noise[k : k + 1])
         assert np.array_equal(stacked[k], single[0])
 
 
@@ -236,13 +282,16 @@ def test_chain_visits_configurations_at_posterior_rates():
     h = _hyp(0.02, 3.0, q=0.25)
     exact = exact_z_posterior(ts, h)
     iters, burn = 100_000, 1000
-    rngs, z, delta = [np.random.default_rng(12)], np.zeros((1, 5), dtype=bool), np.empty((1, 5))
-    draw_increments = _LevelDraw(rngs, ts, h, z, delta)
-    draw_indicators = _IndicatorDraw(rngs, h.q, _log_odds_line(h, ts.noise_sd), delta, z)
+    z, delta = np.zeros((1, 5), dtype=bool), np.empty((1, 5))
+    draw_increments = _LevelDraw(ts, h, z, delta)
+    draw_indicators = _IndicatorDraw(h.q, _log_odds_line(h, ts.noise_sd), delta, z)
+    normal, uniform = (np.random.default_rng(c) for c in np.random.SeedSequence(12).spawn(2))
+    noise = ts.noise_sd * normal.standard_normal((iters, 1, 5))
+    cuts = draw_indicators.cut(uniform.random((iters, 1, 5)))
     counts: dict[tuple, int] = {}
     for sweep in range(iters):
-        draw_increments()
-        draw_indicators()
+        draw_increments(noise[sweep])
+        draw_indicators(cuts[sweep])
         if sweep >= burn:
             key = tuple(z[0].tolist())  # bools: hash and compare equal to 0/1 keys
             counts[key] = counts.get(key, 0) + 1

@@ -9,6 +9,7 @@ from solocp import (
     BinnedSeries,
     ChangePointSet,
     Hyperparameters,
+    InvalidConfigError,
     InvalidHyperparameterError,
     NonFiniteValueError,
     NonPositiveSigmaError,
@@ -114,6 +115,26 @@ def test_hyperparameter_validation():
         Hyperparameters(tau0_sq=0.1, tau1_sq=1.0, tau_sq=1.0, q=0.1, delta=-1)
     with pytest.raises(InvalidHyperparameterError):
         Hyperparameters(tau0_sq=0.1, tau1_sq=1.0, tau_sq=1.0, q=0.1, delta=1, threshold=1.0)
+    for delta in (1.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidHyperparameterError):
+            Hyperparameters(tau0_sq=0.1, tau1_sq=1.0, tau_sq=1.0, q=0.1, delta=delta)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("q", True), ("delta", True), ("tau0_sq", True), ("threshold", False),
+    ("tau_sq", "0.1"), ("tau1_sq", None), ("delta", "2"), ("delta", 10**400),
+])
+def test_hyperparameters_reject_rather_than_convert(field, value):
+    # once: q=True and delta=True constructed and were kept as bools
+    fields = dict(tau0_sq=0.1, tau1_sq=1.0, tau_sq=0.1, q=0.1, delta=1, threshold=0.5)
+    with pytest.raises(InvalidConfigError):
+        Hyperparameters(**{**fields, field: value})
+
+
+def test_hyperparameters_store_floats_and_an_int_delta():
+    h = Hyperparameters(np.float64(0.1), 1, np.float32(0.5), np.float64(0.2), np.int64(3), 0.5)
+    assert [type(v) for v in vars(h).values()] == [float, float, float, float, int, float]
+    assert Hyperparameters(0.1, 1.0, 0.1, 0.1, delta=2.0).delta == 2
 
 
 def test_default_rule_switches_on_length():

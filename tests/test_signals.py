@@ -4,12 +4,10 @@ from scipy.stats import kurtosis
 
 from solocp import (
     BinnedSeries,
-    InvalidBlockCountError,
     InvalidConfigError,
     TimeSeries,
     TooShortError,
     UnknownSignalError,
-    block_aggregate,
     builtin_signal,
     estimate_sigma_mad,
     map_changepoints_to_bins,
@@ -250,38 +248,3 @@ def test_mad_robust_to_jumps():
 def test_mad_too_short():
     with pytest.raises(TooShortError):
         estimate_sigma_mad(TimeSeries(np.array([1.0, 2.0]), 1.0))
-
-
-def test_block_aggregate_identity_and_total():
-    rng = np.random.default_rng(10)
-    ts = TimeSeries(rng.normal(0, 1, 12), 1.0)
-    assert np.allclose(block_aggregate(ts, 12), ts.values)
-    assert block_aggregate(ts, 1)[0] == pytest.approx(ts.values.sum() / np.sqrt(12))
-
-
-def test_block_aggregate_constant_exact():
-    ts = TimeSeries(np.full(32, 2.5), 1.0)
-    agg = block_aggregate(ts, 8)
-    assert np.allclose(agg, np.sqrt(4) * 2.5)
-
-
-def test_block_aggregate_remainder_absorbed():
-    ts = TimeSeries(np.full(10, 1.0), 1.0)
-    agg = block_aggregate(ts, 3)
-    # sizes 3,3,4: each block sums/sqrt(own size)
-    assert agg.tolist() == pytest.approx([3 / np.sqrt(3), 3 / np.sqrt(3), 4 / np.sqrt(4)])
-
-
-def test_block_aggregate_variance_preserved():
-    rng = np.random.default_rng(3)
-    ts = TimeSeries(rng.normal(0, 1.0, 2048), 1.0)
-    agg = block_aggregate(ts, 64)
-    assert abs(agg.var() - 1.0) < 0.10
-
-
-def test_block_aggregate_bad_count():
-    ts = TimeSeries(np.ones(8), 1.0)
-    with pytest.raises(InvalidBlockCountError):
-        block_aggregate(ts, 0)
-    with pytest.raises(InvalidBlockCountError):
-        block_aggregate(ts, 9)
