@@ -28,8 +28,9 @@ Experiment configs are JSON objects; signal and noise are required:
 replications, seed, binned n and grid, gibbs iterations and burn_in, and the
 length (at least 2) of a custom signal must be JSON integers; hypers and grid
 values must be numbers, not true or false, and levels and noise parameters
-finite numbers. Unknown keys at the top level and in hypers, binned and
-gibbs are errors, as is an unknown method.
+finite numbers. Unknown keys at the top level, in hypers, binned, gibbs, a
+custom signal or the noise family are errors, as is an unknown method. The
+hypers and every grid row are checked as Hyperparameters at load.
 
 The detect report is one line of JSON with sorted keys.
 Every library error exits nonzero with an "error[<Type>]:" prefix.
@@ -43,8 +44,10 @@ import json
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -53,6 +56,7 @@ from .errors import InvalidConfigError, ParseError, SolocpError
 from .gibbs import GibbsConfig
 from .metrics import EvalReport, evaluate_sets
 from .signals import (
+    _NOISE_PARAMS,
     NoiseSpec,
     SignalSpec,
     builtin_signal,
@@ -61,7 +65,7 @@ from .signals import (
     simulate,
     simulate_binned,
 )
-from .types import BinnedSeries, Hyperparameters, TimeSeries
+from .types import BinnedSeries, Hyperparameters, TimeSeries, checked_number
 
 _CHAIN_SEED_OFFSET = 1_000_000  # decouple chain randomness from data seeds
 
@@ -79,9 +83,12 @@ def read_series_csv(path: str) -> TimeSeries | BinnedSeries:
     placeholder 1.0; callers override).
 
     Errors name the first offending line in file order; blank lines count."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        lines = fh.readlines()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if header is None:
         raise ParseError(f"{path}: empty file")
     cols = [c.strip().lower() for c in header]
@@ -183,15 +190,6 @@ class Experiment:
 
 _CONFIG_KEYS = tuple(f.name for f in fields(Experiment) if f.name != "manifest")
 _HYPER_KEYS = tuple(f.name for f in fields(Hyperparameters))
-_NUMBER = (int, float)
-
-
-def _typed(value, name: str, kinds=(int,)):
-    """value, when its JSON type is one of kinds (true and false load as bool)."""
-    if type(value) not in kinds:
-        expected = " or ".join(k.__name__ for k in kinds)
-        raise InvalidConfigError(f"{name} must be a JSON {expected}, got {value!r}")
-    return value
 
 
 def _noise_from_config(cfg: dict) -> NoiseSpec:
@@ -227,7 +225,7 @@ def load_experiment_config(path: str) -> Experiment:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict) or "signal" not in cfg or "noise" not in cfg:
         raise InvalidConfigError(f"{path}: config needs 'signal' and 'noise' entries")
@@ -240,13 +238,18 @@ def load_experiment_config(path: str) -> Experiment:
 
 
 def _parse_experiment(cfg: dict) -> Experiment:
-    hypers, gibbs = cfg.get("hypers", {}), cfg.get("gibbs", {})
+    hypers, gibbs, noise = cfg.get("hypers", {}), cfg.get("gibbs", {}), cfg["noise"]
     binned, grid, signal = cfg.get("binned") or {}, cfg.get("grid") or {}, cfg["signal"]
+    family = noise.get("family")
+    mixture = ("weights", "sds") if family == "gaussian_mixture" else ()
     for entries, allowed, what in (
         (cfg, _CONFIG_KEYS, "config"),
         ([*hypers, *grid], _HYPER_KEYS, "hyperparameter"),
         (binned, ("n", "grid"), "binned"),
         (gibbs, ("iterations", "burn_in"), "gibbs"),
+        ({} if isinstance(signal, str) else signal, ("length", "changepoints", "levels"), "signal"),
+        # the keys the family reads; an unknown family is reported by _noise_from_config
+        (noise, ("family", *_NOISE_PARAMS.get(family, noise), *mixture), "noise"),
     ):
         unknown = set(entries) - set(allowed)
         if unknown:
@@ -256,27 +259,34 @@ def _parse_experiment(cfg: dict) -> Experiment:
         raise InvalidConfigError(f"unknown method {method!r}")
     if len(grid) > 1:
         raise InvalidConfigError("grid supports exactly one swept parameter")
-    replications = _typed(cfg.get("replications", 1), "replications")
-    seed = _typed(cfg.get("seed", 0), "seed")
+    replications = checked_number(cfg.get("replications", 1), "replications", Integral)
+    seed = checked_number(cfg.get("seed", 0), "seed", Integral)
     if replications < 1 or seed < 0:
         raise InvalidConfigError("replications must be >= 1 and seed >= 0")
     if binned:
-        binned = (_typed(binned["n"], "binned.n"), _typed(binned["grid"], "binned.grid"))
+        binned = tuple(checked_number(binned[k], f"binned.{k}", Integral) for k in ("n", "grid"))
+        if min(binned) < 2:
+            raise InvalidConfigError(f"binned n and grid must be >= 2, got {binned}")
+    signal = builtin_signal(signal) if isinstance(signal, str) else SignalSpec(
+        signal["length"], signal["changepoints"], signal["levels"]
+    )
+    # Hyperparameters checks types and ranges: a bad base or grid row fails here, not in a run
+    length = binned[1] if binned else signal.length
+    for row in [{}, *({k: v} for k, vs in grid.items() for v in vs)]:
+        _hypers_for(length, method, {**hypers, **row})
     return Experiment(
-        signal=builtin_signal(signal) if isinstance(signal, str) else SignalSpec(
-            signal["length"], signal["changepoints"], signal["levels"]
-        ),
-        noise=_noise_from_config(cfg["noise"]),
+        signal=signal,
+        noise=_noise_from_config(noise),
         method=method,
-        hypers={k: _typed(v, f"hypers.{k}", _NUMBER) for k, v in hypers.items()},
+        hypers=dict(hypers),
         replications=replications,
         seed=seed,
         sigma_mode=_sigma_rule(cfg.get("sigma_mode", "true")),
         binned=binned or None,
         gibbs=GibbsConfig(**gibbs, seed=seed + _CHAIN_SEED_OFFSET),
-        edge_fraction=float(_typed(cfg.get("edge_fraction", 0.05), "edge_fraction", _NUMBER)),
-        grid={k: tuple(_typed(v, f"grid.{k}", _NUMBER) for v in vs) for k, vs in grid.items()},
-        manifest={"signal": signal, "noise": cfg["noise"], "binned": cfg.get("binned")},
+        edge_fraction=checked_number(cfg.get("edge_fraction", 0.05), "edge_fraction"),
+        grid={k: tuple(vs) for k, vs in grid.items()},
+        manifest={"signal": cfg["signal"], "noise": cfg["noise"], "binned": cfg.get("binned")},
     )
 
 
@@ -331,7 +341,8 @@ def _grid_rows(exp: Experiment) -> list[tuple[str, Experiment]]:
 def _aggregate(reports: list[EvalReport], times: list[float]) -> list[str]:
     ht = np.vstack([r.hist_true for r in reports])
     he = np.vstack([r.hist_est for r in reports])
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():  # a column with no detections stays nan, quietly
+        warnings.simplefilter("ignore", RuntimeWarning)
         cols = list(np.nanmean(ht, axis=0)) + list(np.nanmean(he, axis=0))
     cols += [
         float(np.mean([r.k_bias for r in reports])),

@@ -2,15 +2,17 @@
 
 Block 1 draws the whole increment vector from its Gaussian full conditional
 given the indicators; block 2 draws every indicator independently given its
-increment. The increment draw is done in the cumulative (fitted-level) space,
-where the posterior precision Q / sigma^2, Q = diag(n) + Delta' diag(w) Delta
-(Delta the first-difference operator, w_t = 1/tau^2_{z_t}), is tridiagonal.
-types.level_precision builds it; the solo posterior factors the same matrix
-with w_t = 1/tau^2 everywhere. LAPACK dpttrf factors it as Q = L D L' (L unit
-lower bidiagonal) and dpttrs solves Q f = sums + sigma L D^{1/2} eps, so one
-sweep is O(M) in two calls (Rue 2001).
-With U = D^{1/2} L' the upper Cholesky factor of Q, Q^{-1} L D^{1/2} = U^{-1},
-so f is the usual Q^{-1} sums + sigma U^{-1} eps draw from the same normals.
+increment. Every prior variance is sigma^2-scaled, so the chain runs in
+sigma units and sees the data only through sums / sigma, formed once: scaling
+the data and sigma by a power of two leaves every output bitwise the same.
+The increment draw is done in the cumulative (fitted-level) space, where the
+level precision Q = diag(n) + Delta' diag(w) Delta (Delta the first-difference
+operator, w_t = 1/tau^2_{z_t}) is tridiagonal. types.level_precision builds
+it; the solo posterior factors the same matrix with w_t = 1/tau^2 everywhere.
+LAPACK dpttrf factors it as Q = L D L' (L unit lower bidiagonal) and dpttrs
+solves Q f = sums / sigma + L D^{1/2} eps (eps standard normal), so one sweep
+is O(M) in two calls (Rue 2001). With U = D^{1/2} L' the upper Cholesky factor
+of Q, Q^{-1} L D^{1/2} = U^{-1}: f is the usual Q^{-1} sums / sigma + U^{-1} eps.
 
 One kernel runs C >= 1 chains on the same series. Their level systems are
 stacked into one block-diagonal tridiagonal system of size C*M, whose
@@ -24,15 +26,16 @@ Randomness is drawn in blocks of _BLOCK sweeps. Chain k has two child
 streams, SeedSequence(seeds[k]).spawn(2): one Generator for the normals of
 the level draw and one for the uniforms of the indicator draw. One call per
 stream fills a block, and the work that depends only on the draws is done
-once per block: the normals are scaled by sigma, and each uniform u becomes
-the log-odds cut log(u) - log1p(-u) - intercept. An indicator is then drawn
-as slope * delta^2 > cut, which is u < inclusion_probability(intercept +
+once per block: each uniform u becomes the log-odds cut
+log(u) - log1p(-u) - intercept. An indicator is then drawn as
+slope * delta^2 > cut, which is u < inclusion_probability(intercept +
 slope * delta^2) rearranged, with no exp or divide per sweep. A running
 maximum of slope * delta^2 stands in for a finiteness check on every sweep:
 NaN and inf stay in it, so one check after the last sweep raises
 NumericOverflowError. Each stream is consumed in sweep order, so a chain's
 output depends neither on the block size nor on the chains stacked beside
-it.
+it. q in {0, 1} fixes every indicator: such a run returns q at every site
+without a chain, as oracle.enumerate_inclusion_probabilities does.
 
 sigma^2 is fixed at series.noise_sd^2 throughout (known-variance treatment).
 """
@@ -73,22 +76,11 @@ class GibbsConfig:
             raise InvalidConfigError("seed must be a nonnegative integer")
 
 
-def _log_odds_line(hypers: Hyperparameters, sigma: float) -> tuple[float, float] | None:
+def _log_odds_line(hypers: Hyperparameters) -> tuple[float, float]:
     """Intercept and slope of an indicator's log-odds as a function of
-    delta_f^2, or None when q in {0, 1} fixes every indicator. Raises
-    NumericOverflowError when either is not finite (sigma too small)."""
-    q = hypers.q
-    if q <= 0.0 or q >= 1.0:
-        return None
-    intercept = prior_log_odds(q) + 0.5 * (np.log(hypers.tau0_sq) - np.log(hypers.tau1_sq))
-    with np.errstate(over="ignore", divide="ignore"):
-        gap = 0.5 * (1.0 / hypers.tau0_sq - 1.0 / hypers.tau1_sq)
-        slope = gap / np.square(np.float64(sigma))
-    if not (np.isfinite(intercept) and np.isfinite(slope)):
-        raise NumericOverflowError(
-            f"indicator log-odds are not finite at sigma={sigma:.3g}; rescale the data"
-        )
-    return intercept, slope
+    delta_f^2, the squared increment in sigma units, for 0 < q < 1."""
+    intercept = prior_log_odds(hypers.q) + 0.5 * (np.log(hypers.tau0_sq) - np.log(hypers.tau1_sq))
+    return intercept, 0.5 * (1.0 / hypers.tau0_sq - 1.0 / hypers.tau1_sq)
 
 
 # sweeps of normals and uniforms drawn per Generator call
@@ -97,16 +89,17 @@ _BLOCK = 128
 
 class _LevelDraw:
     """Block 1 for C chains stacked into one block-diagonal level system:
-    each call writes delta <- increments | z, row k for chain k, from a
-    (C, M) row of standard normals already scaled by sigma, into buffers
-    allocated here, once."""
+    each call writes delta <- increments | z in sigma units, row k for chain
+    k, from a (C, M) row of standard normals, into buffers allocated here,
+    once."""
 
     def __init__(self, series: TimeSeries | BinnedSeries, hypers: Hyperparameters, z, delta):
         c, m = delta.shape
         # table[z] is the prior precision of an increment with indicator z
         self.table = np.array([1.0 / hypers.tau0_sq, 1.0 / hypers.tau1_sq])
         self.z = z
-        self.counts, self.sums = (np.tile(a, (c, 1)) for a in (series.counts, series.sums))
+        self.counts = np.tile(series.counts, (c, 1))
+        self.sums = np.tile(series.sums / series.noise_sd, (c, 1))
         self.weights, self.diag, self.levels = (np.empty((c, m)) for _ in range(3))
         # row k's last entry stays 0: it decouples chain k from chain k + 1
         coupling = np.zeros((c, m))
@@ -150,14 +143,12 @@ class _IndicatorDraw:
     running maximum of slope * delta^2, which stays NaN or inf once one
     score is not finite; the caller checks it after the last sweep."""
 
-    def __init__(self, q: float, line: tuple[float, float] | None, delta, z):
-        self.q, self.line, self.delta, self.z = q, line, delta, z
+    def __init__(self, line: tuple[float, float], delta, z):
+        self.line, self.delta, self.z = line, delta, z
         self.score, self.peak = np.empty(z.shape), np.zeros(z.shape)
 
     def cut(self, u):
-        """Uniforms u turned, in place, into log(u) - log1p(-u) - intercept:
-        u < inclusion_probability(intercept + slope * delta^2) exactly when
-        slope * delta^2 > cut, which needs no exp or divide per sweep."""
+        """Uniforms u turned, in place, into cuts log(u) - log1p(-u) - intercept."""
         odds = np.negative(u)
         np.log1p(odds, out=odds)
         np.log(u, out=u)
@@ -165,9 +156,6 @@ class _IndicatorDraw:
         return np.subtract(u, self.line[0], out=u)
 
     def __call__(self, cut) -> None:
-        if self.line is None:
-            self.z.fill(self.q >= 1.0)
-            return
         score = self.score
         np.multiply(self.delta, self.delta, out=score)
         np.multiply(score, self.line[1], out=score)
@@ -185,15 +173,16 @@ def _run_chains(
     """Post-burn-in averages of the indicators of one chain per seed, shape
     (len(seeds), M). Row k equals a single-chain run with seeds[k]."""
     c, m = len(seeds), series.length
+    if hypers.q in (0.0, 1.0):  # the prior fixes every indicator
+        return np.full((c, m), float(hypers.q))
     streams = [
         [np.random.default_rng(child) for child in np.random.SeedSequence(s).spawn(2)]
         for s in seeds
     ]
     z = np.zeros((c, m), dtype=bool)
     delta = np.empty(z.shape)
-    line = _log_odds_line(hypers, series.noise_sd)
     draw_increments = _LevelDraw(series, hypers, z, delta)
-    draw_indicators = _IndicatorDraw(hypers.q, line, delta, z)
+    draw_indicators = _IndicatorDraw(_log_odds_line(hypers), delta, z)
     block = min(_BLOCK, iterations)
     normals, uniforms = np.empty((c, block, m)), np.empty((c, block, m))
     # per-sweep (C, M) rows, views made once into buffers refilled per block
@@ -204,11 +193,8 @@ def _run_chains(
             n = min(block, iterations - start)
             for (normal, uniform), chain_normals, chain_uniforms in zip(streams, normals, uniforms):
                 normal.standard_normal(out=chain_normals[:n])
-                if line is not None:
-                    uniform.random(out=chain_uniforms[:n])
-            np.multiply(normals[:, :n], series.noise_sd, out=normals[:, :n])
-            if line is not None:
-                draw_indicators.cut(uniforms[:, :n])
+                uniform.random(out=chain_uniforms[:n])
+            draw_indicators.cut(uniforms[:, :n])
             for sweep, (noise, cut) in enumerate(rows[:n], start):
                 draw_increments(noise)
                 draw_indicators(cut)

@@ -11,7 +11,7 @@ from which the mixture posterior follows:
 
     mu_k  = B_j / (A_j + 1/tau_k^2)
     xi_k  = sigma^2 / (A_j + 1/tau_k^2)            (posterior variance)
-    log w_k = B_j^2 / (2 sigma^2 (A_j + 1/tau_k^2)) - log(tau_k^2 (A_j + 1/tau_k^2))/2
+    log w_k = (B_j/sigma)^2 / (2 (A_j + 1/tau_k^2)) - log(tau_k^2 (A_j + 1/tau_k^2))/2
 
 A_j and B_j come from the two-filter smoother (Fraser & Potter 1969): a
 backward information filter gives the weight w_j and data d_j that
@@ -19,7 +19,9 @@ observations j..M carry about the level f_j, and a forward Kalman filter the
 mean m_j and variance v_j of f_{j-1} given observations 1..j-1 (f_0 = 0, so
 m_1 = v_1 = 0). Then A_j = w_j / (1 + v_j w_j) and
 B_j = (d_j - m_j w_j) / (1 + v_j w_j); every denominator is at least 1.
-Both filters work in sigma^2 units, so sigma^2 enters only the formulas above.
+Both filters work with sigma^2 factored out, so sigma enters only the
+formulas above: in xi_k, and in log w_k through B_j / sigma, formed once, so
+scaling the data and sigma by a power of two leaves the weights bitwise equal.
 
 Both filters are Gaussian elimination on the level precision
 Q = diag(n) + p Delta' Delta, p = 1/tau^2 (types.level_precision, shared with
@@ -135,14 +137,13 @@ def _mixture_terms(
     """Per-site precisions A_j + 1/tau_k^2 and log mixture weights, spike then
     slab. Raises NumericOverflowError when a log weight is not finite (data
     too large, or sigma too small, for double precision)."""
-    s2 = sigma * sigma
-    dens = []
-    log_ws = []
+    b = fwd.data / sigma
+    dens, log_ws = [], []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for tk in (hypers.tau0_sq, hypers.tau1_sq):
             den = fwd.info + 1.0 / tk
             dens.append(den)
-            log_ws.append(fwd.data * fwd.data / (2.0 * s2 * den) - 0.5 * np.log(tk * den))
+            log_ws.append(b * b / (2.0 * den) - 0.5 * np.log(tk * den))
     if not all(np.isfinite(lw).all() for lw in log_ws):
         raise NumericOverflowError(
             f"log mixture weights are not finite at sigma={sigma:.3g}; rescale the data"

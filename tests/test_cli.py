@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,10 @@ _MALFORMED_CONFIG = {
     "unknown_key": {"replication": 3},
     "unknown_binned_key": {"binned": {"n": 100, "grid": 20, "cells": 4}},
     "unknown_gibbs_key": {"gibbs": {"iterations": 2000, "burnin": 5}},
+    "unknown_noise_key": {"noise": {"family": "gaussian", "sd": 1, "sdd": 3}},
+    "unknown_signal_key": {
+        "signal": {"length": 60, "changepoints": [30], "levels": [0.0, 1.0], "foo": 1}
+    },
     "unknown_method": {"method": "bogus"},
 }
 
@@ -474,6 +479,39 @@ def test_simulate_failing_first_replication_leaves_no_outdir(tmp_path, capsys, e
     assert main(["simulate", str(_teeth_config(tmp_path, reps=1, extra=extra)), str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error[")
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "extra", [{"hypers": {"q": 2}}, {"grid": {"delta": [1, 1.5]}}], ids=["q", "grid_delta"]
+)
+def test_simulate_checks_hyperparameter_ranges_at_load(tmp_path, capsys, extra):
+    # every grid row is checked, not only the base hypers, before anything runs
+    outdir = tmp_path / "out"
+    assert main(["simulate", str(_teeth_config(tmp_path, reps=1, extra=extra)), str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("error[InvalidHyperparameterError]")
+    assert not outdir.exists()
+
+
+def test_non_utf8_input_reported_not_traceback(tmp_path, capsys):
+    csv_path, cfg_path = tmp_path / "bad.csv", tmp_path / "bad.json"
+    csv_path.write_bytes(b"t,y\n1,2\n2,\xff\n")
+    cfg_path.write_bytes(b"\xff" + json.dumps({"signal": "TEETH"}).encode())
+    for argv, path in ((["detect", str(csv_path)], csv_path), (["bench", str(cfg_path)], cfg_path)):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[ParseError]: {path}")
+        assert "Traceback" not in err
+
+
+def test_bench_row_without_detections_is_quiet(tmp_path, capsys):
+    # at sd 1 nothing is detected, so the est_* columns average no values
+    cfg = _teeth_config(tmp_path, reps=1, extra={"noise": {"family": "gaussian", "sd": 1}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bench", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1].split(",")[5:9] == ["nan"] * 4
 
 
 def test_bench_fractional_delta_rejected_not_truncated(tmp_path, capsys):

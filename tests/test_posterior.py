@@ -283,7 +283,7 @@ def test_unit_count_binned_path_matches_plain_path_exactly():
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    k=st.integers(-30, 30),
+    k=st.integers(-1000, 1000),
     binned=st.booleans(),
 )
 def test_scaling_data_and_sigma_by_power_of_two_is_bitwise_invariant(seed, k, binned):
@@ -302,6 +302,29 @@ def test_scaling_data_and_sigma_by_power_of_two_is_bitwise_invariant(seed, k, bi
     p2, lo2 = inclusion_scores(scaled, h)
     assert np.array_equal(p1, p2)
     assert np.array_equal(lo1, lo2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), binned=st.booleans())
+def test_negating_the_data_mirrors_site_data_and_keeps_scores(seed, binned):
+    # every operation on the solo path is sign-symmetric, so negation flips
+    # B_j bit for bit and leaves A_j, the scores and the selection unchanged
+    rng = np.random.default_rng(seed)
+    if binned:
+        base = _random_binned(rng, max_groups=30)
+        negated = BinnedSeries(tuple(-b for b in base.bins), base.noise_sd)
+    else:
+        y = rng.normal(0, 1.0, int(rng.integers(3, 60)))
+        y[int(rng.integers(1, y.size)):] += rng.normal(0, 4)
+        base = TimeSeries(y, float(rng.uniform(0.3, 2.0)))
+        negated = TimeSeries(-base.values, base.noise_sd)
+    h = _hyp(0.02, 50.0, float(10.0 ** rng.uniform(-3, 3)), q=0.2)
+    f1, f2 = forward_pass(base, h), forward_pass(negated, h)
+    assert np.array_equal(f2.data, -f1.data)
+    assert np.array_equal(f2.info, f1.info)
+    for a, b in zip(inclusion_scores(base, h), inclusion_scores(negated, h)):
+        assert np.array_equal(a, b)
+    assert detect(negated, h).selected == detect(base, h).selected
 
 
 def test_constant_series_stays_below_threshold():
