@@ -23,14 +23,17 @@ Experiment configs are JSON objects; signal and noise are required:
     binned         {"n", "grid"}: n random points grouped on a grid of cells
     gibbs          {"iterations" (5000), "burn_in" (1000)} for method basad
     grid           {"<hyperparameter>": [values]}: one bench row per value
-    edge_fraction  search window of method single (0.05)
+    edge_fraction  search window of method single, in (0, 1/2) (0.05)
 
-replications, seed, binned n and grid, gibbs iterations and burn_in, and the
-length (at least 2) of a custom signal must be JSON integers; hypers and grid
-values must be numbers, not true or false, and levels and noise parameters
-finite numbers. Unknown keys at the top level, in hypers, binned, gibbs, a
-custom signal or the noise family are errors, as is an unknown method. The
-hypers and every grid row are checked as Hyperparameters at load.
+The loader checks the top level (keys, method, replications, seed, sigma_mode,
+binned, and grid: one parameter, a nonempty list). Each other entry is checked,
+unknown and missing keys too, by the type it becomes: signal by SignalSpec,
+noise by NoiseSpec, gibbs by GibbsConfig, edge_fraction by
+detect.checked_edge_fraction, and hypers and every grid row by Hyperparameters
+with the defaults at the signal length, or at the grid size if binned. A binned
+replication with empty cells has fewer groups and gets the defaults for that
+count, so hypers that pass at load can still fail in bench. Method single takes
+no binned entry. Integer entries must be JSON integers; no number may be a bool.
 
 The detect report is one line of JSON with sorted keys.
 Every library error exits nonzero with an "error[<Type>]:" prefix.
@@ -38,6 +41,7 @@ Every library error exits nonzero with an "error[<Type>]:" prefix.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -51,12 +55,11 @@ from numbers import Integral
 
 import numpy as np
 
-from .detect import detect, single_cp_locate
+from .detect import checked_edge_fraction, detect, single_cp_locate
 from .errors import InvalidConfigError, ParseError, SolocpError
 from .gibbs import GibbsConfig
 from .metrics import EvalReport, evaluate_sets
 from .signals import (
-    _NOISE_PARAMS,
     NoiseSpec,
     SignalSpec,
     builtin_signal,
@@ -192,20 +195,6 @@ _CONFIG_KEYS = tuple(f.name for f in fields(Experiment) if f.name != "manifest")
 _HYPER_KEYS = tuple(f.name for f in fields(Hyperparameters))
 
 
-def _noise_from_config(cfg: dict) -> NoiseSpec:
-    """The noise entry as a NoiseSpec, which checks the parameter types."""
-    family = cfg.get("family")
-    if family == "gaussian":
-        return NoiseSpec.gaussian(cfg["sd"])
-    if family == "laplace":
-        return NoiseSpec.laplace(cfg["scale"])
-    if family == "student_t":
-        return NoiseSpec.student_t(cfg["df"], cfg.get("scale", 1.0))
-    if family == "gaussian_mixture":
-        return NoiseSpec.mixture(cfg["weights"], cfg["sds"])
-    raise InvalidConfigError(f"unknown noise family {family!r}")
-
-
 def _hypers_for(length: int, method: str, overrides: dict) -> Hyperparameters:
     if method == "basad":
         return Hyperparameters.basad_defaults(length, **overrides)
@@ -238,27 +227,16 @@ def load_experiment_config(path: str) -> Experiment:
 
 
 def _parse_experiment(cfg: dict) -> Experiment:
-    hypers, gibbs, noise = cfg.get("hypers", {}), cfg.get("gibbs", {}), cfg["noise"]
-    binned, grid, signal = cfg.get("binned") or {}, cfg.get("grid") or {}, cfg["signal"]
-    family = noise.get("family")
-    mixture = ("weights", "sds") if family == "gaussian_mixture" else ()
-    for entries, allowed, what in (
-        (cfg, _CONFIG_KEYS, "config"),
-        ([*hypers, *grid], _HYPER_KEYS, "hyperparameter"),
-        (binned, ("n", "grid"), "binned"),
-        (gibbs, ("iterations", "burn_in"), "gibbs"),
-        ({} if isinstance(signal, str) else signal, ("length", "changepoints", "levels"), "signal"),
-        # the keys the family reads; an unknown family is reported by _noise_from_config
-        (noise, ("family", *_NOISE_PARAMS.get(family, noise), *mixture), "noise"),
-    ):
+    hypers, binned, grid = cfg.get("hypers", {}), cfg.get("binned") or {}, cfg.get("grid") or {}
+    for entries, allowed, what in (cfg, _CONFIG_KEYS, "config"), (binned, ("n", "grid"), "binned"):
         unknown = set(entries) - set(allowed)
         if unknown:
             raise InvalidConfigError(f"unknown {what} keys {sorted(unknown)}")
     method = cfg.get("method", "solo")
     if method not in ("solo", "basad", "single"):
         raise InvalidConfigError(f"unknown method {method!r}")
-    if len(grid) > 1:
-        raise InvalidConfigError("grid supports exactly one swept parameter")
+    if len(grid) > 1 or not all(grid.values()):
+        raise InvalidConfigError("grid takes one swept parameter and a nonempty list of values")
     replications = checked_number(cfg.get("replications", 1), "replications", Integral)
     seed = checked_number(cfg.get("seed", 0), "seed", Integral)
     if replications < 1 or seed < 0:
@@ -267,24 +245,25 @@ def _parse_experiment(cfg: dict) -> Experiment:
         binned = tuple(checked_number(binned[k], f"binned.{k}", Integral) for k in ("n", "grid"))
         if min(binned) < 2:
             raise InvalidConfigError(f"binned n and grid must be >= 2, got {binned}")
-    signal = builtin_signal(signal) if isinstance(signal, str) else SignalSpec(
-        signal["length"], signal["changepoints"], signal["levels"]
-    )
-    # Hyperparameters checks types and ranges: a bad base or grid row fails here, not in a run
+        if method == "single":
+            raise InvalidConfigError("method single locates in plain series, not binned ones")
+    signal = cfg["signal"]
+    signal = builtin_signal(signal) if isinstance(signal, str) else SignalSpec(**signal)
+    # Hyperparameters checks keys, types and ranges: a bad base or grid row fails here
     length = binned[1] if binned else signal.length
     for row in [{}, *({k: v} for k, vs in grid.items() for v in vs)]:
         _hypers_for(length, method, {**hypers, **row})
     return Experiment(
         signal=signal,
-        noise=_noise_from_config(noise),
+        noise=NoiseSpec(**cfg["noise"]),
         method=method,
         hypers=dict(hypers),
         replications=replications,
         seed=seed,
         sigma_mode=_sigma_rule(cfg.get("sigma_mode", "true")),
         binned=binned or None,
-        gibbs=GibbsConfig(**gibbs, seed=seed + _CHAIN_SEED_OFFSET),
-        edge_fraction=checked_number(cfg.get("edge_fraction", 0.05), "edge_fraction"),
+        gibbs=GibbsConfig(**cfg.get("gibbs", {}), seed=seed + _CHAIN_SEED_OFFSET),
+        edge_fraction=checked_edge_fraction(cfg.get("edge_fraction", 0.05)),
         grid={k: tuple(vs) for k, vs in grid.items()},
         manifest={"signal": cfg["signal"], "noise": cfg["noise"], "binned": cfg.get("binned")},
     )
@@ -294,27 +273,25 @@ def _parse_experiment(cfg: dict) -> Experiment:
 
 
 def _make_dataset(exp: Experiment, rep: int):
-    """Returns (series-with-resolved-sigma, truth locations, domain length, seed)."""
-    seed = exp.seed + rep
+    """Replication rep's series, with the sigma rule applied, and its true
+    change points."""
     if exp.binned:
         n, grid = exp.binned
-        series = simulate_binned(exp.signal, exp.noise, n, grid, seed)
+        series = simulate_binned(exp.signal, exp.noise, n, grid, exp.seed + rep)
         truth = map_changepoints_to_bins(exp.signal, grid, series.source_bins)
-        domain = series.length
     else:
-        series = simulate(exp.signal, exp.noise, seed)
+        series = simulate(exp.signal, exp.noise, exp.seed + rep)
         truth = exp.signal.changepoints
-        domain = exp.signal.length
-    sigma = exp.sigma_mode
-    if sigma in ("true", "mad"):
-        sigma = series.noise_sd if sigma == "true" else estimate_sigma_mad(series)
-    series = replace(series, noise_sd=sigma)
-    return series, truth, domain, seed
+    if exp.sigma_mode == "mad":
+        series = replace(series, noise_sd=estimate_sigma_mad(series))
+    elif exp.sigma_mode != "true":  # a fixed value
+        series = replace(series, noise_sd=exp.sigma_mode)
+    return series, truth
 
 
 def run_replication(exp: Experiment, rep: int) -> tuple[EvalReport, float]:
     """simulate -> detect -> evaluate for one seeded replication."""
-    series, truth, domain, _ = _make_dataset(exp, rep)
+    series, truth = _make_dataset(exp, rep)
     hypers = _hypers_for(series.length, exp.method, exp.hypers)
     start = time.perf_counter()
     if exp.method == "single":
@@ -323,7 +300,7 @@ def run_replication(exp: Experiment, rep: int) -> tuple[EvalReport, float]:
         gibbs_cfg = replace(exp.gibbs, seed=exp.gibbs.seed + rep)
         est = detect(series, hypers, method=exp.method, gibbs_config=gibbs_cfg).selected
     elapsed = time.perf_counter() - start
-    return evaluate_sets(est, truth, domain), elapsed
+    return evaluate_sets(est, truth, series.length), elapsed
 
 
 def _grid_rows(exp: Experiment) -> list[tuple[str, Experiment]]:
@@ -437,7 +414,7 @@ def cmd_simulate(args) -> int:
     exp = load_experiment_config(args.config)
     entries = []
     for rep in range(exp.replications):
-        series, truth, _, seed = _make_dataset(exp, rep)
+        series, truth = _make_dataset(exp, rep)
         os.makedirs(args.outdir, exist_ok=True)  # a config failing here leaves no OUTDIR
         name = f"rep_{rep:03d}.csv"
         path = os.path.join(args.outdir, name)
@@ -452,7 +429,7 @@ def cmd_simulate(args) -> int:
                 writer.writerow(["t", "y", "bin"])
                 group_ids = np.repeat(np.arange(1, series.length + 1), series.counts.astype(int))
                 writer.writerows(zip(ts, ys, group_ids.tolist()))
-        entries.append({"file": name, "seed": seed, "changepoints": list(truth)})
+        entries.append({"file": name, "seed": exp.seed + rep, "changepoints": list(truth)})
     manifest = dict(
         exp.manifest, replications=exp.replications, base_seed=exp.seed, datasets=entries
     )
@@ -463,28 +440,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _bench_worker(payload):
-    exp, rep = payload
-    report, elapsed = run_replication(exp, rep)
-    return rep, report, elapsed
-
-
 def cmd_bench(args) -> int:
     exp = load_experiment_config(args.config)
     jobs = _n_jobs(args.jobs)
-    rows = []
-    for label, sub in _grid_rows(exp):
-        payloads = [(sub, rep) for rep in range(sub.replications)]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = sorted(pool.map(_bench_worker, payloads))
-        else:
-            results = [_bench_worker(p) for p in payloads]
-        reports = [r for _, r, _ in results]
-        times = [t for _, _, t in results]
-        rows.append([label] + _aggregate(reports, times))
-    header = ["label"] + EvalReport.csv_header()
-    lines = [",".join(header)] + [",".join(r) for r in rows]
+    rows, n = _grid_rows(exp), exp.replications
+    tasks = [(sub, rep) for _, sub in rows for rep in range(n)]  # row-major, as map returns them
+    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        results = list((pool.map if pool else map)(run_replication, *zip(*tasks)))
+    lines = [",".join(["label", *EvalReport.csv_header()])]
+    for k, (label, _) in enumerate(rows):
+        reports, times = zip(*results[k * n : (k + 1) * n])
+        lines.append(",".join([label, *_aggregate(reports, times)]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

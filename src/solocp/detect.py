@@ -14,7 +14,9 @@ import numpy as np
 from .errors import EmptySearchWindowError, InvalidConfigError
 from .gibbs import GibbsConfig, gibbs_inclusion_probabilities
 from .posterior import inclusion_scores, posterior_mean_surface
-from .types import BinnedSeries, ChangePointSet, DetectionResult, Hyperparameters, TimeSeries
+from .types import (
+    BinnedSeries, ChangePointSet, DetectionResult, Hyperparameters, TimeSeries, checked_number
+)
 
 
 def select_changepoints(sites, probs, hypers: Hyperparameters, scores=None):
@@ -95,6 +97,14 @@ class SingleChangePoint:
     low_confidence: bool
 
 
+def checked_edge_fraction(edge_fraction) -> float:
+    """edge_fraction as a float in (0, 1/2), else InvalidConfigError."""
+    value = checked_number(edge_fraction, "edge_fraction")
+    if not 0.0 < value < 0.5:
+        raise InvalidConfigError(f"edge_fraction must be in (0, 1/2), got {value}")
+    return value
+
+
 def single_cp_locate(
     series: TimeSeries, hypers: Hyperparameters, edge_fraction: float
 ) -> SingleChangePoint:
@@ -109,8 +119,7 @@ def single_cp_locate(
     """
     if not isinstance(series, TimeSeries):
         raise InvalidConfigError("single-change-point location expects plain t,y data")
-    if not 0.0 < edge_fraction < 0.5:
-        raise InvalidConfigError(f"edge_fraction must be in (0, 1/2), got {edge_fraction}")
+    edge_fraction = checked_edge_fraction(edge_fraction)
     t = series.length
     mu_fwd = posterior_mean_surface(series, hypers)
     reversed_neg = TimeSeries(-series.values[::-1], series.noise_sd)

@@ -17,14 +17,22 @@ def _locations(s) -> np.ndarray:
 
 
 def _min_distances(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """For each reference point, distance to the nearest point of other.
-    other is sorted; one searchsorted pass instead of the O(|a||b|) scan."""
+    """For each reference point, distance to the nearest point of other (inf
+    when other is empty). other is sorted; one searchsorted pass instead of
+    the O(|a||b|) scan."""
+    if other.size == 0:
+        return np.full(reference.size, np.inf)
     pos = np.searchsorted(other, reference)
     left = np.where(pos > 0, np.abs(reference - other[np.maximum(pos - 1, 0)]), np.inf)
     right = np.where(
         pos < other.size, np.abs(other[np.minimum(pos, other.size - 1)] - reference), np.inf
     )
     return np.minimum(left, right)
+
+
+def _histogram(d: np.ndarray) -> np.ndarray:
+    """Shares of the distances d at 0, 1, 2 and >= 3, as np.mean(d == k) gives them."""
+    return np.bincount(np.minimum(d, 3).astype(int), minlength=4) / d.size
 
 
 def one_sided_hausdorff(a, b) -> float:
@@ -47,18 +55,7 @@ def distance_histogram(reference, other) -> np.ndarray:
     ref = _locations(reference)
     if ref.size == 0:
         raise EmptySetError("reference set is empty")
-    oth = _locations(other)
-    if oth.size == 0:
-        return np.array([0.0, 0.0, 0.0, 1.0])
-    d = _min_distances(ref, oth)
-    return np.array(
-        [
-            np.mean(d == 0),
-            np.mean(d == 1),
-            np.mean(d == 2),
-            np.mean(d >= 3),
-        ]
-    )
+    return _histogram(_min_distances(ref, _locations(other)))
 
 
 @dataclass(frozen=True)
@@ -88,24 +85,18 @@ def evaluate_sets(est, truth, domain_length: int) -> EvalReport:
     the given length (the signal length, or the group count of binned data)."""
     est_arr = _locations(est)
     truth_arr = _locations(truth)
-    k_bias = truth_arr.size - est_arr.size
+    to_est = _min_distances(truth_arr, est_arr)  # each true point to the nearest estimate
+    to_truth = _min_distances(est_arr, truth_arr)
     if est_arr.size and truth_arr.size:
-        d = hausdorff(est_arr, truth_arr)
-        sentinel = False
+        d, sentinel = float(to_est.max()) + float(to_truth.max()), False
     elif est_arr.size == 0 and truth_arr.size == 0:
         d, sentinel = 0.0, False
     else:
         d, sentinel = float(domain_length), True
-    hist_true = (
-        distance_histogram(truth_arr, est_arr) if truth_arr.size else np.full(4, np.nan)
-    )
-    hist_est = (
-        distance_histogram(est_arr, truth_arr) if est_arr.size else np.full(4, np.nan)
-    )
     return EvalReport(
         hausdorff=d,
         hausdorff_is_sentinel=sentinel,
-        k_bias=int(k_bias),
-        hist_true=hist_true,
-        hist_est=hist_est,
+        k_bias=truth_arr.size - est_arr.size,
+        hist_true=_histogram(to_est) if truth_arr.size else np.full(4, np.nan),
+        hist_est=_histogram(to_truth) if est_arr.size else np.full(4, np.nan),
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,33 +105,34 @@ def builtin_signal(name: str) -> SignalSpec:
         ) from None
 
 
-# the parameters each noise family reads, besides a mixture's weights and sds
+# the parameters each noise family reads; student_t's scale defaults to 1
 _NOISE_PARAMS = {"gaussian": ("sd",), "laplace": ("scale",), "student_t": ("df", "scale"),
-                 "gaussian_mixture": ()}
+                 "gaussian_mixture": ("weights", "sds")}
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """I.i.d. error distribution. Families: gaussian (sd), laplace (dispersion
-    scale), student_t (df, scale), gaussian_mixture (weights, sds). Every
-    parameter the family reads must be a finite real number, not a bool or a
-    string, and is stored as a float."""
+    scale), student_t (df, scale 1 unless given), gaussian_mixture (weights,
+    sds). A family takes exactly the parameters it reads, each a finite real
+    number (not a bool or a string) stored as a float; the others are None."""
 
     family: str
-    sd: float = 1.0
-    scale: float = 1.0
-    df: float = 4.0
-    weights: tuple[float, ...] = ()
-    sds: tuple[float, ...] = ()
+    sd: float | None = None
+    scale: float | None = None
+    df: float | None = None
+    weights: tuple[float, ...] | None = None
+    sds: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not (isinstance(self.family, str) and self.family in _NOISE_PARAMS):
             raise InvalidConfigError(f"unknown noise family {self.family!r}")
-        for name in _NOISE_PARAMS[self.family]:
-            value = checked_number(getattr(self, name), f"{self.family} {name}")
-            if not (value > 0 and math.isfinite(value)):
-                raise InvalidConfigError(f"{self.family} {name} must be positive and finite")
-            object.__setattr__(self, name, value)
+        if self.family == "student_t" and self.scale is None:
+            object.__setattr__(self, "scale", 1.0)
+        params = _NOISE_PARAMS[self.family]
+        given = {f.name for f in fields(self)[1:] if getattr(self, f.name) is not None}
+        if given != set(params):
+            raise InvalidConfigError(f"{self.family} noise takes {params}, got {sorted(given)}")
         if self.family == "gaussian_mixture":
             w = np.array(checked_numbers(self.weights, "mixture weights"), dtype=float)
             s = np.array(checked_numbers(self.sds, "mixture sds"), dtype=float)
@@ -143,6 +144,12 @@ class NoiseSpec:
                 raise InvalidConfigError("mixture sds must be positive and finite")
             object.__setattr__(self, "weights", tuple(float(x) for x in w))
             object.__setattr__(self, "sds", tuple(float(x) for x in s))
+            return
+        for name in params:
+            value = checked_number(getattr(self, name), f"{self.family} {name}")
+            if not (value > 0 and math.isfinite(value)):
+                raise InvalidConfigError(f"{self.family} {name} must be positive and finite")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def gaussian(cls, sd: float) -> "NoiseSpec":
@@ -153,7 +160,7 @@ class NoiseSpec:
         return cls(family="laplace", scale=scale)
 
     @classmethod
-    def student_t(cls, df: float, scale: float = 1.0) -> "NoiseSpec":
+    def student_t(cls, df: float, scale: float | None = None) -> "NoiseSpec":
         return cls(family="student_t", df=df, scale=scale)
 
     @classmethod

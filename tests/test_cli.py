@@ -312,14 +312,17 @@ def _strip_timing(text):
 
 
 def test_bench_parallel_matches_serial(tmp_path, monkeypatch):
-    cfg = _teeth_config(tmp_path, reps=2)
+    # two rows that differ, so one pool's results must land in the right row
+    cfg = _teeth_config(tmp_path, reps=3, extra={"grid": {"q": [0.001, 0.9]}})
     out1 = tmp_path / "serial.csv"
     out2 = tmp_path / "parallel.csv"
     assert main(["bench", str(cfg), "--out", str(out1), "--jobs", "1"]) == 0
     monkeypatch.setenv("SOLOCP_JOBS", "2")
     assert main(["bench", str(cfg), "--out", str(out2)]) == 0
+    serial = _strip_timing(out1.read_text())
+    assert len(serial) == 3 and serial[1].split(",")[1:] != serial[2].split(",")[1:]
     # identical up to the wall-clock column
-    assert _strip_timing(out1.read_text()) == _strip_timing(out2.read_text())
+    assert serial == _strip_timing(out2.read_text())
 
 
 def test_bench_binned_config(tmp_path):
@@ -437,6 +440,17 @@ _MALFORMED_CONFIG = {
         "signal": {"length": 60, "changepoints": [30], "levels": [0.0, 1.0], "foo": 1}
     },
     "unknown_method": {"method": "bogus"},
+    # the types that consume an entry reject its unknown, foreign and missing keys
+    "unknown_hypers_key": {"hypers": {"qq": 0.1}},
+    "unknown_grid_key": {"grid": {"qq": [0.1]}},
+    "grid_empty": {"grid": {"delta": []}},
+    "gibbs_seed_key": {"gibbs": {"seed": 3}},
+    "noise_foreign_param": {"noise": {"family": "gaussian", "sd": 1, "scale": 2}},
+    "noise_no_family": {"noise": {"sd": 1}},
+    "signal_no_levels": {"signal": {"length": 60, "changepoints": [30]}},
+    # method single locates in plain series, in a window of (0, 1/2)
+    "single_binned": {"method": "single", "binned": {"n": 100, "grid": 20}},
+    "edge_fraction_range": {"method": "single", "edge_fraction": 0.7},
 }
 
 

@@ -84,6 +84,35 @@ def test_metrics_match_brute_force(a, b):
     assert np.all((got >= 0) & (got <= 1))
 
 
+def _mean_histogram(d):
+    # the histogram as the mean of each bucket's indicator
+    return np.array([np.mean(d == 0), np.mean(d == 1), np.mean(d == 2), np.mean(d >= 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sets(st.integers(1, 200), max_size=10),
+    st.sets(st.integers(1, 200), max_size=10),
+    st.integers(1, 500),
+)
+def test_evaluate_sets_matches_the_separate_criteria(est, truth, domain):
+    report = evaluate_sets(est, truth, domain)
+    assert report.k_bias == len(truth) - len(est)
+    if est and truth:
+        assert not report.hausdorff_is_sentinel
+        assert report.hausdorff == hausdorff(est, truth)
+    else:
+        assert report.hausdorff_is_sentinel == bool(est or truth)
+        assert report.hausdorff == (domain if est or truth else 0.0)
+    for hist, ref, other in ((report.hist_true, truth, est), (report.hist_est, est, truth)):
+        if not ref:
+            assert np.isnan(hist).all() and hist.shape == (4,)
+            continue
+        assert hist.tobytes() == distance_histogram(ref, other).tobytes()
+        d = np.asarray(_brute_min_dists(sorted(ref), sorted(other)) if other else [3] * len(ref))
+        assert hist.tobytes() == _mean_histogram(d).tobytes()
+
+
 def test_evaluate_perfect_detection():
     signal = builtin_signal("TEETH")
     ts = simulate(signal, NoiseSpec.gaussian(0.05), seed=0)

@@ -65,6 +65,11 @@ _MALFORMED_SPECS = {
     "mixture_sd_bool": lambda: NoiseSpec.mixture((0.5, 0.5), (1.0, True)),
     "mixture_weights_scalar": lambda: NoiseSpec.mixture(1.0, (1.0,)),
     "family_list": lambda: NoiseSpec(["gaussian"]),
+    # a family takes exactly the parameters it reads
+    "gaussian_no_sd": lambda: NoiseSpec("gaussian"),
+    "gaussian_foreign_scale": lambda: NoiseSpec("gaussian", sd=1.0, scale=2.0),
+    "student_t_foreign_sd": lambda: NoiseSpec("student_t", df=3.0, sd=1.0),
+    "mixture_no_sds": lambda: NoiseSpec("gaussian_mixture", weights=(1.0,)),
     # every parameter that is read must be finite, and a signal needs 2 sites
     "length_one": lambda: SignalSpec(1, (), (0.0,)),
     "level_infinite": lambda: SignalSpec(60, (20, 40), (0.0, float("inf"), 0.0)),
@@ -89,6 +94,9 @@ def test_constructors_store_ints_and_floats():
     assert [type(v) for v in (s.length, s.changepoints[0], s.levels[1])] == [int, int, float]
     t, mix = NoiseSpec.student_t(3, scale=2), NoiseSpec.mixture([0.5, 0.5], [1, 2])
     assert (t.df, t.scale, mix.sds) == (3.0, 2.0, (1.0, 2.0)) and type(t.df) is float
+    # student_t's scale defaults to 1; the fields a family does not read stay None
+    assert NoiseSpec("student_t", df=3) == NoiseSpec.student_t(3.0, 1.0)
+    assert (t.sd, t.weights, mix.sd, mix.df, NoiseSpec.gaussian(2).scale) == (None,) * 5
 
 
 def test_gaussian_noise_scale():
