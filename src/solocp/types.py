@@ -255,9 +255,11 @@ def level_precision(counts, weights, diag=None, off=None) -> tuple[np.ndarray, n
     increment j. The solo posterior and the Gibbs level draw both factor this
     matrix; the draw passes one row of weights per chain and writes into its
     own diag (same shape) and off (one column fewer)."""
+    rest = weights[..., 1:]
     diag = np.add(counts, weights, out=diag)
-    diag[..., :-1] += weights[..., 1:]
-    return diag, np.negative(weights[..., 1:], out=off)
+    head = diag[..., :-1]
+    np.add(head, rest, out=head)  # an augmented assignment would copy head back
+    return diag, np.negative(rest, out=off)
 
 
 @dataclass(frozen=True)

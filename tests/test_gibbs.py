@@ -18,7 +18,7 @@ from solocp import (
     gibbs_inclusion_probabilities,
 )
 from solocp import gibbs
-from solocp.gibbs import _IndicatorDraw, _LevelDraw, _log_odds_line, _run_chains
+from solocp.gibbs import _Sweeps, _cuts, _log_odds_intercept, _run_chains
 from solocp.oracle import (
     conditional_deltaf_moments,
     enumerate_inclusion_probabilities,
@@ -29,6 +29,31 @@ from solocp.types import inclusion_probability, prior_log_odds
 
 def _hyp(tau0, tau1, q=0.2, tau=0.5):
     return Hyperparameters(tau0_sq=tau0, tau1_sq=tau1, tau_sq=tau, q=q, delta=1)
+
+
+def _level_draws(series, hypers, z, noise):
+    """The kernel's increments delta | z, one sweep per (C, M) row of noise.
+    Cuts of -inf where z is 1 and +inf where it is 0 keep z as it is, so
+    every sweep after the first reuses the first sweep's factor. Yields the
+    kernel's one delta buffer, which the next sweep overwrites."""
+    sweeps = _Sweeps(series, hypers, len(z), 1)
+    sweeps.z[0] = z
+    sweeps.cuts[:, 0] = np.where(z, -np.inf, np.inf)
+    for eps in noise:
+        sweeps.normals[:, 0] = eps
+        sweeps.run(1)
+        yield sweeps.delta
+
+
+def _indicator_draw(series, hypers, z, uniforms):
+    """One sweep of the kernel from indicators z with zero noise; returns
+    the indicators it draws from the cuts the uniforms make."""
+    sweeps = _Sweeps(series, hypers, len(z), 1)
+    sweeps.z[0] = z
+    sweeps.normals[:] = 0.0
+    sweeps.cuts[:, 0] = _cuts(uniforms, _log_odds_intercept(hypers))
+    sweeps.run(1)
+    return sweeps.z[1]
 
 
 def test_config_validation():
@@ -69,11 +94,9 @@ def test_conditional_draw_matches_analytic_mean():
     z = np.array([0, 0, 0, 0, 0, 1, 0, 0, 0, 0])
     mean, cov = conditional_deltaf_moments(ts, z, h)
     draws = 100_000
-    delta = np.empty((1, 10))
-    draw = _LevelDraw(ts, h, z[None], delta)
     total = np.zeros(10)
-    for noise in np.random.default_rng(42).standard_normal((draws, 1, 10)):
-        draw(noise)
+    noise = np.random.default_rng(42).standard_normal((draws, 1, 10))
+    for delta in _level_draws(ts, h, z[None], noise):
         total += delta[0]
     mc_mean = total / draws
     se = np.sqrt(np.diag(cov) / draws)
@@ -84,29 +107,29 @@ def test_spike_collapse():
     rng = np.random.default_rng(2)
     ts = TimeSeries(rng.normal(0, 1, 15), 1.0)
     h = Hyperparameters(tau0_sq=1e-10, tau1_sq=1.0, tau_sq=0.5, q=0.2, delta=1)
-    delta = np.empty((1, 15))
-    draw = _LevelDraw(ts, h, np.zeros((1, 15), int), delta)
-    for noise in np.random.default_rng(0).standard_normal((20, 1, 15)):
-        draw(noise)
+    noise = np.random.default_rng(0).standard_normal((20, 1, 15))
+    for delta in _level_draws(ts, h, np.zeros((1, 15), bool), noise):
         assert np.max(np.abs(delta)) < 1e-3
 
 
 def test_z_conditional_equal_variances_is_prior():
     h = _hyp(0.5, 0.5, q=0.3)
-    z = np.empty((1, 2000), dtype=bool)
-    draw = _IndicatorDraw(_log_odds_line(h), np.zeros((1, 2000)), z)
-    assert draw.line[1] == 0.0  # slope 0: only the cut, that is u, decides
-    draw(draw.cut(np.random.default_rng(3).random((1, 2000))))
+    series = TimeSeries(np.zeros(2000), 1.0)
+    assert _Sweeps(series, h, 1, 1).slope == 0.0  # only the cut, that is u, decides
+    start = np.zeros((1, 2000), dtype=bool)
+    z = _indicator_draw(series, h, start, np.random.default_rng(3).random((1, 2000)))
     freq = z.mean()
     se = np.sqrt(0.3 * 0.7 / 2000)
     assert abs(freq - 0.3) <= 4 * se
 
 
 def test_z_conditional_slab_tail_dominance():
+    # from slab indicators, a step of 100 at every site gives increments
+    # of about 100 sigma
     h = _hyp(0.01, 10.0, q=0.2)
-    z = np.zeros((1, 50), dtype=bool)
-    draw = _IndicatorDraw(_log_odds_line(h), np.full((1, 50), 100.0), z)
-    draw(draw.cut(np.random.default_rng(4).random((1, 50))))
+    series = TimeSeries(100.0 * np.arange(1, 51), 1.0)
+    start = np.ones((1, 50), dtype=bool)
+    z = _indicator_draw(series, h, start, np.random.default_rng(4).random((1, 50)))
     assert np.all(z == 1)
 
 
@@ -139,23 +162,20 @@ def test_level_draw_matches_dense_cholesky(m, unit_counts):
     upper = np.linalg.cholesky(prec).T
     eps = np.random.default_rng(11).standard_normal(m)
     f = np.linalg.solve(prec, series.sums) + 1.3 * scipy.linalg.solve_triangular(upper, eps)
-    draw = np.empty((1, m))
-    _LevelDraw(series, h, z[None], draw)(eps[None])
+    (draw,) = _level_draws(series, h, z[None], [eps[None]])
     assert np.allclose(draw[0], diff @ f / 1.3, rtol=1e-9, atol=1e-9)
 
 
-def test_chain_output_is_pinned():
-    # counts of z_t = 1 over 800 kept sweeps, recorded from the plain sampler
-    # below: per sweep, the levels by dense Cholesky and each indicator as
-    # u < inclusion_probability(log-odds), on the kernel's two child streams.
-    # The kernel's draws agree with it to rounding, so its chain must not move
-    y = np.array([0.1, -0.3, 0.2, 1.9, 2.2, 1.6, 2.0, -0.4])
-    h, sigma, m = _hyp(0.01, 4.0), 0.5, 8
-    pinned = np.array([45, 101, 204, 723, 112, 69, 146, 591])
-    normal, uniform = (np.random.default_rng(c) for c in np.random.SeedSequence(17).spawn(2))
+def _dense_chain(y, sigma, h, seed, iterations, burn_in):
+    """The plain sampler, which factors afresh every sweep: the levels by
+    dense Cholesky and each indicator as u < inclusion_probability(log-odds),
+    on the kernel's two child streams. Returns the counts of z_t = 1 over the
+    kept sweeps and the number of sweeps that drew the indicators they read."""
+    m = len(y)
+    normal, uniform = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2))
     diff = np.eye(m) - np.eye(m, k=-1)
-    z, counts = np.zeros(m, dtype=bool), np.zeros(m, dtype=int)
-    for sweep in range(1000):
+    z, counts, repeats = np.zeros(m, dtype=bool), np.zeros(m, dtype=int), 0
+    for sweep in range(iterations):
         weights = np.where(z, 1.0 / h.tau1_sq, 1.0 / h.tau0_sq)
         prec = np.eye(m) + diff.T @ np.diag(weights) @ diff
         upper = np.linalg.cholesky(prec).T
@@ -164,32 +184,94 @@ def test_chain_output_is_pinned():
         d = diff @ f
         slab, spike = (scipy.stats.norm.logpdf(d, scale=sigma * np.sqrt(t))
                        for t in (h.tau1_sq, h.tau0_sq))
-        z = uniform.random(m) < inclusion_probability(prior_log_odds(h.q) + slab - spike)
-        if sweep >= 200:
+        drawn = uniform.random(m) < inclusion_probability(prior_log_odds(h.q) + slab - spike)
+        repeats += np.array_equal(drawn, z)
+        z = drawn
+        if sweep >= burn_in:
             counts += z
+    return counts, repeats
+
+
+_PINNED_Y = np.array([0.1, -0.3, 0.2, 1.9, 2.2, 1.6, 2.0, -0.4])
+
+
+def test_chain_output_is_pinned():
+    # counts of z_t = 1 over 800 kept sweeps, recorded from the plain
+    # sampler. The kernel's draws agree with it to rounding, so its chain
+    # must not move
+    h, sigma = _hyp(0.01, 4.0), 0.5
+    pinned = np.array([45, 101, 204, 723, 112, 69, 146, 591])
+    counts, _ = _dense_chain(_PINNED_Y, sigma, h, 17, 1000, 200)
     assert np.array_equal(counts, pinned)
-    p = gibbs_inclusion_probabilities(TimeSeries(y, sigma), h, GibbsConfig(1000, 200, seed=17))
+    cfg = GibbsConfig(1000, 200, seed=17)
+    p = gibbs_inclusion_probabilities(TimeSeries(_PINNED_Y, sigma), h, cfg)
     assert np.array_equal(p, pinned / 800)
+
+
+@pytest.mark.parametrize(
+    "h,seed,repeats",
+    [(_hyp(0.01, 4.0, q=0.01), 5, (950, 1000)), (_hyp(0.3, 0.5, q=0.5), 17, (0, 20))],
+    ids=["rare_flips", "frequent_flips"],
+)
+def test_factor_reuse_is_exact(h, seed, repeats):
+    # the kernel reuses its factor while z repeats; the plain sampler factors
+    # every sweep. Equal counts in a chain where z rarely changes and in one
+    # where it changes almost every sweep show the reuse changes nothing
+    counts, same = _dense_chain(_PINNED_Y, 0.5, h, seed, 1000, 200)
+    assert repeats[0] <= same <= repeats[1]
+    assert 0 < counts.sum() < 800 * 8
+    p = gibbs_inclusion_probabilities(TimeSeries(_PINNED_Y, 0.5), h, GibbsConfig(1000, 200, seed))
+    assert np.array_equal(p, counts / 800)
 
 
 _B = gibbs._BLOCK
 
 
+def _indicator_rows(series, h, iterations, seeds):
+    """Every sweep's indicators, shape (iterations, C, M), from one block
+    holding all the sweeps, on the same streams as _run_chains."""
+    sweeps = _Sweeps(series, h, len(seeds), iterations)
+    for seed, normals, cuts in zip(seeds, sweeps.normals, sweeps.cuts):
+        normal, uniform = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2))
+        normal.standard_normal(out=normals)
+        uniform.random(out=cuts)
+    with np.errstate(divide="ignore"):
+        _cuts(sweeps.cuts, _log_odds_intercept(h))
+    sweeps.run(iterations)
+    return sweeps.z[1:].copy()
+
+
 @pytest.mark.parametrize("iterations", [_B - 1, _B, _B + 1, 2 * _B + 3])
 def test_output_does_not_depend_on_block_size(monkeypatch, iterations):
     # each stream is consumed in sweep order, so how many sweeps of draws
-    # one Generator call makes leaves every row bitwise the same; burn-in
-    # 61 ends inside a block for every block size tried
+    # one Generator call makes leaves every row bitwise the same; the kept
+    # sweeps are summed once per block, so burn-in may end on either side of
+    # a block boundary, or at the last sweep
     rng = np.random.default_rng(13)
     series = TimeSeries(np.where(np.arange(12) >= 6, 1.5, 0.0) + rng.normal(0, 0.5, 12), 0.5)
-    h = _hyp(0.01, 4.0)
-    runs = []
-    for block in (1, 7, _B):
-        monkeypatch.setattr(gibbs, "_BLOCK", block)
-        runs.append(_run_chains(series, h, iterations, 61, [3, 2**40]))
-    assert 0.0 < runs[0].mean() < 1.0
-    for rows in runs[1:]:
-        assert np.array_equal(rows, runs[0])
+    h, seeds = _hyp(0.01, 4.0), [3, 2**40]
+    rows = _indicator_rows(series, h, iterations, seeds)
+    for burn_in in sorted(b for b in {61, 0, _B - 1, _B, _B + 1, iterations - 1} if b < iterations):
+        expected = rows[burn_in:].sum(axis=0) / (iterations - burn_in)
+        for block in (1, 7, _B):
+            monkeypatch.setattr(gibbs, "_BLOCK", block)
+            assert np.array_equal(_run_chains(series, h, iterations, burn_in, seeds), expected)
+    assert 0.0 < rows.mean() < 1.0
+
+
+def test_nonfinite_score_in_last_partial_block_raises():
+    # scores are checked once per block, over the sweeps it ran: one that
+    # first turns non-finite in the last sweep of a short block still raises
+    series = TimeSeries(np.random.default_rng(5).normal(0, 1, 12), 1.0)
+    sweeps = _Sweeps(series, _hyp(0.01, 4.0), 2, 7)
+    np.random.default_rng(6).standard_normal(out=sweeps.normals)
+    sweeps.cuts[:] = 0.0
+    sweeps.run(7)
+    sweeps.run(2)
+    sweeps.normals[1, 2, 5] = np.inf  # chain 1, sweep 2, site 6
+    with pytest.raises(NumericOverflowError):
+        sweeps.run(3)
+    assert np.isfinite(sweeps.score[:2]).all()
 
 
 @pytest.mark.parametrize("binned", [False, True], ids=["plain", "unequal"])
@@ -214,11 +296,9 @@ def test_stacked_chains_equal_single_chains(m, binned):
     # one stacked level draw, on indicators that differ between chains
     z = rng.random((4, m)) < 0.3
     noise = np.vstack([np.random.default_rng(s).standard_normal(m) for s in seeds])
-    stacked = np.empty((4, m))
-    _LevelDraw(series, h, z, stacked)(noise)
+    (stacked,) = _level_draws(series, h, z, [noise])
     for k in range(len(seeds)):
-        single = np.empty((1, m))
-        _LevelDraw(series, h, z[k : k + 1], single)(noise[k : k + 1])
+        (single,) = _level_draws(series, h, z[k : k + 1], [noise[k : k + 1]])
         assert np.array_equal(stacked[k], single[0])
 
 
@@ -233,9 +313,9 @@ def test_stacked_chains_fixed_indicators(q):
 def test_chains_reject_nonpositive_precision(seeds):
     series = TimeSeries(np.zeros(6), 1.0)
     hypers = SimpleNamespace(tau0_sq=-0.1, tau1_sq=1.0)
-    z, delta = np.zeros((len(seeds), 6), dtype=bool), np.empty((len(seeds), 6))
+    z = np.zeros((len(seeds), 6), dtype=bool)
     with pytest.raises(LinearSolveFailureError):
-        _LevelDraw(series, hypers, z, delta)(np.zeros((len(seeds), 6)))
+        next(_level_draws(series, hypers, z, [np.zeros((len(seeds), 6))]))
 
 
 @pytest.mark.parametrize(
@@ -293,19 +373,20 @@ def test_chain_visits_configurations_at_posterior_rates():
     h = _hyp(0.02, 3.0, q=0.25)
     exact = exact_z_posterior(ts, h)
     iters, burn = 100_000, 1000
-    z, delta = np.zeros((1, 5), dtype=bool), np.empty((1, 5))
-    draw_increments = _LevelDraw(ts, h, z, delta)
-    draw_indicators = _IndicatorDraw(_log_odds_line(h), delta, z)
+    sweeps = _Sweeps(ts, h, 1, gibbs._BLOCK)
     normal, uniform = (np.random.default_rng(c) for c in np.random.SeedSequence(12).spawn(2))
-    noise = normal.standard_normal((iters, 1, 5))
-    cuts = draw_indicators.cut(uniform.random((iters, 1, 5)))
+    noise = normal.standard_normal((1, iters, 5))
+    cuts = _cuts(uniform.random((1, iters, 5)), _log_odds_intercept(h))
     counts: dict[tuple, int] = {}
-    for sweep in range(iters):
-        draw_increments(noise[sweep])
-        draw_indicators(cuts[sweep])
-        if sweep >= burn:
-            key = tuple(z[0].tolist())  # bools: hash and compare equal to 0/1 keys
-            counts[key] = counts.get(key, 0) + 1
+    for start in range(0, iters, gibbs._BLOCK):
+        n = min(gibbs._BLOCK, iters - start)
+        sweeps.normals[:, :n] = noise[:, start : start + n]
+        sweeps.cuts[:, :n] = cuts[:, start : start + n]
+        sweeps.run(n)
+        for sweep, z in enumerate(sweeps.z[1 : n + 1], start):
+            if sweep >= burn:
+                key = tuple(z[0].tolist())  # bools: hash and compare equal to 0/1 keys
+                counts[key] = counts.get(key, 0) + 1
     kept = iters - burn
     tv = 0.5 * sum(
         abs(counts.get(z, 0) / kept - p) for z, p in exact.items()
