@@ -30,10 +30,11 @@ binned, and grid: one parameter, a nonempty list). Each other entry is checked,
 unknown and missing keys too, by the type it becomes: signal by SignalSpec,
 noise by NoiseSpec, gibbs by GibbsConfig, edge_fraction by
 detect.checked_edge_fraction, and hypers and every grid row by Hyperparameters
-with the defaults at the signal length, or at the grid size if binned. A binned
-replication with empty cells has fewer groups and gets the defaults for that
-count, so hypers that pass at load can still fail in bench. Method single takes
-no binned entry. Integer entries must be JSON integers; no number may be a bool.
+with the defaults at the signal length, or if binned at min(n, grid), the most
+groups a replication can have. A binned replication whose empty cells leave
+fewer groups gets the defaults for that count, so hypers that pass at load can
+still fail in bench. Method single takes no binned entry. Integer entries must
+be JSON integers; no number may be a bool.
 
 The detect report is one line of JSON with sorted keys.
 Every library error exits nonzero with an "error[<Type>]:" prefix.
@@ -41,7 +42,6 @@ Every library error exits nonzero with an "error[<Type>]:" prefix.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import json
@@ -49,7 +49,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from numbers import Integral
 
@@ -250,7 +249,7 @@ def _parse_experiment(cfg: dict) -> Experiment:
     signal = cfg["signal"]
     signal = builtin_signal(signal) if isinstance(signal, str) else SignalSpec(**signal)
     # Hyperparameters checks keys, types and ranges: a bad base or grid row fails here
-    length = binned[1] if binned else signal.length
+    length = min(binned) if binned else signal.length  # no more groups than points or cells
     for row in [{}, *({k: v} for k, vs in grid.items() for v in vs)]:
         _hypers_for(length, method, {**hypers, **row})
     return Experiment(
@@ -445,8 +444,13 @@ def cmd_bench(args) -> int:
     jobs = _n_jobs(args.jobs)
     rows, n = _grid_rows(exp), exp.replications
     tasks = [(sub, rep) for _, sub in rows for rep in range(n)]  # row-major, as map returns them
-    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        results = list((pool.map if pool else map)(run_replication, *zip(*tasks)))
+    if jobs == 1:  # no pool: importing concurrent.futures costs a fresh process about 25 ms
+        results = list(map(run_replication, *zip(*tasks)))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(jobs) as pool:
+            results = list(pool.map(run_replication, *zip(*tasks)))
     lines = [",".join(["label", *EvalReport.csv_header()])]
     for k, (label, _) in enumerate(rows):
         reports, times = zip(*results[k * n : (k + 1) * n])

@@ -13,6 +13,8 @@ LAPACK dpttrf factors it as Q = L D L' (L unit lower bidiagonal) and dpttrs
 solves Q f = sums / sigma + L D^{1/2} eps (eps standard normal), so one sweep
 is O(M) in two calls (Rue 2001). With U = D^{1/2} L' the upper Cholesky factor
 of Q, Q^{-1} L D^{1/2} = U^{-1}: f is the usual Q^{-1} sums / sigma + U^{-1} eps.
+Both routines come from _lapack, which loads scipy's LAPACK extension without
+importing scipy.linalg.
 
 One kernel runs C >= 1 chains on the same series. Their level systems are
 stacked into one block-diagonal tridiagonal system of size C*M, whose
@@ -53,8 +55,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
 from .errors import InvalidConfigError, LinearSolveFailureError, NumericOverflowError
 from .types import (
     BinnedSeries, Hyperparameters, TimeSeries, checked_number, level_precision, prior_log_odds,

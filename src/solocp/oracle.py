@@ -5,6 +5,10 @@ explicitly, form the marginal covariance sigma^2 (I + X D X'), and use dense
 factorizations. No recursions, no cleverness. The fast recursion module is
 tested against these results; the joint-model enumeration backs the Gibbs
 sampler tests. Shipped in the library so users can audit the fast path.
+
+scipy.linalg is imported on the first call that factors a covariance, not
+with the package: it costs more start-up than the rest of solocp together,
+and the detection paths never need it.
 """
 from __future__ import annotations
 
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EmptySetError, LinearSolveFailureError, SingularCovarianceError
 from .types import (
@@ -33,6 +36,8 @@ def _expanded_design(counts: np.ndarray) -> np.ndarray:
 
 def _gaussian_logpdf_zero_mean(y: np.ndarray, cov: np.ndarray):
     """log N(y; 0, cov) plus the Cholesky factor used downstream."""
+    import scipy.linalg
+
     try:
         chol = scipy.linalg.cho_factor(cov, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -65,6 +70,8 @@ def oracle_site_posterior(
     Cost is O(T^3) per spike/slab component; refuses series longer than
     max_size observations.
     """
+    import scipy.linalg
+
     y = series.values
     m = series.length
     if not 1 <= j <= m:

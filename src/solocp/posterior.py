@@ -25,7 +25,8 @@ scaling the data and sigma by a power of two leaves the weights bitwise equal.
 
 Both filters are Gaussian elimination on the level precision
 Q = diag(n) + p Delta' Delta, p = 1/tau^2 (types.level_precision, shared with
-the Gibbs level draw), so LAPACK calls replace them (Rue 2001):
+the Gibbs level draw), so LAPACK calls replace them (Rue 2001; dpttrf and
+dpttrs come from _lapack, which loads them without importing scipy.linalg):
 dpttrf(Q) gives pivots phi_j, where phi_j - p = 1/v_{j+1} is the precision of
 f_j given observations 1..j; dpttrf on Q reversed gives pivots pi_j = w_j + p;
 and x = Q^{-1} sums is the posterior mean of the levels. Row j of each
@@ -53,8 +54,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
 from .errors import LinearSolveFailureError, NumericOverflowError
 from .types import (
     BinnedSeries,

@@ -486,7 +486,14 @@ def test_malformed_config_rejected_at_load(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
-    "extra", [{"sigma_mode": "fixed:-1"}, {"binned": {"n": 1, "grid": 20}}], ids=["sigma", "n"]
+    "extra",
+    [
+        {"sigma_mode": "fixed:-1"},
+        {"binned": {"n": 1, "grid": 20}},
+        # valid at the 400 cells, not at the at most 200 groups a replication has
+        {"signal": "BLOCKS", "binned": {"n": 200, "grid": 400}, "hypers": {"tau1_sq": 0.004}},
+    ],
+    ids=["sigma", "n", "hypers_at_n"],
 )
 def test_simulate_failing_first_replication_leaves_no_outdir(tmp_path, capsys, extra):
     outdir = tmp_path / "out"
