@@ -391,8 +391,8 @@ def cmd_detect(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["site", "probability", "fitted_mean"])
             writer.writerow([1, "", repr(fitted[0])])
-            rows = zip(result.sites.tolist(), report["probabilities"], fitted[1:])
-            writer.writerows((site, repr(prob), repr(level)) for site, prob, level in rows)
+            rows = enumerate(zip(report["probabilities"], fitted[1:]), start=2)
+            writer.writerows((site, repr(prob), repr(level)) for site, (prob, level) in rows)
     return 0
 
 
@@ -441,15 +441,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     exp = load_experiment_config(args.config)
-    jobs = _n_jobs(args.jobs)
     rows, n = _grid_rows(exp), exp.replications
     tasks = [(sub, rep) for _, sub in rows for rep in range(n)]  # row-major, as map returns them
-    if jobs == 1:  # no pool: importing concurrent.futures costs a fresh process about 25 ms
+    # a fork-started pool forks all its workers at the first submit, so start
+    # no more than there are tasks
+    workers = min(_n_jobs(args.jobs), len(tasks))
+    if workers == 1:  # no pool: importing concurrent.futures costs a fresh process about 25 ms
         results = list(map(run_replication, *zip(*tasks)))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(jobs) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(run_replication, *zip(*tasks)))
     lines = [",".join(["label", *EvalReport.csv_header()])]
     for k, (label, _) in enumerate(rows):

@@ -2,8 +2,8 @@
 
 select_changepoints thresholds the per-site inclusion probabilities, merges
 candidates within delta of each other into clusters and keeps one
-representative per cluster, all in one pass over the candidates. Also the
-symmetrized single-change-point location criterion."""
+representative per cluster, with whole-array operations and no loop over the
+candidates. Also the symmetrized single-change-point location criterion."""
 from __future__ import annotations
 
 import math
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySearchWindowError, InvalidConfigError
+from .errors import EmptySearchWindowError, InvalidConfigError, NumericOverflowError
 from .gibbs import GibbsConfig, gibbs_inclusion_probabilities
 from .posterior import inclusion_scores, posterior_mean_surface
 from .types import (
@@ -21,7 +21,7 @@ from .types import (
 
 def select_changepoints(sites, probs, hypers: Hyperparameters, scores=None):
     """Candidates, their clusters and one representative per cluster, in one
-    pass over the sites whose probability strictly exceeds hypers.threshold.
+    array pass over the sites whose probability strictly exceeds hypers.threshold.
 
     A gap greater than hypers.delta between consecutive candidates starts a
     new cluster: on a line this is the transitive closure of the pairwise
@@ -29,23 +29,26 @@ def select_changepoints(sites, probs, hypers: Hyperparameters, scores=None):
     the smallest site on ties. scores (default probs) are the probabilities
     or any monotone transform of them (the solo path passes log-odds, which
     rank identically but do not saturate when several sites sit at
-    probability 1.0 in double precision).
+    probability 1.0 in double precision). A NaN probability, or a NaN score
+    at a candidate, raises NumericOverflowError.
     """
     probs = np.asarray(probs, dtype=float)
     keep = probs > hypers.threshold
-    candidates = np.asarray(sites, dtype=int)[keep].tolist()
-    ranking = (probs if scores is None else np.asarray(scores, dtype=float))[keep].tolist()
-    clusters, selected = [], []
-    for site, score in zip(candidates, ranking):
-        if clusters and site - clusters[-1][-1] <= hypers.delta:
-            clusters[-1].append(site)
-            if score > best:
-                selected[-1], best = site, score
-        else:
-            clusters.append([site])
-            selected.append(site)
-            best = score
-    clusters = tuple(tuple(c) for c in clusters)
+    candidates = np.asarray(sites, dtype=int)[keep]
+    ranking = (probs if scores is None else np.asarray(scores, dtype=float))[keep]
+    # a sentinel more than delta below the first candidate opens the first cluster
+    edges = np.concatenate((candidates[:1] - hypers.delta - 1, candidates))
+    opens = edges[1:] - edges[:-1] > hypers.delta
+    starts = np.flatnonzero(opens)
+    best = np.maximum.reduceat(ranking, starts)  # NaN where a member's score is NaN
+    if np.isnan(probs).any() or np.isnan(best).any():
+        raise NumericOverflowError("inclusion probabilities or candidate scores are NaN")
+    # each cluster's representative is its first member that reaches the best score
+    reaches = ranking >= best[np.cumsum(opens) - 1]
+    positions = np.where(reaches, np.arange(candidates.size), candidates.size)
+    selected = candidates[np.minimum.reduceat(positions, starts)].tolist()
+    candidates, bounds = candidates.tolist(), [*starts.tolist(), candidates.size]
+    clusters = tuple(tuple(candidates[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
     return ChangePointSet(tuple(candidates)), clusters, ChangePointSet(tuple(selected))
 
 
@@ -61,8 +64,6 @@ def detect(
     the Gibbs-sampled joint model (gibbs_config required). Candidate sites
     are 2..M; deterministic given (series, hypers) and, for basad, the seed.
     """
-    m = series.length
-    sites = np.arange(2, m + 1)
     if method == "solo":
         probs, scores = inclusion_scores(series, hypers)
     elif method == "basad":
@@ -72,14 +73,10 @@ def detect(
         scores = probs
     else:
         raise InvalidConfigError(f"unknown method {method!r}")
+    sites = np.arange(2, series.length + 1)
     c0, clusters, selected = select_changepoints(sites, probs, hypers, scores=scores)
     return DetectionResult(
-        sites=sites,
-        probabilities=probs,
-        raw_candidates=c0,
-        clusters=clusters,
-        selected=selected,
-        sigma=series.noise_sd,
+        probabilities=probs, raw_candidates=c0, clusters=clusters, selected=selected
     )
 
 

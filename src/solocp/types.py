@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,8 +287,8 @@ class ChangePointSet:
     locations: tuple[int, ...]
 
     def __post_init__(self):
-        locs = tuple(int(x) for x in self.locations)
-        if any(b <= a for a, b in zip(locs, locs[1:])):
+        locs = tuple(map(int, self.locations))
+        if not all(map(operator.lt, locs, locs[1:])):
             raise ValueError("locations must be strictly increasing")
         if locs and locs[0] < 2:
             raise ValueError("locations start at 2 (site 1 is the baseline)")
@@ -308,18 +309,16 @@ class ChangePointSet:
 class DetectionResult:
     """Full output of the detection pipeline.
 
-    sites/probabilities cover candidate sites 2..M; raw_candidates is the
-    thresholded set, clusters its partition into delta-linked groups, and
-    selected keeps the highest-probability representative of each group.
+    probabilities[i] belongs to candidate site i + 2, so they cover sites
+    2..M; raw_candidates is the thresholded set, clusters its partition into
+    delta-linked groups, and selected keeps the highest-scoring
+    representative of each group.
     """
 
-    sites: np.ndarray
     probabilities: np.ndarray
     raw_candidates: ChangePointSet
     clusters: tuple[tuple[int, ...], ...]
     selected: ChangePointSet
-    sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", _frozen_array(self.sites, dtype=int))
         object.__setattr__(self, "probabilities", _frozen_array(self.probabilities))

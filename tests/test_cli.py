@@ -325,6 +325,39 @@ def test_bench_parallel_matches_serial(tmp_path, monkeypatch):
     assert serial == _strip_timing(out2.read_text())
 
 
+@pytest.mark.parametrize(
+    "reps, grid, workers",
+    [(1, None, []), (3, None, [3]), (1, {"q": [0.001, 0.9]}, [2])],
+    ids=["one-task", "three-reps", "two-rows"],
+)
+def test_bench_starts_no_more_workers_than_tasks(tmp_path, monkeypatch, reps, grid, workers):
+    # a fork-started pool forks every worker at the first submit; the stub
+    # records the worker count and runs the tasks here, starting no process
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = _teeth_config(tmp_path, reps=reps, extra={"grid": grid} if grid else None)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(cfg), "--out", str(out), "--jobs", "4096"]) == 0
+    assert started == workers
+    assert len(out.read_text().strip().splitlines()) == 1 + (len(grid["q"]) if grid else 1)
+
+
 def test_bench_binned_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
