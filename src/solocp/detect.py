@@ -2,8 +2,8 @@
 
 select_changepoints thresholds the per-site inclusion probabilities, merges
 candidates within delta of each other into clusters and keeps one
-representative per cluster, with whole-array operations and no loop over the
-candidates. Also the symmetrized single-change-point location criterion."""
+representative per cluster, all in one pass over the candidates. Also the
+symmetrized single-change-point location criterion."""
 from __future__ import annotations
 
 import math
@@ -21,7 +21,7 @@ from .types import (
 
 def select_changepoints(sites, probs, hypers: Hyperparameters, scores=None):
     """Candidates, their clusters and one representative per cluster, in one
-    array pass over the sites whose probability strictly exceeds hypers.threshold.
+    pass over the sites whose probability strictly exceeds hypers.threshold.
 
     A gap greater than hypers.delta between consecutive candidates starts a
     new cluster: on a line this is the transitive closure of the pairwise
@@ -34,21 +34,21 @@ def select_changepoints(sites, probs, hypers: Hyperparameters, scores=None):
     """
     probs = np.asarray(probs, dtype=float)
     keep = probs > hypers.threshold
-    candidates = np.asarray(sites, dtype=int)[keep]
     ranking = (probs if scores is None else np.asarray(scores, dtype=float))[keep]
-    # a sentinel more than delta below the first candidate opens the first cluster
-    edges = np.concatenate((candidates[:1] - hypers.delta - 1, candidates))
-    opens = edges[1:] - edges[:-1] > hypers.delta
-    starts = np.flatnonzero(opens)
-    best = np.maximum.reduceat(ranking, starts)  # NaN where a member's score is NaN
-    if np.isnan(probs).any() or np.isnan(best).any():
+    if np.isnan(probs).any() or np.isnan(ranking).any():
         raise NumericOverflowError("inclusion probabilities or candidate scores are NaN")
-    # each cluster's representative is its first member that reaches the best score
-    reaches = ranking >= best[np.cumsum(opens) - 1]
-    positions = np.where(reaches, np.arange(candidates.size), candidates.size)
-    selected = candidates[np.minimum.reduceat(positions, starts)].tolist()
-    candidates, bounds = candidates.tolist(), [*starts.tolist(), candidates.size]
-    clusters = tuple(tuple(candidates[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    candidates, ranking = np.asarray(sites, dtype=int)[keep].tolist(), ranking.tolist()
+    clusters, selected = [], []
+    for site, score in zip(candidates, ranking):
+        if clusters and site - clusters[-1][-1] <= hypers.delta:
+            clusters[-1].append(site)
+            if score > best:
+                selected[-1], best = site, score
+        else:
+            clusters.append([site])
+            selected.append(site)
+            best = score
+    clusters = tuple(tuple(c) for c in clusters)
     return ChangePointSet(tuple(candidates)), clusters, ChangePointSet(tuple(selected))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,8 +286,8 @@ class ChangePointSet:
     locations: tuple[int, ...]
 
     def __post_init__(self):
-        locs = tuple(map(int, self.locations))
-        if not all(map(operator.lt, locs, locs[1:])):
+        locs = tuple(int(x) for x in self.locations)
+        if any(b <= a for a, b in zip(locs, locs[1:])):
             raise ValueError("locations must be strictly increasing")
         if locs and locs[0] < 2:
             raise ValueError("locations start at 2 (site 1 is the baseline)")

@@ -4,20 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from solocp import (
     EmptySearchWindowError,
-    GibbsConfig,
     Hyperparameters,
     InvalidConfigError,
-    NoiseSpec,
     NumericOverflowError,
     TimeSeries,
-    builtin_signal,
     detect,
-    gibbs_inclusion_probabilities,
     select_changepoints,
-    simulate,
     single_cp_locate,
 )
-from solocp.posterior import inclusion_scores
 
 
 def _select(sites, probs, delta=2, threshold=0.5, scores=None):
@@ -90,58 +84,10 @@ def test_nan_score_below_threshold_is_ignored():
     assert _select([10, 12], [0.9, 0.1], scores=[1.0, float("nan")])[2].locations == (10,)
 
 
-def _loop_select(sites, probs, hypers, scores=None):
-    """Reference selection: one Python pass over the candidates, extending the
-    last cluster while the gap is at most delta and replacing its
-    representative only on a strictly higher score."""
-    probs = np.asarray(probs, dtype=float)
-    keep = probs > hypers.threshold
-    candidates = np.asarray(sites, dtype=int)[keep].tolist()
-    ranking = (probs if scores is None else np.asarray(scores, dtype=float))[keep].tolist()
-    clusters, selected = [], []
-    for site, score in zip(candidates, ranking):
-        if clusters and site - clusters[-1][-1] <= hypers.delta:
-            clusters[-1].append(site)
-            if score > best:
-                selected[-1], best = site, score
-        else:
-            clusters.append([site])
-            selected.append(site)
-            best = score
-    return tuple(candidates), tuple(tuple(c) for c in clusters), tuple(selected)
-
-
-def _assert_matches_loop(probs, scores, hypers):
-    sites = np.arange(2, probs.size + 2)
-    c0, clusters, selected = select_changepoints(sites, probs, hypers, scores=scores)
-    got = (c0.locations, clusters, selected.locations)
-    assert got == _loop_select(sites, probs, hypers, scores)
-    assert selected.locations  # the inputs have change points to find
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_selection_matches_loop_on_blocks_log_odds(seed):
-    ts = simulate(builtin_signal("BLOCKS"), NoiseSpec.gaussian(2.0), seed)
-    hypers = Hyperparameters.solo_defaults(ts.length)
-    _assert_matches_loop(*inclusion_scores(ts, hypers), hypers)
-
-
-def test_selection_matches_loop_on_long_series_log_odds():
-    rng = np.random.default_rng(16)
-    t = 2**16
-    f = np.repeat(rng.normal(0.0, 4.0, t // 256), 256)  # a jump every 256 points
-    ts = TimeSeries(f + rng.normal(0.0, 1.0, t), 1.0)
-    hypers = Hyperparameters.solo_defaults(t)
-    _assert_matches_loop(*inclusion_scores(ts, hypers), hypers)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_selection_matches_loop_on_teeth_basad_probabilities(seed):
-    ts = simulate(builtin_signal("TEETH"), NoiseSpec.gaussian(0.4), seed)
-    hypers = Hyperparameters.basad_defaults(ts.length)
-    config = GibbsConfig(iterations=1000, burn_in=200, seed=seed)
-    probs = gibbs_inclusion_probabilities(ts, hypers, config)[1:]
-    _assert_matches_loop(probs, None, hypers)
+@pytest.mark.parametrize("delta", [2**63, 10**300])
+def test_huge_delta_makes_one_cluster(delta):
+    c0, clusters, selected = _select([2, 5, 40, 90], [0.6, 0.9, 0.7, 0.95], delta=delta)
+    assert clusters == ((2, 5, 40, 90),) and selected.locations == (90,)
 
 
 def _brute_components(locs, delta):
