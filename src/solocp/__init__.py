@@ -4,6 +4,9 @@ Closed-form single-site marginal posteriors (fast path), a Gibbs-sampled
 joint model, detection post-processing with delta-clustering, a dense
 conjugate oracle for auditing, benchmark signal/noise generators, and the
 evaluation metrics used to score detections.
+
+The oracle's three exports load solocp.oracle on first use, since detect and
+bench never run it.
 """
 from .detect import SingleChangePoint, detect, select_changepoints, single_cp_locate
 from .errors import (
@@ -29,7 +32,6 @@ from .metrics import (
     hausdorff,
     one_sided_hausdorff,
 )
-from .oracle import OracleResult, oracle_joint_marginal, oracle_site_posterior
 from .posterior import all_site_posteriors, posterior_mean_surface
 from .signals import (
     NoiseSpec,
@@ -94,3 +96,11 @@ __all__ = [
     "EmptySetError",
     "ParseError",
 ]
+
+
+def __getattr__(name):
+    """The oracle's exports, imported from solocp.oracle on first access."""
+    if name in ("OracleResult", "oracle_joint_marginal", "oracle_site_posterior"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,7 +30,8 @@ def select_changepoints(sites, probs, hypers: Hyperparameters, scores=None):
     or any monotone transform of them (the solo path passes log-odds, which
     rank identically but do not saturate when several sites sit at
     probability 1.0 in double precision). A NaN probability, or a NaN score
-    at a candidate, raises NumericOverflowError.
+    at a candidate, raises NumericOverflowError; candidates below 2 or out of
+    increasing order raise InvalidConfigError.
     """
     probs = np.asarray(probs, dtype=float)
     keep = probs > hypers.threshold
@@ -49,7 +50,10 @@ def select_changepoints(sites, probs, hypers: Hyperparameters, scores=None):
             selected.append(site)
             best = score
     clusters = tuple(tuple(c) for c in clusters)
-    return ChangePointSet(tuple(candidates)), clusters, ChangePointSet(tuple(selected))
+    try:
+        return ChangePointSet(tuple(candidates)), clusters, ChangePointSet(tuple(selected))
+    except ValueError as err:
+        raise InvalidConfigError(f"sites: {err}") from None
 
 
 def detect(

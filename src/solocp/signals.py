@@ -222,8 +222,9 @@ def simulate_binned(
     x = np.sort(rng.uniform(0.0, 1.0, n))
     y = signal.value_at_fraction(x) + noise.draw(rng, n)
     cell = np.minimum((x * grid).astype(int), grid - 1)
-    kept, sizes = np.unique(cell, return_counts=True)  # x is sorted, so cells are too
-    return BinnedSeries(y, noise.std, tuple((kept + 1).tolist()), counts=sizes)
+    sizes = np.bincount(cell, minlength=grid)  # x is sorted, so each cell's y are consecutive
+    kept = np.flatnonzero(sizes)
+    return BinnedSeries(y, noise.std, tuple((kept + 1).tolist()), counts=sizes[kept])
 
 
 def map_changepoints_to_bins(
@@ -242,13 +243,26 @@ def map_changepoints_to_bins(
     return tuple(np.maximum(pos, 1).tolist())
 
 
+def _median(x: np.ndarray) -> np.float64:
+    """np.median of a finite 1-D float array, bit for bit (value, sign of zero
+    and type), without its NaN check."""
+    n = x.size
+    part = np.partition(x, [(n - 1) // 2, n // 2])
+    return part[(n - 1) // 2 : n // 2 + 1].mean()
+
+
 def estimate_sigma_mad(series: TimeSeries | BinnedSeries) -> float:
     """Robust noise-scale estimate: scaled median absolute deviation of the
-    first differences, divided by sqrt(2)."""
+    first differences, divided by sqrt(2).
+
+    The medians come from _median, not np.median: np.median's NaN check
+    imports all of numpy.ma (about 14 ms in a fresh process), and TimeSeries
+    and BinnedSeries have already checked that their values are finite.
+    """
     values = series.values
     if values.size < 3:
         raise TooShortError("need at least 3 observations to estimate sigma")
     d = np.diff(values)
-    mad = 1.4826 * np.median(np.abs(d - np.median(d)))
+    mad = 1.4826 * _median(np.abs(d - _median(d)))
     return float(mad / math.sqrt(2.0))
 

@@ -84,6 +84,12 @@ def test_nan_score_below_threshold_is_ignored():
     assert _select([10, 12], [0.9, 0.1], scores=[1.0, float("nan")])[2].locations == (10,)
 
 
+@pytest.mark.parametrize("sites", [[12, 10], [1, 3]])
+def test_sites_out_of_order_or_below_two_are_config_errors(sites):
+    with pytest.raises(InvalidConfigError):
+        _select(sites, [0.9, 0.9])
+
+
 @pytest.mark.parametrize("delta", [2**63, 10**300])
 def test_huge_delta_makes_one_cluster(delta):
     c0, clusters, selected = _select([2, 5, 40, 90], [0.6, 0.9, 0.7, 0.95], delta=delta)

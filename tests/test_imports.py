@@ -1,8 +1,9 @@
 """What importing and running solocp loads, each case in a fresh interpreter.
 
 solocp takes dpttrf/dpttrs from scipy's LAPACK extension without importing
-scipy.linalg, imports scipy.linalg only on the first oracle call, and starts
-a process pool only for bench --jobs above 1.
+scipy.linalg, imports solocp.oracle and scipy.linalg only on the first oracle
+call, takes medians without numpy.ma, and starts a process pool only for
+bench --jobs above 1.
 """
 import json
 import os
@@ -18,7 +19,7 @@ from solocp import GibbsConfig, Hyperparameters, TimeSeries, detect, oracle_site
 SRC = Path(solocp.__file__).resolve().parents[1]  # the subprocesses import this same solocp
 
 # modules that cost start-up and that detect and bench --jobs 1 never need
-HEAVY = ["scipy", "scipy.linalg", "numpy.f2py", "concurrent.futures"]
+HEAVY = ["scipy", "scipy.linalg", "numpy.f2py", "numpy.ma", "concurrent.futures", "solocp.oracle"]
 
 
 def _run(script: str, *args) -> dict:
@@ -57,7 +58,7 @@ import numpy as np
 series = TimeSeries(np.array(%r), 0.5)
 prob = oracle_site_posterior(series, 30, Hyperparameters.solo_defaults(series.length)).inclusion_prob
 print(json.dumps({"codes": codes, "loaded": loaded, "oracle": prob,
-                  "linalg_after_oracle": "scipy.linalg" in sys.modules}))
+                  "after_oracle": [m for m in ("scipy.linalg", "solocp.oracle") if m in sys.modules]}))
 """
 
 
@@ -73,10 +74,11 @@ def test_detect_and_serial_bench_load_no_scipy_linalg(tmp_path):
     got = _run(script, csv, cfg, tmp_path / "out")
     assert got["codes"] == [0, 0, 0]
     assert got["loaded"] == []
-    # the first oracle call imports scipy.linalg and computes what it always did
+    # the first oracle call imports the oracle and scipy.linalg and computes what it always did
     series = TimeSeries(y, 0.5)
     expected = oracle_site_posterior(series, 30, Hyperparameters.solo_defaults(60))
-    assert got["linalg_after_oracle"] and got["oracle"] == expected.inclusion_prob
+    assert got["after_oracle"] == ["scipy.linalg", "solocp.oracle"]
+    assert got["oracle"] == expected.inclusion_prob
 
 
 IDENTITY = """

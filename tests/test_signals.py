@@ -14,7 +14,7 @@ from solocp import (
     simulate,
     simulate_binned,
 )
-from solocp.signals import NoiseSpec, SignalSpec
+from solocp.signals import NoiseSpec, SignalSpec, _median
 
 
 def test_builtin_teeth():
@@ -179,11 +179,15 @@ def test_simulate_binned_sparse_grid_reduces_to_points():
     assert np.allclose(np.concatenate(bs.bins), y)
 
 
-@pytest.mark.parametrize(
-    "n,grid", [(1024, 200), (300, 700), (40, 4000), (5000, 64), (8192, 2048)]
-)
+# fixed cases, then random ones: a grid finer than n leaves cells empty
+_BINNED_SIZES = [(1024, 200), (300, 700), (40, 4000), (5000, 64), (8192, 2048)] + [
+    tuple(map(int, size)) for size in np.random.default_rng(11).integers(2, 3000, (6, 2))
+]
+
+
+@pytest.mark.parametrize("n,grid", _BINNED_SIZES)
 def test_simulate_binned_matches_per_cell_grouping(n, grid):
-    # reference grouping built cell by cell from the same random stream
+    # reference grouping built cell by cell, and np.unique's, from the same random stream
     signal, noise = builtin_signal("BLOCKS"), NoiseSpec.gaussian(3.0)
     rng = np.random.default_rng(5)
     x = np.sort(rng.uniform(0.0, 1.0, n))
@@ -192,6 +196,9 @@ def test_simulate_binned_matches_per_cell_grouping(n, grid):
     kept = [b for b in range(grid) if (cell == b).any()]
     bs = simulate_binned(signal, noise, n, grid, seed=5)
     assert bs.source_bins == tuple(b + 1 for b in kept)
+    unique, sizes = np.unique(cell, return_counts=True)
+    assert bs.source_bins == tuple((unique + 1).tolist())
+    assert np.array_equal(bs.counts, sizes)
     assert len(bs.bins) == len(kept)
     for group, b in zip(bs.bins, kept):
         assert np.array_equal(group, y[cell == b])
@@ -234,6 +241,22 @@ def test_simulate_binned_zero_noise_bin_means():
 def test_grid_changepoints_convention():
     s = builtin_signal("BLOCKS2")
     assert s.grid_changepoints(200) == (20, 46, 80, 130, 162)
+
+
+@pytest.mark.parametrize("n", [*range(1, 80), 139, 140, 2047, 2048])
+def test_median_is_numpys_bit_for_bit(n):
+    # value, sign of zero and type; ties, signed zeros, absolute values, extreme scales
+    rng = np.random.default_rng(n)
+    cases = [
+        rng.normal(size=n),
+        rng.integers(-3, 4, n).astype(float),
+        rng.choice([-0.0, 0.0, 1.0, -1.0], n),
+        np.abs(rng.normal(size=n)),
+        *(rng.normal(size=n) * scale for scale in (1e-300, 1e-150, 1e150, 1e300)),
+    ]
+    for x in cases:
+        want, got = np.median(x), _median(x)
+        assert type(got) is type(want) and got.tobytes() == want.tobytes(), x
 
 
 def test_mad_constant_series_zero():
