@@ -19,7 +19,8 @@ Experiment configs are JSON objects; signal and noise are required:
     hypers         overrides of tau0_sq, tau1_sq, tau_sq, q, delta, threshold
     replications   seeded replications (1)
     seed           base seed; replication r uses seed + r (0)
-    sigma_mode     true (default), mad or fixed:<value>
+    sigma_mode     true (default), mad or fixed:<value>; mad and fixed also
+                   work for noise without a finite variance (student_t df <= 2)
     binned         {"n", "grid"}: n random points grouped on a grid of cells
     gibbs          {"iterations" (5000), "burn_in" (1000)} for method basad
     grid           {"<hyperparameter>": [values]}: one bench row per value
@@ -273,18 +274,19 @@ def _parse_experiment(cfg: dict) -> Experiment:
 
 def _make_dataset(exp: Experiment, rep: int):
     """Replication rep's series, with the sigma rule applied, and its true
-    change points."""
+    change points. Only rule "true" reads the noise family's sd; "mad"
+    simulates with a placeholder 1.0 and replaces it by the estimate."""
+    mode = exp.sigma_mode
+    sd = None if mode == "true" else 1.0 if mode == "mad" else mode
     if exp.binned:
         n, grid = exp.binned
-        series = simulate_binned(exp.signal, exp.noise, n, grid, exp.seed + rep)
+        series = simulate_binned(exp.signal, exp.noise, n, grid, exp.seed + rep, sd)
         truth = map_changepoints_to_bins(exp.signal, grid, series.source_bins)
     else:
-        series = simulate(exp.signal, exp.noise, exp.seed + rep)
+        series = simulate(exp.signal, exp.noise, exp.seed + rep, sd)
         truth = exp.signal.changepoints
-    if exp.sigma_mode == "mad":
+    if mode == "mad":
         series = replace(series, noise_sd=estimate_sigma_mad(series))
-    elif exp.sigma_mode != "true":  # a fixed value
-        series = replace(series, noise_sd=exp.sigma_mode)
     return series, truth
 
 

@@ -51,7 +51,6 @@ share this one path through the series' counts and sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,28 +70,12 @@ from .types import (
 _MAX_TAIL_ERROR = 1e-3  # largest tolerated relative rounding error of a tail weight
 
 
-@dataclass(frozen=True)
-class ForwardCache:
-    """Output of the two filters, one entry per site 1..M.
-
-    tail_weight[j-1] / tail_data[j-1] are the information weight and data
-    that observations j..M carry about the level f_j; info[j-1] and data[j-1]
-    are the site scalars A_j and B_j.
-    """
-
-    tail_weight: np.ndarray
-    tail_data: np.ndarray
-    info: np.ndarray
-    data: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.tail_weight.size
-
-
-def forward_pass(series: TimeSeries | BinnedSeries, hypers: Hyperparameters) -> ForwardCache:
-    """Both filters over the series; O(M). Raises NumericOverflowError when
-    tau^2 is too small for the pivot form or A or B is not finite, and
+def forward_pass(
+    series: TimeSeries | BinnedSeries, hypers: Hyperparameters
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both filters over the series; O(M). Returns (A, B), the site scalars
+    A_j and B_j for sites 1..M. Raises NumericOverflowError when tau^2 is too
+    small for the pivot form or A or B is not finite, and
     LinearSolveFailureError when LAPACK rejects Q."""
     counts = series.counts
     p = 1.0 / float(hypers.tau_sq)
@@ -129,27 +112,28 @@ def forward_pass(series: TimeSeries | BinnedSeries, hypers: Hyperparameters) -> 
         data = (tail_d - lead_mean * tail_w) / den
     if not (np.isfinite(info).all() and np.isfinite(data).all()):
         raise NumericOverflowError("site scalars A/B are not finite; rescale the data")
-    return ForwardCache(tail_weight=tail_w, tail_data=tail_d, info=info, data=data)
+    return info, data
 
 
-def _mixture_terms(
-    fwd: ForwardCache, sigma: float, hypers: Hyperparameters
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Per-site precisions A_j + 1/tau_k^2 and log mixture weights, spike then
-    slab. Raises NumericOverflowError when a log weight is not finite (data
-    too large, or sigma too small, for double precision)."""
-    b = fwd.data / sigma
+def _site_mixture(series: TimeSeries | BinnedSeries, hypers: Hyperparameters):
+    """(B, (spike, slab) precisions A + 1/tau_k^2, (spike, slab) log mixture
+    weights, inclusion log-odds), each for sites 1..M: the one place the
+    mixture posterior is formed. Raises NumericOverflowError when a log weight
+    is not finite (data too large, or sigma too small, for double precision)."""
+    info, data = forward_pass(series, hypers)
+    b = data / series.noise_sd
     dens, log_ws = [], []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for tk in (hypers.tau0_sq, hypers.tau1_sq):
-            den = fwd.info + 1.0 / tk
+            den = info + 1.0 / tk
             dens.append(den)
             log_ws.append(b * b / (2.0 * den) - 0.5 * np.log(tk * den))
     if not all(np.isfinite(lw).all() for lw in log_ws):
         raise NumericOverflowError(
-            f"log mixture weights are not finite at sigma={sigma:.3g}; rescale the data"
+            f"log mixture weights are not finite at sigma={series.noise_sd:.3g}; "
+            "rescale the data"
         )
-    return (dens[0], dens[1]), (log_ws[0], log_ws[1])
+    return data, dens, log_ws, prior_log_odds(hypers.q) + log_ws[1] - log_ws[0]
 
 
 def inclusion_scores(
@@ -161,9 +145,7 @@ def inclusion_scores(
     neighbouring sites; the log-odds carry the same ordering without the
     saturation, so ranking within a cluster stays well defined.
     """
-    fwd = forward_pass(series, hypers)
-    _, (lw0, lw1) = _mixture_terms(fwd, series.noise_sd, hypers)
-    log_odds = prior_log_odds(hypers.q) + lw1[1:] - lw0[1:]
+    log_odds = _site_mixture(series, hypers)[3][1:]
     return inclusion_probability(log_odds), log_odds
 
 
@@ -171,19 +153,18 @@ def all_site_posteriors(
     series: TimeSeries | BinnedSeries, hypers: Hyperparameters
 ) -> list[PosteriorSiteSummary]:
     """Full mixture summaries for every site 1..M."""
-    fwd = forward_pass(series, hypers)
-    (den0, den1), (lw0, lw1) = _mixture_terms(fwd, series.noise_sd, hypers)
+    data, (den0, den1), (lw0, lw1), log_odds = _site_mixture(series, hypers)
     s2 = series.noise_sd * series.noise_sd
-    probs = inclusion_probability(prior_log_odds(hypers.q) + lw1 - lw0)
+    probs = inclusion_probability(log_odds)
     return [
         PosteriorSiteSummary(
             site=j + 1,
-            mu=(float(fwd.data[j] / den0[j]), float(fwd.data[j] / den1[j])),
+            mu=(float(data[j] / den0[j]), float(data[j] / den1[j])),
             xi=(float(s2 / den0[j]), float(s2 / den1[j])),
             log_omega=(float(lw0[j]), float(lw1[j])),
             inclusion_prob=float(probs[j]),
         )
-        for j in range(fwd.length)
+        for j in range(data.size)
     ]
 
 
@@ -191,6 +172,7 @@ def posterior_mean_surface(
     series: TimeSeries | BinnedSeries, hypers: Hyperparameters
 ) -> np.ndarray:
     """Slab posterior means mu_{1,j} for all sites 1..M (the single-change-
-    point criterion consumes these)."""
-    fwd = forward_pass(series, hypers)
-    return fwd.data / (fwd.info + 1.0 / hypers.tau1_sq)
+    point criterion consumes these); no log weight is formed, so none is
+    checked."""
+    info, data = forward_pass(series, hypers)
+    return data / (info + 1.0 / hypers.tau1_sq)

@@ -50,12 +50,8 @@ class SignalSpec:
         return len(self.changepoints)
 
     def values(self) -> np.ndarray:
-        """f_t for t = 1..length."""
-        f = np.empty(self.length)
-        bounds = (1,) + self.changepoints + (self.length + 1,)
-        for level, lo, hi in zip(self.levels, bounds, bounds[1:]):
-            f[lo - 1 : hi - 1] = level
-        return f
+        """f_t for t = 1..length: site t sits at position (t - 1) / length."""
+        return self.value_at_fraction(np.arange(self.length) / self.length)
 
     def value_at_fraction(self, x: np.ndarray) -> np.ndarray:
         """Signal level at continuous positions x in [0, 1); position
@@ -195,16 +191,19 @@ class NoiseSpec:
         return rng.standard_normal(count) * np.asarray(self.sds)[comp]
 
 
-def simulate(signal: SignalSpec, noise: NoiseSpec, seed: int) -> TimeSeries:
-    """One replication y_t = f_t + eps_t. noise_sd is the family's analytic
-    standard deviation; callers may re-estimate and override."""
+def simulate(
+    signal: SignalSpec, noise: NoiseSpec, seed: int, noise_sd: float | None = None
+) -> TimeSeries:
+    """One replication y_t = f_t + eps_t. noise_sd defaults to the family's
+    analytic standard deviation, which student_t with df <= 2 lacks."""
     rng = np.random.default_rng(seed)
     y = signal.values() + noise.draw(rng, signal.length)
-    return TimeSeries(y, noise.std)
+    return TimeSeries(y, noise.std if noise_sd is None else noise_sd)
 
 
 def simulate_binned(
-    signal: SignalSpec, noise: NoiseSpec, n: int, grid: int, seed: int
+    signal: SignalSpec, noise: NoiseSpec, n: int, grid: int, seed: int,
+    noise_sd: float | None = None,
 ) -> BinnedSeries:
     """Sample n observation times uniformly on [0, 1), evaluate the signal at
     each, add noise, and group into a regular grid of `grid` cells.
@@ -212,7 +211,8 @@ def simulate_binned(
     Grid cells that receive no observations are merged into their nearest
     nonempty left neighbour (leading empties merge right), so the returned
     series can have fewer than `grid` groups; source_bins records the
-    surviving original cell indexes (1-based).
+    surviving original cell indexes (1-based). noise_sd defaults as in
+    simulate.
     """
     if grid < 2:
         raise InvalidConfigError(f"grid must be >= 2, got {grid}")
@@ -224,7 +224,8 @@ def simulate_binned(
     cell = np.minimum((x * grid).astype(int), grid - 1)
     sizes = np.bincount(cell, minlength=grid)  # x is sorted, so each cell's y are consecutive
     kept = np.flatnonzero(sizes)
-    return BinnedSeries(y, noise.std, tuple((kept + 1).tolist()), counts=sizes[kept])
+    sd = noise.std if noise_sd is None else noise_sd
+    return BinnedSeries(y, sd, tuple((kept + 1).tolist()), counts=sizes[kept])
 
 
 def map_changepoints_to_bins(

@@ -7,7 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from solocp.cli import build_parser, main, read_series_csv
+from solocp.cli import (
+    _make_dataset,
+    build_parser,
+    load_experiment_config,
+    main,
+    read_series_csv,
+)
+from solocp.signals import NoiseSpec, builtin_signal, estimate_sigma_mad, simulate_binned
 from solocp.types import BinnedSeries, TimeSeries
 
 
@@ -373,6 +380,54 @@ def test_bench_binned_config(tmp_path):
     assert main(["bench", str(cfg), "--out", str(out)]) == 0
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 2
+
+
+def test_bench_single_method_row(tmp_path):
+    cfg = _teeth_config(tmp_path, reps=2, extra={"method": "single"})
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(cfg), "--out", str(out)]) == 0
+    header, *rows = out.read_text().strip().splitlines()
+    assert len(rows) == 1
+    row = dict(zip(header.split(","), rows[0].split(",")))
+    # single locates one change point; TEETH has four
+    assert row["label"] == "single" and float(row["k_bias"]) == 3
+
+
+def test_simulated_binned_csv_round_trips_bitwise(tmp_path):
+    cfg = _teeth_config(tmp_path, reps=1, extra={"seed": 5, "binned": {"n": 400, "grid": 140}})
+    outdir = tmp_path / "data"
+    assert main(["simulate", str(cfg), str(outdir)]) == 0
+    back = read_series_csv(str(outdir / "rep_000.csv"))
+    want = simulate_binned(builtin_signal("TEETH"), NoiseSpec.gaussian(0.25), 400, 140, 5)
+    assert isinstance(back, BinnedSeries)
+    assert back.values.tobytes() == want.values.tobytes()
+    assert back.counts.tobytes() == want.counts.tobytes()
+
+
+@pytest.mark.parametrize("binned", [None, {"n": 400, "grid": 140}], ids=["plain", "binned"])
+@pytest.mark.parametrize("sigma_mode", ["mad", "fixed:0.3"])
+@pytest.mark.parametrize("df", [1, 2])
+def test_infinite_variance_noise_runs_with_an_estimated_sigma(tmp_path, df, sigma_mode, binned):
+    # only sigma_mode true asks the noise for its sd, which student_t with
+    # df <= 2 does not have
+    extra = {"noise": {"family": "student_t", "df": df, "scale": 0.3}, "sigma_mode": sigma_mode}
+    cfg = _teeth_config(tmp_path, reps=2, extra={**extra, "binned": binned})
+    assert main(["simulate", str(cfg), str(tmp_path / "data")]) == 0
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 2
+    series, _ = _make_dataset(load_experiment_config(str(cfg)), 1)
+    want = estimate_sigma_mad(series) if sigma_mode == "mad" else 0.3
+    assert series.noise_sd == want
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_infinite_variance_noise_with_true_sigma_rejected(tmp_path, capsys, command):
+    cfg = _teeth_config(tmp_path, extra={"noise": {"family": "student_t", "df": 2, "scale": 0.3}})
+    args = [command, str(cfg)] + ([str(tmp_path / "data")] if command == "simulate" else [])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidConfigError]: student_t with df=2.0 has no finite variance")
 
 
 def test_detect_nonfinite_scores_reported_not_silent(tmp_path, capsys):

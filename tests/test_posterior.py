@@ -12,7 +12,12 @@ from solocp import (
     detect,
     oracle_site_posterior,
 )
-from solocp.posterior import all_site_posteriors, forward_pass, inclusion_scores
+from solocp.posterior import (
+    all_site_posteriors,
+    forward_pass,
+    inclusion_scores,
+    posterior_mean_surface,
+)
 from solocp.types import inclusion_probability, level_precision
 
 
@@ -30,28 +35,29 @@ def _random_binned(rng, max_count=5, max_groups=10):
 def test_forward_initialization_single_count():
     # the tail at the last site is the observation itself
     ts = TimeSeries(np.array([0.3, -0.1, 0.7]), 1.0)
-    fwd = forward_pass(ts, _hyp(0.1, 1.0, 1.0))
-    assert fwd.tail_weight[-1] == 1.0
-    assert fwd.tail_data[-1] == pytest.approx(0.7)
+    info, data = forward_pass(ts, _hyp(0.1, 1.0, 1.0))
+    tail_w, tail_d, _, _ = _filter_recurrences([1.0] * 3, [0.3, -0.1, 0.7], 1.0)
+    assert tail_w[-1] == 1.0
+    assert tail_d[-1] == pytest.approx(0.7)
     # one count at tau^2 = 1 leaves f_1 with variance 1/2 and mean y_1/2,
     # which the forward filter hands to site 2
-    w, d = fwd.tail_weight[1], fwd.tail_data[1]
-    assert fwd.info[1] == pytest.approx(w / (1.0 + 0.5 * w))
-    assert fwd.data[1] == pytest.approx((d - 0.15 * w) / (1.0 + 0.5 * w))
+    w, d = tail_w[1], tail_d[1]
+    assert info[1] == pytest.approx(w / (1.0 + 0.5 * w))
+    assert data[1] == pytest.approx((d - 0.15 * w) / (1.0 + 0.5 * w))
 
 
 def test_forward_shrinkage_limit():
     # tau^2 -> 0 pins every level to f_0 = 0: nothing is shrunk away and the
     # site scalars reduce to the remaining counts and sums
     y = np.arange(8, dtype=float)
-    fwd = forward_pass(TimeSeries(y, 1.0), _hyp(1e-13, 1e-12, 1e-12))
-    assert np.allclose(fwd.info, np.arange(8, 0, -1), rtol=1e-9)
-    assert np.allclose(fwd.data, np.cumsum(y[::-1])[::-1], rtol=1e-9)
+    info, data = forward_pass(TimeSeries(y, 1.0), _hyp(1e-13, 1e-12, 1e-12))
+    assert np.allclose(info, np.arange(8, 0, -1), rtol=1e-9)
+    assert np.allclose(data, np.cumsum(y[::-1])[::-1], rtol=1e-9)
 
 
 def _filter_recurrences(counts, sums, tau_sq):
     """The scalar two-filter smoother (Fraser & Potter 1969), one site at a
-    time: (tail_weight, tail_data, info, data) as in ForwardCache."""
+    time: the tail weights w_j and data d_j, then the site scalars A_j and B_j."""
     m = len(counts)
     tail_w, tail_d = np.empty(m), np.empty(m)
     w_carry = d_carry = 0.0
@@ -85,15 +91,13 @@ def _recurrence_case(rng):
 
 
 def _recurrence_errors(series, tau_sq):
-    """Per-field worst error of forward_pass against the recurrences: weights
-    relative, data relative to |data| + sqrt(weight)."""
-    fwd = forward_pass(series, _hyp(1e-3, 1e3, tau_sq))
-    w, d, a, b = _filter_recurrences(series.counts.tolist(), series.sums.tolist(), tau_sq)
+    """Worst error of forward_pass's A and B against the recurrences: A
+    relative, B relative to |B| + sqrt(A)."""
+    info, data = forward_pass(series, _hyp(1e-3, 1e3, tau_sq))
+    _, _, a, b = _filter_recurrences(series.counts.tolist(), series.sums.tolist(), tau_sq)
     return (
-        np.max(np.abs(fwd.tail_weight - w) / w),
-        np.max(np.abs(fwd.tail_data - d) / (np.abs(d) + np.sqrt(w))),
-        np.max(np.abs(fwd.info - a) / a),
-        np.max(np.abs(fwd.data - b) / (np.abs(b) + np.sqrt(a))),
+        np.max(np.abs(info - a) / a),
+        np.max(np.abs(data - b) / (np.abs(b) + np.sqrt(a))),
     )
 
 
@@ -129,7 +133,7 @@ def test_level_offsets_keep_site_data_precise():
     # each); solved about the last level, the worst there is 1.3e-10
     rng = np.random.default_rng(2107)
     for _ in range(12):
-        assert _recurrence_errors(*_offset_case(rng))[3] < 2e-9
+        assert _recurrence_errors(*_offset_case(rng))[1] < 2e-9
 
 
 @pytest.mark.parametrize("binned", [False, True])
@@ -167,22 +171,23 @@ def test_forward_cache_is_site_independent():
     h = _hyp(0.05, 20.0, 0.4)
     first = forward_pass(ts, h)
     again = forward_pass(ts, h)
-    for name in ("tail_weight", "tail_data", "info", "data"):
-        assert np.array_equal(getattr(first, name), getattr(again, name))
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
 
 
 def test_site_one_scalars_are_tail_sums():
-    # f_0 = 0 is known, so site 1 sees exactly the backward filter's output
+    # f_0 = 0 is known, so site 1's A and B are the backward filter's tail sums
     rng = np.random.default_rng(1)
     ts = TimeSeries(rng.normal(0, 1, 9), 1.0)
-    fwd = forward_pass(ts, _hyp(0.05, 20.0, 0.4))
-    assert fwd.data[0] == fwd.tail_data[0]
-    assert fwd.info[0] == fwd.tail_weight[0]
+    info, data = forward_pass(ts, _hyp(0.05, 20.0, 0.4))
+    tail_w, tail_d, _, _ = _filter_recurrences(ts.counts.tolist(), ts.sums.tolist(), 0.4)
+    assert info[0] == pytest.approx(tail_w[0], rel=1e-12)
+    assert data[0] == pytest.approx(tail_d[0], rel=1e-12)
 
 
 def test_zero_data_gives_zero_site_data():
-    fwd = forward_pass(TimeSeries(np.zeros(7), 1.0), _hyp(0.05, 20.0, 0.4))
-    assert np.all(fwd.data == 0.0)
+    _, data = forward_pass(TimeSeries(np.zeros(7), 1.0), _hyp(0.05, 20.0, 0.4))
+    assert np.all(data == 0.0)
 
 
 def test_equal_spike_slab_gives_prior_probability():
@@ -222,6 +227,20 @@ def test_probabilities_are_one_function_of_log_odds():
             assert np.array_equal(probs, inclusion_probability(log_odds))
             summaries = all_site_posteriors(series, h)
             assert np.array_equal([s.inclusion_prob for s in summaries[1:]], probs)
+
+
+@pytest.mark.parametrize("binned", [False, True])
+def test_mean_surface_is_the_summaries_slab_mean(binned):
+    # posterior_mean_surface skips the log weights but forms the same slab means
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        if binned:
+            series = _random_binned(rng, max_groups=80)
+        else:
+            series = TimeSeries(rng.normal(rng.normal(0, 2), 1.0, int(rng.integers(2, 300))), 0.7)
+        h = _hyp(0.01, 10.0, float(10.0 ** rng.uniform(-3, 3)))
+        slab = np.array([s.mu[1] for s in all_site_posteriors(series, h)])
+        assert np.array_equal(posterior_mean_surface(series, h), slab)
 
 
 def _assert_matches_oracle(series, h, rtol=1e-8):
@@ -270,10 +289,8 @@ def test_unit_count_binned_path_matches_plain_path_exactly():
     ts = TimeSeries(y, 0.8)
     bs = ts.to_binned()
     h = _hyp(0.02, 50.0, 0.08)
-    f1 = forward_pass(ts, h)
-    f2 = forward_pass(bs, h)
-    for name in ("tail_weight", "tail_data", "info", "data"):
-        assert np.array_equal(getattr(f1, name), getattr(f2, name))
+    for a, b in zip(forward_pass(ts, h), forward_pass(bs, h)):
+        assert np.array_equal(a, b)
     p1, lo1 = inclusion_scores(ts, h)
     p2, lo2 = inclusion_scores(bs, h)
     assert np.array_equal(p1, p2)
@@ -319,9 +336,9 @@ def test_negating_the_data_mirrors_site_data_and_keeps_scores(seed, binned):
         base = TimeSeries(y, float(rng.uniform(0.3, 2.0)))
         negated = TimeSeries(-base.values, base.noise_sd)
     h = _hyp(0.02, 50.0, float(10.0 ** rng.uniform(-3, 3)), q=0.2)
-    f1, f2 = forward_pass(base, h), forward_pass(negated, h)
-    assert np.array_equal(f2.data, -f1.data)
-    assert np.array_equal(f2.info, f1.info)
+    (a1, b1), (a2, b2) = forward_pass(base, h), forward_pass(negated, h)
+    assert np.array_equal(b2, -b1)
+    assert np.array_equal(a2, a1)
     for a, b in zip(inclusion_scores(base, h), inclusion_scores(negated, h)):
         assert np.array_equal(a, b)
     assert detect(negated, h).selected == detect(base, h).selected

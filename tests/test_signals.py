@@ -50,6 +50,34 @@ def test_signal_values_segments():
     assert s.values().tolist() == [0.0, 0.0, 2.0, 2.0, -1.0, -1.0]
 
 
+def _segment_values(spec):
+    """f_t filled segment by segment, the loop values() once ran."""
+    f = np.empty(spec.length)
+    bounds = (1,) + spec.changepoints + (spec.length + 1,)
+    for level, lo, hi in zip(spec.levels, bounds, bounds[1:]):
+        f[lo - 1 : hi - 1] = level
+    return f
+
+
+def test_signal_values_are_segment_lookups_bit_for_bit():
+    # values() reads each site's level through value_at_fraction; site t's
+    # position (t - 1) / length lands on its segment, sign of zero included
+    rng = np.random.default_rng(31)
+    specs = [builtin_signal(name) for name in ("BLOCKS", "TEETH", "BLOCKS2")]
+    specs += [
+        SignalSpec(5, (3,), (-0.0, 0.0)),
+        SignalSpec(9, tuple(range(2, 10)), tuple(float(v) for v in range(-4, 5))),
+    ]
+    for _ in range(200):
+        length = int(2 ** rng.uniform(1, 21))
+        k = int(rng.integers(0, min(length - 1, 40) + 1))
+        cps = np.sort(rng.choice(np.arange(2, length + 1), size=k, replace=False))
+        specs.append(SignalSpec(length, tuple(cps.tolist()), tuple(rng.normal(0, 5, k + 1).tolist())))
+    for spec in specs:
+        got, want = spec.values(), _segment_values(spec)
+        assert got.tobytes() == want.tobytes(), spec.changepoints
+
+
 # each of these was once converted silently (20.7 -> 20, "1" -> 1.0, True -> 1)
 _MALFORMED_SPECS = {
     "length_fraction": lambda: SignalSpec(60.0, (20, 40), (0.0, 1.0, 0.0)),
