@@ -4,11 +4,12 @@
     solocp simulate CONFIG.json OUTDIR      write seeded benchmark datasets
     solocp bench    CONFIG.json [flags]     simulate -> detect -> evaluate grid
 
-Input CSV schema (UTF-8, ',' separator, '.' decimal, header required):
+Input CSV schema (UTF-8, a BOM allowed, ',' separator, '.' decimal, header required):
 column pair "t,y" for plain series or triple "t,y,bin" for grouped data; t
 strictly increasing, bin ids positive and nondecreasing.
 
-Experiment configs are JSON objects; signal and noise are required:
+Experiment configs are JSON objects (UTF-8, a BOM allowed); signal and noise
+are required:
 
     signal         builtin name (BLOCKS, TEETH, BLOCKS2) or
                    {"length", "changepoints", "levels"}
@@ -19,8 +20,10 @@ Experiment configs are JSON objects; signal and noise are required:
     hypers         overrides of tau0_sq, tau1_sq, tau_sq, q, delta, threshold
     replications   seeded replications (1)
     seed           base seed; replication r uses seed + r (0)
-    sigma_mode     true (default), mad or fixed:<value>; mad and fixed also
-                   work for noise without a finite variance (student_t df <= 2)
+    sigma_mode     true (default), mad or fixed:<value>; a fixed value, like
+                   detect --sigma, must be positive and finite; mad and fixed
+                   also work for noise without a finite variance (student_t
+                   df <= 2)
     binned         {"n", "grid"}: n random points grouped on a grid of cells
     gibbs          {"iterations" (5000), "burn_in" (1000)} for method basad
     grid           {"<hyperparameter>": [values]}: one bench row per value
@@ -30,7 +33,8 @@ The loader checks the top level (keys, method, replications, seed, sigma_mode,
 binned, and grid: one parameter, a nonempty list). Each other entry is checked,
 unknown and missing keys too, by the type it becomes: signal by SignalSpec,
 noise by NoiseSpec, gibbs by GibbsConfig, edge_fraction by
-detect.checked_edge_fraction, and hypers and every grid row by Hyperparameters
+detect.checked_edge_fraction, and each bench row as it will run (hypers, or
+with a grid hypers plus one grid value, never hypers alone) by Hyperparameters
 with the defaults at the signal length, or if binned at min(n, grid), the most
 groups a replication can have. A binned replication whose empty cells leave
 fewer groups gets the defaults for that count, so hypers that pass at load can
@@ -87,7 +91,7 @@ def read_series_csv(path: str) -> TimeSeries | BinnedSeries:
 
     Errors name the first offending line in file order; blank lines count."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), None)
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
@@ -180,25 +184,30 @@ class Experiment:
     signal: SignalSpec
     noise: NoiseSpec
     method: str
-    hypers: dict  # hyperparameter overrides
+    rows: tuple[tuple[str, dict], ...]  # (label, hyperparameter overrides) per bench row
     replications: int
     seed: int  # replication r simulates with seed + r
     sigma_mode: str | float  # "true", "mad" or a fixed value
     binned: tuple[int, int] | None  # (n, grid)
     gibbs: GibbsConfig  # replication r runs its chains with gibbs.seed + r
     edge_fraction: float
-    grid: dict  # {hyperparameter: values}, at most one: one bench row per value
     manifest: dict  # the signal, noise and binned entries as written
 
 
-_CONFIG_KEYS = tuple(f.name for f in fields(Experiment) if f.name != "manifest")
+_CONFIG_KEYS = {f.name for f in fields(Experiment)} - {"rows", "manifest"} | {"hypers", "grid"}
 _HYPER_KEYS = tuple(f.name for f in fields(Hyperparameters))
+# the methods, each with the defaults its hyperparameters start from
+_METHOD_DEFAULTS = {
+    "solo": Hyperparameters.solo_defaults,
+    "basad": Hyperparameters.basad_defaults,
+    "single": Hyperparameters.solo_defaults,
+}
 
 
-def _hypers_for(length: int, method: str, overrides: dict) -> Hyperparameters:
-    if method == "basad":
-        return Hyperparameters.basad_defaults(length, **overrides)
-    return Hyperparameters.solo_defaults(length, **overrides)
+def _fixed_sigma(value: float) -> float:
+    if not (value > 0 and np.isfinite(value)):
+        raise InvalidConfigError(f"a fixed sigma must be positive and finite, got {value}")
+    return value
 
 
 def _sigma_rule(mode) -> str | float:
@@ -207,12 +216,12 @@ def _sigma_rule(mode) -> str | float:
         return mode
     if not mode.startswith("fixed:"):
         raise InvalidConfigError(f"sigma_mode must be true, mad, or fixed:<value>, got {mode!r}")
-    return float(mode[len("fixed:"):])
+    return _fixed_sigma(float(mode[len("fixed:"):]))
 
 
 def load_experiment_config(path: str) -> Experiment:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
@@ -233,7 +242,7 @@ def _parse_experiment(cfg: dict) -> Experiment:
         if unknown:
             raise InvalidConfigError(f"unknown {what} keys {sorted(unknown)}")
     method = cfg.get("method", "solo")
-    if method not in ("solo", "basad", "single"):
+    if method not in _METHOD_DEFAULTS:
         raise InvalidConfigError(f"unknown method {method!r}")
     if len(grid) > 1 or not all(grid.values()):
         raise InvalidConfigError("grid takes one swept parameter and a nonempty list of values")
@@ -249,22 +258,24 @@ def _parse_experiment(cfg: dict) -> Experiment:
             raise InvalidConfigError("method single locates in plain series, not binned ones")
     signal = cfg["signal"]
     signal = builtin_signal(signal) if isinstance(signal, str) else SignalSpec(**signal)
-    # Hyperparameters checks keys, types and ranges: a bad base or grid row fails here
+    rows = tuple(
+        (f"{method}-{param}{v}", {**hypers, param: v}) for param, vs in grid.items() for v in vs
+    ) or ((method, {**hypers}),)
+    # Hyperparameters checks keys, types and ranges: a bad row fails here
     length = min(binned) if binned else signal.length  # no more groups than points or cells
-    for row in [{}, *({k: v} for k, vs in grid.items() for v in vs)]:
-        _hypers_for(length, method, {**hypers, **row})
+    for _, overrides in rows:
+        _METHOD_DEFAULTS[method](length, **overrides)
     return Experiment(
         signal=signal,
         noise=NoiseSpec(**cfg["noise"]),
         method=method,
-        hypers=dict(hypers),
+        rows=rows,
         replications=replications,
         seed=seed,
         sigma_mode=_sigma_rule(cfg.get("sigma_mode", "true")),
         binned=binned or None,
         gibbs=GibbsConfig(**cfg.get("gibbs", {}), seed=seed + _CHAIN_SEED_OFFSET),
         edge_fraction=checked_edge_fraction(cfg.get("edge_fraction", 0.05)),
-        grid={k: tuple(vs) for k, vs in grid.items()},
         manifest={"signal": cfg["signal"], "noise": cfg["noise"], "binned": cfg.get("binned")},
     )
 
@@ -290,10 +301,10 @@ def _make_dataset(exp: Experiment, rep: int):
     return series, truth
 
 
-def run_replication(exp: Experiment, rep: int) -> tuple[EvalReport, float]:
-    """simulate -> detect -> evaluate for one seeded replication."""
+def run_replication(exp: Experiment, rep: int, overrides: dict) -> tuple[EvalReport, float]:
+    """simulate -> detect -> evaluate for one seeded replication of one bench row."""
     series, truth = _make_dataset(exp, rep)
-    hypers = _hypers_for(series.length, exp.method, exp.hypers)
+    hypers = _METHOD_DEFAULTS[exp.method](series.length, **overrides)
     start = time.perf_counter()
     if exp.method == "single":
         est = [single_cp_locate(series, hypers, exp.edge_fraction).site]
@@ -302,18 +313,6 @@ def run_replication(exp: Experiment, rep: int) -> tuple[EvalReport, float]:
         est = detect(series, hypers, method=exp.method, gibbs_config=gibbs_cfg).selected
     elapsed = time.perf_counter() - start
     return evaluate_sets(est, truth, series.length), elapsed
-
-
-def _grid_rows(exp: Experiment) -> list[tuple[str, Experiment]]:
-    """One labeled experiment per value of the swept hyperparameter; no grid
-    yields the single base row."""
-    if not exp.grid:
-        return [(exp.method, exp)]
-    (param, values), = exp.grid.items()
-    return [
-        (f"{exp.method}-{param}{v}", replace(exp, hypers={**exp.hypers, param: v}, grid={}))
-        for v in values
-    ]
 
 
 def _aggregate(reports: list[EvalReport], times: list[float]) -> list[str]:
@@ -351,12 +350,12 @@ def cmd_detect(args) -> int:
     if args.probs_csv and args.method == "single":
         raise InvalidConfigError("--probs-csv needs per-site probabilities; single has none")
     series = read_series_csv(args.input)
-    sigma = args.sigma if args.sigma is not None else estimate_sigma_mad(series)
-    if sigma <= 0:
+    sigma = _fixed_sigma(args.sigma) if args.sigma is not None else estimate_sigma_mad(series)
+    if sigma == 0:  # a MAD estimate; a fixed sigma is positive
         raise InvalidConfigError("sigma must be positive (constant input data?)")
     series = replace(series, noise_sd=sigma)
     overrides = {k: getattr(args, k) for k in _HYPER_KEYS if getattr(args, k) is not None}
-    hypers = _hypers_for(series.length, args.method, overrides)
+    hypers = _METHOD_DEFAULTS[args.method](series.length, **overrides)
     report: dict = {"method": args.method, "sigma_used": sigma, "hypers": vars(hypers).copy()}
     if args.method == "single":
         located = single_cp_locate(series, hypers, args.edge_fraction)
@@ -443,8 +442,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     exp = load_experiment_config(args.config)
-    rows, n = _grid_rows(exp), exp.replications
-    tasks = [(sub, rep) for _, sub in rows for rep in range(n)]  # row-major, as map returns them
+    n = exp.replications  # tasks are row-major, as map returns them
+    tasks = [(exp, rep, hypers) for _, hypers in exp.rows for rep in range(n)]
     # a fork-started pool forks all its workers at the first submit, so start
     # no more than there are tasks
     workers = min(_n_jobs(args.jobs), len(tasks))
@@ -456,7 +455,7 @@ def cmd_bench(args) -> int:
         with ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(run_replication, *zip(*tasks)))
     lines = [",".join(["label", *EvalReport.csv_header()])]
-    for k, (label, _) in enumerate(rows):
+    for k, (label, _) in enumerate(exp.rows):
         reports, times = zip(*results[k * n : (k + 1) * n])
         lines.append(",".join([label, *_aggregate(reports, times)]))
     text = "\n".join(lines) + "\n"
@@ -480,15 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_detect = sub.add_parser("detect", help="detect change points in a CSV series")
     p_detect.add_argument("input")
-    p_detect.add_argument("--method", choices=["solo", "basad", "single"], default="solo")
+    p_detect.add_argument("--method", choices=_METHOD_DEFAULTS, default="solo")
     p_detect.add_argument("--sigma", type=float, default=None,
                           help="noise sd; omitted -> robust MAD estimate")
-    p_detect.add_argument("--tau0-sq", dest="tau0_sq", type=float, default=None)
-    p_detect.add_argument("--tau1-sq", dest="tau1_sq", type=float, default=None)
-    p_detect.add_argument("--tau-sq", dest="tau_sq", type=float, default=None)
-    p_detect.add_argument("--q", type=float, default=None)
-    p_detect.add_argument("--threshold", type=float, default=None)
-    p_detect.add_argument("--delta", type=int, default=None)
+    for f in fields(Hyperparameters):  # --tau0-sq ... --threshold, read back by cmd_detect
+        flag = "--" + f.name.replace("_", "-")
+        p_detect.add_argument(flag, type=int if f.type == "int" else float)
     p_detect.add_argument("--seed", type=int, default=GibbsConfig.seed, help="basad chain seed")
     p_detect.add_argument("--iterations", type=int, default=GibbsConfig.iterations)
     p_detect.add_argument("--burn-in", dest="burn_in", type=int, default=GibbsConfig.burn_in)

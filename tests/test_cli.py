@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import json
@@ -144,6 +145,7 @@ _READER_ERRORS = {
     "open_quote": ('t,y\n1,"2\n3,4\n', "line 2: quoted field not closed"),
     "no_rows": ("t,y\n\n", "no data rows"),
     "empty_file": ("", "empty file"),
+    "unknown_header": ("x,y\n1,0.5\n", "header must be 't,y' or 't,y,bin', got ['x', 'y']"),
 }
 
 
@@ -151,11 +153,12 @@ _READER_ERRORS = {
 def test_reader_error_names_first_offending_line(tmp_path, capsys, case):
     text, expected = _READER_ERRORS[case]
     path = tmp_path / "bad.csv"
-    path.write_bytes(text.encode())
-    assert main(["detect", str(path), "--sigma", "1.0"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error[ParseError]")
-    assert f"bad.csv: {expected}" in err
+    for bom in (b"", codecs.BOM_UTF8):  # a BOM moves no line number
+        path.write_bytes(bom + text.encode())
+        assert main(["detect", str(path), "--sigma", "1.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ParseError]")
+        assert f"bad.csv: {expected}" in err
 
 
 @pytest.mark.parametrize("bad_row", [0, 50_000, 99_999], ids=["first", "middle", "last"])
@@ -221,6 +224,43 @@ def test_shared_parser_carries_nothing_between_calls(tmp_path):
     # one line of JSON with sorted keys
     text = first.read_text()
     assert text.count("\n") == 1 and list(report) == sorted(report)
+
+
+def test_bom_input_reads_as_without_it(tmp_path, capsys):
+    # Excel's "CSV UTF-8" starts a file with a byte order mark
+    plain_csv, plain_cfg = tmp_path / "jump.csv", _teeth_config(tmp_path, reps=2)
+    _write_jump_csv(plain_csv)
+    outputs = []
+    for bom in (b"", codecs.BOM_UTF8):
+        csv_path, cfg_path = tmp_path / f"in{len(bom)}.csv", tmp_path / f"in{len(bom)}.json"
+        csv_path.write_bytes(bom + plain_csv.read_bytes())
+        cfg_path.write_bytes(bom + plain_cfg.read_bytes())
+        report, probs = tmp_path / f"r{len(bom)}.json", tmp_path / f"p{len(bom)}.csv"
+        assert main(["detect", str(csv_path), "--out", str(report),
+                     "--probs-csv", str(probs)]) == 0
+        assert main(["bench", str(cfg_path)]) == 0
+        outputs.append((report.read_bytes(), probs.read_bytes(),
+                        _strip_timing(capsys.readouterr().out)))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "sigma", ["0", "-1", "nan", "inf", None],
+    ids=["zero", "negative", "nan", "infinite", "mad_of_constant_data"],
+)
+def test_detect_sigma_must_be_positive_and_finite(tmp_path, capsys, sigma):
+    inp = tmp_path / "in.csv"
+    if sigma is None:  # the MAD estimate of a constant series is 0
+        inp.write_text("t,y\n" + "".join(f"{t},2.5\n" for t in range(1, 41)))
+        argv = ["detect", str(inp)]
+    else:
+        _write_jump_csv(inp)
+        argv = ["detect", str(inp), "--sigma", sigma]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidConfigError]")
+    # only a MAD of 0 blames the data
+    assert ("constant input data?" in err) == (sigma is None)
 
 
 def test_missing_file_io_error(tmp_path, capsys):
@@ -301,6 +341,16 @@ def test_bench_single_row(tmp_path, capsys):
     cells = rows[1].split(",")
     assert cells[0] == "solo"
     assert float(cells[9]) >= 0.0  # k_bias column parses
+
+
+def test_bench_grid_rows_are_checked_as_they_run(tmp_path):
+    # tau1_sq 0.001 is below TEETH's default tau0_sq 1/140 alone, but not below
+    # either row's tau0_sq; the hypers alone never run
+    extra = {"hypers": {"tau1_sq": 0.001}, "grid": {"tau0_sq": [0.0001, 0.0005]}}
+    cfg, out = _teeth_config(tmp_path, reps=1, extra=extra), tmp_path / "bench.csv"
+    assert main(["bench", str(cfg), "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["solo-tau0_sq0.0001", "solo-tau0_sq0.0005"]
 
 
 def test_bench_delta_grid_rows(tmp_path):
@@ -480,6 +530,14 @@ def test_bench_single_on_binned_config_rejected(tmp_path, capsys):
 
 _MALFORMED_CONFIG = {
     "sigma_mode": {"sigma_mode": "fixed:abc"},
+    "sigma_mode_name": {"sigma_mode": "median"},
+    # a fixed sigma is positive and finite, checked before any replication runs
+    "sigma_fixed_zero": {"sigma_mode": "fixed:0"},
+    "sigma_fixed_negative": {"sigma_mode": "fixed:-1"},
+    "sigma_fixed_nan": {"sigma_mode": "fixed:nan"},
+    "sigma_fixed_infinite": {"sigma_mode": "fixed:inf"},
+    "replications_zero": {"replications": 0},
+    "seed_negative": {"seed": -1},
     "replications": {"replications": "x"},
     "signal": {"signal": {"length": 10}},
     "noise": {"noise": {"family": "gaussian"}},
@@ -576,12 +634,11 @@ def test_malformed_config_rejected_at_load(tmp_path, capsys, case):
 @pytest.mark.parametrize(
     "extra",
     [
-        {"sigma_mode": "fixed:-1"},
         {"binned": {"n": 1, "grid": 20}},
         # valid at the 400 cells, not at the at most 200 groups a replication has
         {"signal": "BLOCKS", "binned": {"n": 200, "grid": 400}, "hypers": {"tau1_sq": 0.004}},
     ],
-    ids=["sigma", "n", "hypers_at_n"],
+    ids=["n", "hypers_at_n"],
 )
 def test_simulate_failing_first_replication_leaves_no_outdir(tmp_path, capsys, extra):
     outdir = tmp_path / "out"
@@ -598,6 +655,18 @@ def test_simulate_checks_hyperparameter_ranges_at_load(tmp_path, capsys, extra):
     outdir = tmp_path / "out"
     assert main(["simulate", str(_teeth_config(tmp_path, reps=1, extra=extra)), str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error[InvalidHyperparameterError]")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "text", ['{"noise": {"family": "gaussian", "sd": 1}}', '{"signal": "TEETH"}', "[]"],
+    ids=["no_signal", "no_noise", "array"],
+)
+def test_config_needs_signal_and_noise(tmp_path, capsys, text):
+    cfg, outdir = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(text)
+    assert main(["simulate", str(cfg), str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("error[InvalidConfigError]")
     assert not outdir.exists()
 
 

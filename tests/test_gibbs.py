@@ -66,7 +66,7 @@ def test_config_validation():
     GibbsConfig(iterations=100, burn_in=0, seed=1)
     # each field is an integer: fractions, bools and strings are rejected, not run
     for bad in ((10.5, 1, 0), (100, 10, 1.5), (100, 10.0, 1), (True, 0, 0), (100, False, 1),
-                (100, 10, True), ("100", 10, 1), (100, "10", 1), (100, 10, "1")):
+                (100, 10, True), ("100", 10, 1), (100, "10", 1), (100, 10, "1"), (100, 10, -1)):
         with pytest.raises(InvalidConfigError):
             GibbsConfig(*bad)
     assert GibbsConfig(np.int64(100), np.int64(10), np.int64(1)) == GibbsConfig(100, 10, 1)

@@ -107,6 +107,13 @@ _MALFORMED_SPECS = {
     "student_t_df_infinite": lambda: NoiseSpec.student_t(float("inf")),
     "mixture_sd_infinite": lambda: NoiseSpec.mixture((0.5, 0.5), (1.0, float("inf"))),
     "mixture_weight_nan": lambda: NoiseSpec.mixture((float("nan"), 1.0), (1.0, 2.0)),
+    # change points split (1, length] into one segment per level; mixture weights
+    # and sds pair up
+    "level_count": lambda: SignalSpec(60, (20, 40), (0.0, 1.0)),
+    "changepoints_unordered": lambda: SignalSpec(60, (40, 20), (0.0, 1.0, 0.0)),
+    "changepoint_at_one": lambda: SignalSpec(60, (1,), (0.0, 1.0)),
+    "changepoint_past_length": lambda: SignalSpec(60, (61,), (0.0, 1.0)),
+    "mixture_mismatched": lambda: NoiseSpec.mixture((0.5, 0.5), (1.0,)),
 }
 
 
@@ -144,6 +151,10 @@ def test_student_t_heavy_tails():
     t_draws = NoiseSpec.student_t(df=4.0).draw(np.random.default_rng(2), 200_000)
     g_draws = NoiseSpec.gaussian(1.0).draw(np.random.default_rng(2), 200_000)
     assert kurtosis(t_draws) > kurtosis(g_draws) + 0.5
+
+
+def test_student_t_std():
+    assert NoiseSpec.student_t(3, 0.5).std == 0.5 * np.sqrt(3.0)
 
 
 def test_laplace_std():
