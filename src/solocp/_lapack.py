@@ -1,7 +1,9 @@
-"""The two LAPACK routines solocp runs, dpttrf and dpttrs, without importing
-scipy.linalg.
+"""The four LAPACK routines solocp runs, without importing scipy.linalg:
+dpttrf and dpttrs factor and solve the tridiagonal level precision of the
+solo posterior and the Gibbs sampler; dpotrf and dpotrs factor and solve the
+oracle's dense marginal covariance.
 
-Both come from scipy's f2py extension scipy.linalg._flapack, the module
+All four come from scipy's f2py extension scipy.linalg._flapack, the module
 scipy.linalg.lapack re-exports them from. Importing scipy.linalg itself costs
 far more than the extension: it also clones the numpy namespace for its
 array-API layer, which loads numpy.f2py, numpy.testing and numpy.ma. In a
@@ -12,10 +14,10 @@ another 255-300 ms; finding and loading the extension alone takes about 5 ms.
 So this module finds the extension file in scipy's own directory without
 running scipy/__init__ or scipy/linalg/__init__, and loads it under scipy's
 name, registered in sys.modules. A later `import scipy.linalg` reuses that
-module object: nothing is initialised twice, and scipy.linalg.lapack.dpttrf
-is this module's dpttrf. One trace of the early load stays: the package
-scipy.linalg then has no `_flapack` attribute, because the import system
-binds a submodule to its package only when it loads it itself;
+module object: nothing is initialised twice, and each routine here is the
+object scipy.linalg.lapack exports. One trace of the early load stays: the
+package scipy.linalg then has no `_flapack` attribute, because the import
+system binds a submodule to its package only when it loads it itself;
 `from scipy.linalg import _flapack` still finds it. If the extension is
 already loaded, it is used as it is. If it is not where scipy's wheel layout
 puts it, or does not load from there, the routines come from
@@ -51,8 +53,10 @@ def _load_flapack():
 try:
     _flapack = _load_flapack()
 except ImportError:  # not where scipy's wheel layout puts it, or not loadable from there
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs
 else:
-    dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
+    dpotrf, dpotrs, dpttrf, dpttrs = (
+        _flapack.dpotrf, _flapack.dpotrs, _flapack.dpttrf, _flapack.dpttrs
+    )
 
-__all__ = ["dpttrf", "dpttrs"]
+__all__ = ["dpotrf", "dpotrs", "dpttrf", "dpttrs"]

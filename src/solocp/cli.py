@@ -482,9 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--method", choices=_METHOD_DEFAULTS, default="solo")
     p_detect.add_argument("--sigma", type=float, default=None,
                           help="noise sd; omitted -> robust MAD estimate")
-    for f in fields(Hyperparameters):  # --tau0-sq ... --threshold, read back by cmd_detect
-        flag = "--" + f.name.replace("_", "-")
-        p_detect.add_argument(flag, type=int if f.type == "int" else float)
+    # --tau0-sq ... --threshold, read back by cmd_detect; Hyperparameters
+    # checks that --delta is a whole number, as it does for a config's delta
+    for name in _HYPER_KEYS:
+        p_detect.add_argument("--" + name.replace("_", "-"), type=float)
     p_detect.add_argument("--seed", type=int, default=GibbsConfig.seed, help="basad chain seed")
     p_detect.add_argument("--iterations", type=int, default=GibbsConfig.iterations)
     p_detect.add_argument("--burn-in", dest="burn_in", type=int, default=GibbsConfig.burn_in)

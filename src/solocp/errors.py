@@ -23,8 +23,9 @@ class InvalidHyperparameterError(SolocpError):
 
 
 class NumericOverflowError(SolocpError):
-    """A posterior score came out non-finite or lost its precision: the data,
-    relative to sigma, or 1/tau_sq exceed the range of double precision."""
+    """A posterior score, a dense covariance or a noise estimate came out
+    non-finite or lost its precision: the data, sigma or 1/tau_sq exceed the
+    range of double precision."""
 
 
 class LinearSolveFailureError(SolocpError):

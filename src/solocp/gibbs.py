@@ -92,9 +92,10 @@ def _log_odds_intercept(hypers: Hyperparameters) -> float:
     return prior_log_odds(hypers.q) + 0.5 * (np.log(hypers.tau0_sq) - np.log(hypers.tau1_sq))
 
 
-def _cuts(u, intercept: float):
-    """Uniforms u turned, in place, into log-odds cuts log(u) - log1p(-u) - intercept."""
-    odds = np.negative(u)
+def _cuts(u, intercept: float, scratch=None):
+    """Uniforms u turned, in place, into log-odds cuts log(u) - log1p(-u) -
+    intercept; scratch, an array of u's shape, spares allocating one for -u."""
+    odds = np.negative(u, out=scratch)
     np.log1p(odds, out=odds)
     np.log(u, out=u)
     np.subtract(u, odds, out=u)
@@ -134,7 +135,8 @@ class _Sweeps:
         coupling = np.zeros((c, m))
         self.off = coupling[:, :-1]
         self.carry = np.empty(c * m - 1)
-        self.normals, self.cuts = np.empty((c, block, m)), np.empty((c, block, m))
+        # odds is _cuts' buffer for -u, so no block allocates a temporary
+        self.normals, self.cuts, self.odds = (np.empty((c, block, m)) for _ in range(3))
         self.z = np.zeros((block + 1, c, m), dtype=bool)
         self.score = np.empty((block, c, m))
         # d, e of the last LAPACK factorization and the bytes of the z it used
@@ -231,7 +233,7 @@ def _run_chains(
             normal.standard_normal(out=normals[:n])
             uniform.random(out=cuts[:n])
         with np.errstate(divide="ignore"):  # a uniform of 0 is a cut of -inf
-            _cuts(sweeps.cuts[:, :n], intercept)
+            _cuts(sweeps.cuts[:, :n], intercept, sweeps.odds[:, :n])
         sweeps.run(n)
         # z[b + 1] holds the indicators of sweep start + b
         first_kept = max(burn_in - start, 0)

@@ -5,10 +5,8 @@ explicitly, form the marginal covariance sigma^2 (I + X D X'), and use dense
 factorizations. No recursions, no cleverness. The fast recursion module is
 tested against these results; the joint-model enumeration backs the Gibbs
 sampler tests. Shipped in the library so users can audit the fast path.
-
-scipy.linalg is imported on the first call that factors a covariance, not
-with the package: it costs more start-up than the rest of solocp together,
-and the detection paths never need it.
+LAPACK dpotrf/dpotrs from _lapack factor and solve with the arguments of
+scipy.linalg.cho_factor(cov, lower=True) and cho_solve, bit for bit theirs.
 """
 from __future__ import annotations
 
@@ -18,7 +16,10 @@ from itertools import product
 
 import numpy as np
 
-from .errors import EmptySetError, LinearSolveFailureError, SingularCovarianceError
+from ._lapack import dpotrf, dpotrs
+from .errors import (
+    EmptySetError, LinearSolveFailureError, NumericOverflowError, SingularCovarianceError
+)
 from .types import (
     BinnedSeries, Hyperparameters, TimeSeries, inclusion_probability, prior_log_odds
 )
@@ -34,17 +35,28 @@ def _expanded_design(counts: np.ndarray) -> np.ndarray:
     return (np.arange(m)[None, :] <= cols[:, None]).astype(float)
 
 
-def _gaussian_logpdf_zero_mean(y: np.ndarray, cov: np.ndarray):
-    """log N(y; 0, cov) plus the Cholesky factor used downstream."""
-    import scipy.linalg
-
+def _noise_variance(series: TimeSeries | BinnedSeries) -> float:
+    """noise_sd^2; NumericOverflowError where it leaves the float range."""
     try:
-        chol = scipy.linalg.cho_factor(cov, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(str(exc)) from exc
-    alpha = scipy.linalg.cho_solve(chol, y)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
-    logpdf = -0.5 * (y.size * _LOG_2PI + logdet + float(y @ alpha))
+        return series.noise_sd**2
+    except OverflowError:
+        raise NumericOverflowError(f"noise_sd^2 overflows at {series.noise_sd}") from None
+
+
+def _gaussian_logpdf_zero_mean(y: np.ndarray, cov: np.ndarray):
+    """log N(y; 0, cov) plus the Cholesky factor and cov^-1 y used downstream.
+    The other right-hand side, a design column, is finite by construction."""
+    if not (np.isfinite(cov).all() and np.isfinite(y).all()):
+        raise NumericOverflowError("covariance or data not finite; rescale noise_sd or data")
+    chol, info = dpotrf(cov, lower=1, clean=0)
+    if info > 0:
+        raise SingularCovarianceError(f"leading minor {info} of the covariance is not positive")
+    alpha = dpotrs(chol, y, lower=1)[0]
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        logpdf = -0.5 * (y.size * _LOG_2PI + logdet + float(y @ alpha))
+    if not math.isfinite(logpdf):
+        raise NumericOverflowError("log marginal likelihood is not finite; rescale the data")
     return logpdf, chol, alpha
 
 
@@ -70,8 +82,6 @@ def oracle_site_posterior(
     Cost is O(T^3) per spike/slab component; refuses series longer than
     max_size observations.
     """
-    import scipy.linalg
-
     y = series.values
     m = series.length
     if not 1 <= j <= m:
@@ -81,16 +91,17 @@ def oracle_site_posterior(
         raise ValueError(f"series of {t} observations exceeds oracle cap {max_size}")
     design = _expanded_design(series.counts)
     xj = design[:, j - 1]
-    s2 = series.noise_sd**2
+    s2 = _noise_variance(series)
     mus, xis, logms = [], [], []
     for tau_k in (hypers.tau0_sq, hypers.tau1_sq):
         d = np.full(m, hypers.tau_sq)
         d[j - 1] = tau_k
-        cov = s2 * (np.eye(t) + (design * d) @ design.T)
+        with np.errstate(over="ignore"):  # checked before it is factored
+            cov = s2 * (np.eye(t) + (design * d) @ design.T)
         logm, chol, alpha = _gaussian_logpdf_zero_mean(y, cov)
         c = s2 * tau_k  # cov(increment_j, Y) = c * xj
         mus.append(c * float(xj @ alpha))
-        xis.append(c - c * c * float(xj @ scipy.linalg.cho_solve(chol, xj)))
+        xis.append(c - c * c * float(xj @ dpotrs(chol, xj, lower=1)[0]))
         logms.append(logm)
     prob = float(inclusion_probability(prior_log_odds(hypers.q) + logms[1] - logms[0]))
     return OracleResult(
@@ -122,7 +133,8 @@ def oracle_joint_marginal(
         raise ValueError(f"series of {y.size} observations exceeds cap {max_size}")
     design = _expanded_design(series.counts)
     d = np.where(z == 1, hypers.tau1_sq, hypers.tau0_sq)
-    cov = series.noise_sd**2 * (np.eye(y.size) + (design * d) @ design.T)
+    with np.errstate(over="ignore"):  # checked before it is factored
+        cov = _noise_variance(series) * (np.eye(y.size) + (design * d) @ design.T)
     logm, _, _ = _gaussian_logpdf_zero_mean(y, cov)
     return logm
 
@@ -144,7 +156,7 @@ def conditional_deltaf_moments(
     except np.linalg.LinAlgError as exc:
         raise LinearSolveFailureError(str(exc)) from exc
     mean = cov @ (design.T @ y)
-    return mean, series.noise_sd**2 * cov
+    return mean, _noise_variance(series) * cov
 
 
 def _enumerate(

@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import (
     InvalidConfigError,
+    NumericOverflowError,
     TooShortError,
     UnknownSignalError,
 )
@@ -263,7 +264,10 @@ def estimate_sigma_mad(series: TimeSeries | BinnedSeries) -> float:
     values = series.values
     if values.size < 3:
         raise TooShortError("need at least 3 observations to estimate sigma")
-    d = np.diff(values)
+    with np.errstate(over="ignore"):  # checked next
+        d = np.diff(values)
+    if not np.isfinite(d).all():
+        raise NumericOverflowError("first differences of the data overflow; rescale the data")
     mad = 1.4826 * _median(np.abs(d - _median(d)))
     return float(mad / math.sqrt(2.0))
 

@@ -511,6 +511,38 @@ def test_detect_tau_sq_below_double_precision_reported(tmp_path, capsys, tau_sq)
     assert "Traceback" not in err
 
 
+def test_detect_overflowing_differences_reported_not_as_sigma(tmp_path, capsys):
+    # finite data whose first differences overflow: the MAD estimate names the
+    # overflow instead of handing a nan sigma on (a leaked warning fails here)
+    inp = tmp_path / "extreme.csv"
+    inp.write_text("t,y\n" + "".join(f"{t},{(-1) ** t * 1e308!r}\n" for t in range(1, 41)))
+    assert main(["detect", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[NumericOverflowError]: first differences")
+    assert "Traceback" not in err
+
+
+def test_detect_whole_float_delta_is_the_integer(tmp_path, capsys):
+    inp = tmp_path / "jump.csv"
+    _write_jump_csv(inp)
+    reports = []
+    for delta in ("3", "3.0", "3e0"):
+        assert main(["detect", str(inp), "--delta", delta]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert json.loads(reports[0])["hypers"]["delta"] == 3
+
+
+@pytest.mark.parametrize("delta", ["2.5", "-1", "inf", "nan"])
+def test_detect_fractional_delta_flag_rejected(tmp_path, capsys, delta):
+    inp = tmp_path / "jump.csv"
+    _write_jump_csv(inp)
+    assert main(["detect", str(inp), f"--delta={delta}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidHyperparameterError]: delta")
+    assert "Traceback" not in err
+
+
 def test_bench_single_on_binned_config_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

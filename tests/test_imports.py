@@ -1,9 +1,11 @@
 """What importing and running solocp loads, each case in a fresh interpreter.
 
-solocp takes dpttrf/dpttrs from scipy's LAPACK extension without importing
-scipy.linalg, imports solocp.oracle and scipy.linalg only on the first oracle
-call, takes medians without numpy.ma, and starts a process pool only for
-bench --jobs above 1.
+solocp takes dpttrf/dpttrs and the oracle's dpotrf/dpotrs from scipy's
+LAPACK extension without importing scipy.linalg, in any call; it imports
+solocp.oracle only on the first oracle call, takes medians without numpy.ma,
+and starts a process pool only for bench --jobs above 1. Where the extension
+file is missing, the four routines come from scipy.linalg.lapack and every
+result stays the same.
 """
 import json
 import os
@@ -74,10 +76,11 @@ def test_detect_and_serial_bench_load_no_scipy_linalg(tmp_path):
     got = _run(script, csv, cfg, tmp_path / "out")
     assert got["codes"] == [0, 0, 0]
     assert got["loaded"] == []
-    # the first oracle call imports the oracle and scipy.linalg and computes what it always did
+    # the first oracle call imports the oracle, not scipy.linalg, and computes
+    # what it computes in this process
     series = TimeSeries(y, 0.5)
     expected = oracle_site_posterior(series, 30, Hyperparameters.solo_defaults(60))
-    assert got["after_oracle"] == ["scipy.linalg", "solocp.oracle"]
+    assert got["after_oracle"] == ["solocp.oracle"]
     assert got["oracle"] == expected.inclusion_prob
 
 
@@ -87,6 +90,7 @@ first = sys.argv[1]
 if first == "scipy":
     import scipy.linalg.lapack
 import solocp
+import solocp.oracle
 import scipy.linalg
 import scipy.linalg.lapack
 from scipy.linalg import _flapack
@@ -96,6 +100,8 @@ same = [solocp.gibbs.dpttrf is scipy.linalg.lapack.dpttrf,
         solocp.gibbs.dpttrs is scipy.linalg.lapack.dpttrs,
         solocp.posterior.dpttrf is scipy.linalg.lapack.dpttrf,
         solocp.posterior.dpttrs is scipy.linalg.lapack.dpttrs,
+        solocp.oracle.dpotrf is scipy.linalg.lapack.dpotrf,
+        solocp.oracle.dpotrs is scipy.linalg.lapack.dpotrs,
         _flapack is sys.modules["scipy.linalg._flapack"]]
 a = np.array([[4.0, 2.0], [2.0, 3.0]])
 chol, lower = scipy.linalg.cho_factor(a, lower=True)
@@ -106,7 +112,7 @@ print(json.dumps({"same": same, "chol": np.tril(chol).tolist()}))
 def test_lapack_routines_are_scipys_in_either_import_order():
     for first in ("solocp", "scipy"):
         got = _run(IDENTITY, first)
-        assert got["same"] == [True] * 5, first
+        assert got["same"] == [True] * 7, first
         assert np.allclose(got["chol"], np.linalg.cholesky([[4.0, 2.0], [2.0, 3.0]])), first
 
 
@@ -126,15 +132,18 @@ import solocp
 fell_back = "scipy.linalg" in sys.modules
 import scipy.linalg.lapack as lapack
 
-from solocp import GibbsConfig, Hyperparameters, TimeSeries, detect
+from solocp import GibbsConfig, Hyperparameters, TimeSeries, detect, oracle_site_posterior
 series = TimeSeries(np.array(%r), 0.5)
 solo = detect(series, Hyperparameters.solo_defaults(series.length))
 basad = detect(series, Hyperparameters.basad_defaults(series.length), method="basad",
                gibbs_config=GibbsConfig(iterations=200, burn_in=50, seed=3))
+oracle = oracle_site_posterior(series, 30, Hyperparameters.solo_defaults(series.length))
 print(json.dumps({
     "fell_back": fell_back,
-    "same": [solocp.gibbs.dpttrf is lapack.dpttrf, solocp.posterior.dpttrs is lapack.dpttrs],
+    "same": [solocp.gibbs.dpttrf is lapack.dpttrf, solocp.posterior.dpttrs is lapack.dpttrs,
+             solocp.oracle.dpotrf is lapack.dpotrf, solocp.oracle.dpotrs is lapack.dpotrs],
     "solo": solo.probabilities.tolist(), "basad": basad.probabilities.tolist(),
+    "oracle": [*oracle.mu, *oracle.xi, *oracle.log_marginal, oracle.inclusion_prob],
 }))
 """
 
@@ -142,10 +151,12 @@ print(json.dumps({
 def test_fallback_without_the_extension_file_detects_the_same():
     y = _series(seed=1)
     got = _run(FALLBACK % (y.tolist(),))
-    assert got["fell_back"] and got["same"] == [True, True]
+    assert got["fell_back"] and got["same"] == [True] * 4
     series = TimeSeries(y, 0.5)
     solo = detect(series, Hyperparameters.solo_defaults(60))
     basad = detect(series, Hyperparameters.basad_defaults(60), method="basad",
                    gibbs_config=GibbsConfig(iterations=200, burn_in=50, seed=3))
     assert got["solo"] == solo.probabilities.tolist()
     assert got["basad"] == basad.probabilities.tolist()
+    oracle = oracle_site_posterior(series, 30, Hyperparameters.solo_defaults(60))
+    assert got["oracle"] == [*oracle.mu, *oracle.xi, *oracle.log_marginal, oracle.inclusion_prob]

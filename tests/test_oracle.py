@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import multivariate_normal
 
-from solocp import Hyperparameters, TimeSeries, oracle_joint_marginal, oracle_site_posterior
+from solocp import (
+    BinnedSeries, Hyperparameters, TimeSeries, oracle, oracle_joint_marginal,
+    oracle_site_posterior,
+)
+from solocp.errors import NumericOverflowError, SingularCovarianceError
 from solocp.oracle import enumerate_inclusion_probabilities, exact_z_posterior
 
 
@@ -78,3 +85,80 @@ def test_size_caps():
         oracle_site_posterior(ts, 2, _hyp(0.1, 5.0), max_size=20)
     with pytest.raises(ValueError):
         oracle_joint_marginal(ts, np.zeros(30, int), _hyp(0.1, 5.0))
+
+
+def _scipy_logpdf(y, cov):
+    """log N(y; 0, cov), the factor and cov^-1 y as scipy.linalg's
+    cho_factor(cov, lower=True) and cho_solve compute them: the reference for
+    the oracle's own dpotrf/dpotrs calls."""
+    chol = scipy.linalg.cho_factor(cov, lower=True)
+    alpha = scipy.linalg.cho_solve(chol, y)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
+    return -0.5 * (y.size * math.log(2.0 * math.pi) + logdet + float(y @ alpha)), chol, alpha
+
+
+def _random_series(rng, binned):
+    """A plain series of 4-30 points or a binned one of 3-12 groups, each with
+    a jump and a random scale."""
+    scale, sd = 10.0 ** rng.uniform(-2, 2, size=2)
+    if binned:
+        counts = rng.integers(1, 4, size=rng.integers(3, 13))
+        y = rng.normal(0, 1, counts.sum())
+        y[counts.sum() // 2:] += 3.0
+        return BinnedSeries(scale * y, sd, counts=counts)
+    y = rng.normal(0, 1, rng.integers(4, 31))
+    y[y.size // 2:] += 3.0
+    return TimeSeries(scale * y, sd)
+
+
+def _oracle_outputs(series, rng):
+    """repr of every site posterior, joint marginals of three random z and,
+    for short series, the enumerated marginals: repr keeps every bit."""
+    h = Hyperparameters.solo_defaults(series.length)
+    out = [oracle_site_posterior(series, j, h) for j in range(1, series.length + 1)]
+    if series.values.size <= 20:
+        out += [oracle_joint_marginal(series, rng.integers(0, 2, series.length), h)
+                for _ in range(3)]
+    if series.length <= 8 and series.values.size <= 20:
+        out.append(enumerate_inclusion_probabilities(series, h).tolist())
+    return repr(out)
+
+
+@pytest.mark.parametrize("binned", [False, True], ids=["plain", "binned"])
+def test_dense_factor_equals_scipy_cho_factor_bit_for_bit(monkeypatch, binned):
+    rng = np.random.default_rng(11 + binned)
+    series = [_random_series(rng, binned) for _ in range(20)]
+    seeds = rng.integers(0, 2**32, size=len(series))
+    got = [_oracle_outputs(s, np.random.default_rng(k)) for s, k in zip(series, seeds)]
+    monkeypatch.setattr(oracle, "_gaussian_logpdf_zero_mean", _scipy_logpdf)
+    # the site posterior's own solve, given _scipy_logpdf's (factor, lower) pair
+    monkeypatch.setattr(oracle, "dpotrs", lambda chol, b, lower: (scipy.linalg.cho_solve(chol, b), 0))
+    want = [_oracle_outputs(s, np.random.default_rng(k)) for s, k in zip(series, seeds)]
+    assert got == want
+
+
+def _oracle_calls(series):
+    h = Hyperparameters.solo_defaults(series.length)
+    return [
+        lambda: oracle_site_posterior(series, 4, h),
+        lambda: oracle_joint_marginal(series, np.zeros(series.length, int), h),
+        lambda: enumerate_inclusion_probabilities(series, h),
+    ]
+
+
+# noise_sd^2 overflows; the covariance overflows; the quadratic form
+# overflows; cov^-1 y overflows inside LAPACK
+@pytest.mark.parametrize("scale, sd", [(1.0, 1e200), (1.0, 1.3e154), (1e300, 1.0), (1.0, 1e-160)],
+                         ids=["sd_squared", "covariance", "data", "solve"])
+def test_extreme_scales_raise_numeric_overflow(scale, sd):
+    y = np.random.default_rng(5).normal(0, 1, 8) + np.repeat([0.0, 3.0], 4)
+    for call in _oracle_calls(TimeSeries(scale * y, sd)):
+        with pytest.raises(NumericOverflowError):
+            call()
+
+
+def test_vanishing_noise_sd_is_a_singular_covariance():
+    y = np.random.default_rng(6).normal(0, 1, 8)
+    for call in _oracle_calls(TimeSeries(y, 1e-200)):  # noise_sd^2 underflows to 0
+        with pytest.raises(SingularCovarianceError):
+            call()
