@@ -329,20 +329,6 @@ def _aggregate(reports: list[EvalReport], times: list[float]) -> list[str]:
     return [f"{c:.6g}" for c in cols]
 
 
-def _n_jobs(flag_value) -> int:
-    """Worker processes: --jobs, else SOLOCP_JOBS, else 1; below 1 is an error."""
-    jobs = flag_value
-    if jobs is None:
-        env = os.environ.get("SOLOCP_JOBS")
-        try:
-            jobs = int(env) if env else 1
-        except ValueError:
-            raise InvalidConfigError(f"SOLOCP_JOBS must be an integer, got {env!r}") from None
-    if jobs < 1:
-        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 # ------------------------------------------------------------------ commands
 
 
@@ -368,7 +354,7 @@ def cmd_detect(args) -> int:
             low_confidence=located.low_confidence,
         )
     else:
-        gibbs_cfg = None
+        gibbs_cfg = GibbsConfig()
         if args.method == "basad":
             gibbs_cfg = GibbsConfig(
                 iterations=args.iterations, burn_in=args.burn_in, seed=args.seed
@@ -444,9 +430,11 @@ def cmd_bench(args) -> int:
     exp = load_experiment_config(args.config)
     n = exp.replications  # tasks are row-major, as map returns them
     tasks = [(exp, rep, hypers) for _, hypers in exp.rows for rep in range(n)]
+    if args.jobs < 1:
+        raise InvalidConfigError(f"jobs must be >= 1, got {args.jobs}")
     # a fork-started pool forks all its workers at the first submit, so start
     # no more than there are tasks
-    workers = min(_n_jobs(args.jobs), len(tasks))
+    workers = min(args.jobs, len(tasks))
     if workers == 1:  # no pool: importing concurrent.futures costs a fresh process about 25 ms
         results = list(map(run_replication, *zip(*tasks)))
     else:
@@ -503,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="replicate, detect, evaluate, aggregate")
     p_bench.add_argument("config")
     p_bench.add_argument("--out", default=None, help="aggregate CSV path")
-    p_bench.add_argument("--jobs", type=int, default=None,
-                         help="parallel replications (env SOLOCP_JOBS)")
+    p_bench.add_argument("--jobs", type=int, default=1,
+                         help="worker processes for the replications (default 1)")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -2,8 +2,9 @@
 
 select_changepoints thresholds the per-site inclusion probabilities, merges
 candidates within delta of each other into clusters and keeps one
-representative per cluster, all in one pass over the candidates. Also the
-symmetrized single-change-point location criterion."""
+representative per cluster, all in one pass over the candidates. Entry i of
+every per-site array belongs to site i + 2, so the arrays cover sites 2..M.
+Also the symmetrized single-change-point location criterion."""
 from __future__ import annotations
 
 import math
@@ -19,26 +20,31 @@ from .types import (
 )
 
 
-def select_changepoints(sites, probs, hypers: Hyperparameters, scores=None):
+def select_changepoints(probs, scores, hypers: Hyperparameters):
     """Candidates, their clusters and one representative per cluster, in one
     pass over the sites whose probability strictly exceeds hypers.threshold.
 
-    A gap greater than hypers.delta between consecutive candidates starts a
-    new cluster: on a line this is the transitive closure of the pairwise
-    |a - b| <= delta linkage. Each cluster keeps its highest-scoring member,
-    the smallest site on ties. scores (default probs) are the probabilities
-    or any monotone transform of them (the solo path passes log-odds, which
-    rank identically but do not saturate when several sites sit at
-    probability 1.0 in double precision). A NaN probability, or a NaN score
-    at a candidate, raises NumericOverflowError; candidates below 2 or out of
-    increasing order raise InvalidConfigError.
+    probs[i] and scores[i] belong to site i + 2. A gap greater than
+    hypers.delta between consecutive candidates starts a new cluster: on a
+    line this is the transitive closure of the pairwise |a - b| <= delta
+    linkage. Each cluster keeps its highest-scoring member, the smallest site
+    on ties. scores are the probabilities or any monotone transform of them
+    (the solo path passes log-odds, which rank identically but do not
+    saturate when several sites sit at probability 1.0 in double precision).
+    probs must be 1-D and scores of the same shape, else InvalidConfigError;
+    a NaN probability, or a NaN score at a candidate, raises
+    NumericOverflowError.
     """
-    probs = np.asarray(probs, dtype=float)
+    probs, scores = np.asarray(probs, dtype=float), np.asarray(scores, dtype=float)
+    if probs.ndim != 1 or scores.shape != probs.shape:
+        raise InvalidConfigError(
+            f"probs must be 1-D and scores the same shape, got {probs.shape} and {scores.shape}"
+        )
     keep = probs > hypers.threshold
-    ranking = (probs if scores is None else np.asarray(scores, dtype=float))[keep]
+    ranking = scores[keep]
     if np.isnan(probs).any() or np.isnan(ranking).any():
         raise NumericOverflowError("inclusion probabilities or candidate scores are NaN")
-    candidates, ranking = np.asarray(sites, dtype=int)[keep].tolist(), ranking.tolist()
+    candidates, ranking = (np.flatnonzero(keep) + 2).tolist(), ranking.tolist()
     clusters, selected = [], []
     for site, score in zip(candidates, ranking):
         if clusters and site - clusters[-1][-1] <= hypers.delta:
@@ -50,35 +56,29 @@ def select_changepoints(sites, probs, hypers: Hyperparameters, scores=None):
             selected.append(site)
             best = score
     clusters = tuple(tuple(c) for c in clusters)
-    try:
-        return ChangePointSet(tuple(candidates)), clusters, ChangePointSet(tuple(selected))
-    except ValueError as err:
-        raise InvalidConfigError(f"sites: {err}") from None
+    return ChangePointSet(tuple(candidates)), clusters, ChangePointSet(tuple(selected))
 
 
 def detect(
     series: TimeSeries | BinnedSeries,
     hypers: Hyperparameters,
     method: str = "solo",
-    gibbs_config: GibbsConfig | None = None,
+    gibbs_config: GibbsConfig = GibbsConfig(),
 ) -> DetectionResult:
     """Run the full detection pipeline on a series.
 
     method "solo" uses the closed-form single-site marginals; "basad" uses
-    the Gibbs-sampled joint model (gibbs_config required). Candidate sites
+    the Gibbs-sampled joint model, run with gibbs_config. Candidate sites
     are 2..M; deterministic given (series, hypers) and, for basad, the seed.
     """
     if method == "solo":
         probs, scores = inclusion_scores(series, hypers)
     elif method == "basad":
-        if gibbs_config is None:
-            gibbs_config = GibbsConfig()
         probs = gibbs_inclusion_probabilities(series, hypers, gibbs_config)[1:]
         scores = probs
     else:
         raise InvalidConfigError(f"unknown method {method!r}")
-    sites = np.arange(2, series.length + 1)
-    c0, clusters, selected = select_changepoints(sites, probs, hypers, scores=scores)
+    c0, clusters, selected = select_changepoints(probs, scores, hypers)
     return DetectionResult(
         probabilities=probs, raw_candidates=c0, clusters=clusters, selected=selected
     )

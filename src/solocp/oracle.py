@@ -18,7 +18,8 @@ import numpy as np
 
 from ._lapack import dpotrf, dpotrs
 from .errors import (
-    EmptySetError, LinearSolveFailureError, NumericOverflowError, SingularCovarianceError
+    EmptySetError, InvalidConfigError, LinearSolveFailureError, NumericOverflowError,
+    SingularCovarianceError,
 )
 from .types import (
     BinnedSeries, Hyperparameters, TimeSeries, inclusion_probability, prior_log_odds
@@ -79,16 +80,16 @@ def oracle_site_posterior(
 ) -> OracleResult:
     """Single-site model posterior at site j by dense Gaussian conditioning.
 
-    Cost is O(T^3) per spike/slab component; refuses series longer than
-    max_size observations.
+    Cost is O(T^3) per spike/slab component; a site outside 1..M or a series
+    longer than max_size observations raises InvalidConfigError.
     """
     y = series.values
     m = series.length
     if not 1 <= j <= m:
-        raise IndexError(f"site {j} outside 1..{m}")
+        raise InvalidConfigError(f"site {j} outside 1..{m}")
     t = y.size
     if t > max_size:
-        raise ValueError(f"series of {t} observations exceeds oracle cap {max_size}")
+        raise InvalidConfigError(f"series of {t} observations exceeds oracle cap {max_size}")
     design = _expanded_design(series.counts)
     xj = design[:, j - 1]
     s2 = _noise_variance(series)
@@ -122,15 +123,16 @@ def oracle_joint_marginal(
     """log marginal likelihood of the joint model under indicator vector z.
 
     z has one entry per time index; entry t selects the slab (1) or spike (0)
-    variance for increment t.
+    variance for increment t. A z of another length or a series longer than
+    max_size observations raises InvalidConfigError.
     """
     y = series.values
     z = np.asarray(z, dtype=int)
     m = series.length
     if z.shape != (m,):
-        raise ValueError(f"z must have length {m}")
+        raise InvalidConfigError(f"z must have length {m}")
     if y.size > max_size:
-        raise ValueError(f"series of {y.size} observations exceeds cap {max_size}")
+        raise InvalidConfigError(f"series of {y.size} observations exceeds cap {max_size}")
     design = _expanded_design(series.counts)
     d = np.where(z == 1, hypers.tau1_sq, hypers.tau0_sq)
     with np.errstate(over="ignore"):  # checked before it is factored
@@ -144,11 +146,14 @@ def conditional_deltaf_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of the increments given z, by a dense solve.
 
-    The reference for the Gibbs sampler's tridiagonal level draw.
+    The reference for the Gibbs sampler's tridiagonal level draw. A z of
+    another length raises InvalidConfigError.
     """
+    z = np.asarray(z, dtype=int)
+    if z.shape != (series.length,):
+        raise InvalidConfigError(f"z must have length {series.length}")
     design = _expanded_design(series.counts)
     y = series.values
-    z = np.asarray(z, dtype=int)
     d_inv = np.where(z == 1, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
     prec = design.T @ design + np.diag(d_inv)
     try:
@@ -164,10 +169,10 @@ def _enumerate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All 2^M indicator vectors, one row each, and their normalized joint-model
     posterior weights. Raises EmptySetError when q in {0, 1} leaves a single
-    configuration."""
+    configuration, InvalidConfigError when M exceeds max_sites."""
     m = series.length
     if m > max_sites:
-        raise ValueError(f"{m} sites would enumerate 2^{m} configurations")
+        raise InvalidConfigError(f"{m} sites would enumerate 2^{m} configurations")
     if not 0.0 < hypers.q < 1.0:
         raise EmptySetError("degenerate q leaves a single configuration")
     configs = np.array(list(product((0, 1), repeat=m)))

@@ -281,16 +281,16 @@ class PosteriorSiteSummary:
 @dataclass(frozen=True)
 class ChangePointSet:
     """Strictly increasing change point locations (first index of each new
-    segment, so every location is >= 2)."""
+    segment, so every location is >= 2); others raise InvalidConfigError."""
 
     locations: tuple[int, ...]
 
     def __post_init__(self):
         locs = tuple(int(x) for x in self.locations)
         if any(b <= a for a, b in zip(locs, locs[1:])):
-            raise ValueError("locations must be strictly increasing")
+            raise InvalidConfigError("locations must be strictly increasing")
         if locs and locs[0] < 2:
-            raise ValueError("locations start at 2 (site 1 is the baseline)")
+            raise InvalidConfigError("locations start at 2 (site 1 is the baseline)")
         object.__setattr__(self, "locations", locs)
 
     @property
@@ -308,10 +308,10 @@ class ChangePointSet:
 class DetectionResult:
     """Full output of the detection pipeline.
 
-    probabilities[i] belongs to candidate site i + 2, so they cover sites
-    2..M; raw_candidates is the thresholded set, clusters its partition into
-    delta-linked groups, and selected keeps the highest-scoring
-    representative of each group.
+    probabilities[i] belongs to site i + 2, as in select_changepoints, so
+    they cover sites 2..M; raw_candidates is the thresholded set, clusters
+    its partition into delta-linked groups, and selected keeps the
+    highest-scoring representative of each group.
     """
 
     probabilities: np.ndarray

@@ -304,11 +304,10 @@ def test_criterion_10_delta_sensitivity_monotone():
         from solocp.posterior import inclusion_scores
 
         probs, scores = inclusion_scores(ts, Hyperparameters.solo_defaults(140))
-        sites = np.arange(2, 141)
         prev = None
         for delta in (0, 1, 2, 4, 8):
             h = Hyperparameters.solo_defaults(140, delta=delta)
-            _, _, selected = select_changepoints(sites, probs, h, scores=scores)
+            _, _, selected = select_changepoints(probs, scores, h)
             if prev is not None and selected.count > prev:
                 violations += 1
             prev = selected.count

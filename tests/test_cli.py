@@ -368,14 +368,13 @@ def _strip_timing(text):
     return [",".join(line.split(",")[:-1]) for line in text.strip().splitlines()]
 
 
-def test_bench_parallel_matches_serial(tmp_path, monkeypatch):
+def test_bench_parallel_matches_serial(tmp_path):
     # two rows that differ, so one pool's results must land in the right row
     cfg = _teeth_config(tmp_path, reps=3, extra={"grid": {"q": [0.001, 0.9]}})
     out1 = tmp_path / "serial.csv"
     out2 = tmp_path / "parallel.csv"
     assert main(["bench", str(cfg), "--out", str(out1), "--jobs", "1"]) == 0
-    monkeypatch.setenv("SOLOCP_JOBS", "2")
-    assert main(["bench", str(cfg), "--out", str(out2)]) == 0
+    assert main(["bench", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
     serial = _strip_timing(out1.read_text())
     assert len(serial) == 3 and serial[1].split(",")[1:] != serial[2].split(",")[1:]
     # identical up to the wall-clock column
@@ -632,14 +631,9 @@ _MALFORMED_CONFIG = {
 }
 
 
-@pytest.mark.parametrize(
-    "case", [*_MALFORMED_CONFIG, "edge_fraction", "jobs_env", "jobs_env_zero", "jobs_zero"]
-)
-def test_malformed_input_reported_not_traceback(tmp_path, capsys, monkeypatch, case):
-    if case in ("jobs_env", "jobs_env_zero"):
-        monkeypatch.setenv("SOLOCP_JOBS", "x" if case == "jobs_env" else "0")
-        argv = ["bench", str(_teeth_config(tmp_path, reps=1))]
-    elif case == "jobs_zero":
+@pytest.mark.parametrize("case", [*_MALFORMED_CONFIG, "edge_fraction", "jobs_zero"])
+def test_malformed_input_reported_not_traceback(tmp_path, capsys, case):
+    if case == "jobs_zero":
         argv = ["bench", str(_teeth_config(tmp_path, reps=1)), "--jobs", "0"]
     elif case == "edge_fraction":
         inp = tmp_path / "jump.csv"

@@ -14,12 +14,24 @@ from solocp import (
 )
 
 
-def _select(sites, probs, delta=2, threshold=0.5, scores=None):
-    """select_changepoints with only the post-processing knobs set."""
-    h = Hyperparameters(
+def _hypers(delta=2, threshold=0.5):
+    """Hyperparameters with only the post-processing knobs set."""
+    return Hyperparameters(
         tau0_sq=0.1, tau1_sq=1.0, tau_sq=0.1, q=0.1, delta=delta, threshold=threshold
     )
-    return select_changepoints(sites, probs, h, scores=scores)
+
+
+def _select(sites, probs, delta=2, threshold=0.5, scores=None):
+    """select_changepoints on the listed sites (increasing, from 2): probs and
+    scores (default probs) go to their positions in dense arrays over sites
+    2..max(sites), and every unlisted site gets probability 0, which no
+    threshold in (0, 1) keeps."""
+    sites = np.asarray(sites, dtype=int)
+    dense_probs = np.zeros(sites.max() - 1)
+    dense_scores = np.zeros(sites.max() - 1)
+    dense_probs[sites - 2] = probs
+    dense_scores[sites - 2] = probs if scores is None else scores
+    return select_changepoints(dense_probs, dense_scores, _hypers(delta, threshold))
 
 
 def test_threshold_all_below():
@@ -84,10 +96,18 @@ def test_nan_score_below_threshold_is_ignored():
     assert _select([10, 12], [0.9, 0.1], scores=[1.0, float("nan")])[2].locations == (10,)
 
 
-@pytest.mark.parametrize("sites", [[12, 10], [1, 3]])
-def test_sites_out_of_order_or_below_two_are_config_errors(sites):
+@pytest.mark.parametrize(
+    "probs, scores",
+    [
+        ([0.9, 0.9], [1.0]),
+        ([0.9, 0.9], [1.0, 2.0, 3.0]),
+        ([[0.9, 0.9]], [[1.0, 2.0]]),
+        (0.9, 1.0),
+    ],
+)
+def test_probs_not_1d_or_scores_of_another_shape_are_config_errors(probs, scores):
     with pytest.raises(InvalidConfigError):
-        _select(sites, [0.9, 0.9])
+        select_changepoints(probs, scores, _hypers())
 
 
 @pytest.mark.parametrize("delta", [2**63, 10**300])
@@ -157,12 +177,11 @@ def test_selection_matches_brute_force(rows, delta, threshold, rank_by_probs):
 
 def test_khat_monotone_nonincreasing_in_delta():
     rng = np.random.default_rng(0)
-    sites = np.arange(2, 60)
-    probs = rng.random(sites.size)
+    probs = rng.random(58)  # sites 2..59
     prev = None
     for delta in (0, 1, 2, 4, 8, 16):
         h = Hyperparameters(tau0_sq=0.1, tau1_sq=1.0, tau_sq=0.1, q=0.1, delta=delta)
-        _, _, selected = select_changepoints(sites, probs, h)
+        _, _, selected = select_changepoints(probs, probs, h)
         if prev is not None:
             assert selected.count <= prev
         prev = selected.count

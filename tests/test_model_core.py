@@ -163,11 +163,11 @@ def test_changepoint_set_rules():
     cps = ChangePointSet((3, 7, 9))
     assert cps.count == 3
     assert list(cps) == [3, 7, 9]
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         ChangePointSet((7, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         ChangePointSet((3, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         ChangePointSet((1, 5))
 
 

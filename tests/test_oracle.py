@@ -9,7 +9,7 @@ from solocp import (
     BinnedSeries, Hyperparameters, TimeSeries, oracle, oracle_joint_marginal,
     oracle_site_posterior,
 )
-from solocp.errors import NumericOverflowError, SingularCovarianceError
+from solocp.errors import InvalidConfigError, NumericOverflowError, SingularCovarianceError
 from solocp.oracle import enumerate_inclusion_probabilities, exact_z_posterior
 
 
@@ -81,10 +81,29 @@ def test_enumeration_normalizes_and_marginals_agree():
 def test_size_caps():
     rng = np.random.default_rng(4)
     ts = TimeSeries(rng.normal(0, 1, 30), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         oracle_site_posterior(ts, 2, _hyp(0.1, 5.0), max_size=20)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         oracle_joint_marginal(ts, np.zeros(30, int), _hyp(0.1, 5.0))
+    with pytest.raises(InvalidConfigError):
+        enumerate_inclusion_probabilities(ts, _hyp(0.1, 5.0))
+
+
+@pytest.mark.parametrize("j", [0, 7])
+def test_site_out_of_range_is_config_error(j):
+    with pytest.raises(InvalidConfigError):
+        oracle_site_posterior(TimeSeries(np.zeros(6), 1.0), j, _hyp(0.1, 5.0))
+
+
+@pytest.mark.parametrize("z", [np.zeros(4, int), np.zeros(8, int), np.zeros((6, 1), int)])
+def test_indicators_of_wrong_shape_are_config_errors(z):
+    # a z of the wrong length used to reach conditional_deltaf_moments' dense
+    # solve and fail there as a numpy broadcast error
+    ts = TimeSeries(np.arange(6.0), 1.0)
+    with pytest.raises(InvalidConfigError):
+        oracle_joint_marginal(ts, z, _hyp(0.1, 5.0))
+    with pytest.raises(InvalidConfigError):
+        oracle.conditional_deltaf_moments(ts, z, _hyp(0.1, 5.0))
 
 
 def _scipy_logpdf(y, cov):
