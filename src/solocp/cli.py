@@ -47,6 +47,7 @@ Every library error exits nonzero with an "error[<Type>]:" prefix.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -367,15 +368,18 @@ def cmd_detect(args) -> int:
             clusters=[list(c) for c in result.clusters],
         )
     text = json.dumps(report, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    if args.probs_csv:
-        fitted = _fitted_levels(series, report["locations"]).tolist()
-        with open(args.probs_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+    # opened first: a path that cannot be opened must leave no report behind
+    probs_fh = (open(args.probs_csv, "w", newline="", encoding="utf-8") if args.probs_csv
+                else contextlib.nullcontext())
+    with probs_fh:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        if args.probs_csv:
+            fitted = _fitted_levels(series, report["locations"]).tolist()
+            writer = csv.writer(probs_fh)
             writer.writerow(["site", "probability", "fitted_mean"])
             writer.writerow([1, "", repr(fitted[0])])
             rows = enumerate(zip(report["probabilities"], fitted[1:]), start=2)

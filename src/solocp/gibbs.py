@@ -21,14 +21,18 @@ stacked into one block-diagonal tridiagonal system of size C*M, whose
 off-diagonal is 0 where one chain ends and the next begins, so one
 dpttrf/dpttrs pair per sweep draws every chain's levels. A zero coupling
 leaves each block's factor and solution bitwise what it is for that chain
-alone. Every per-sweep array is allocated once, before the first sweep,
-and each step writes into it in place. Q depends only on z, because the
-counts are fixed, so a sweep whose z (all C rows) equals the previous
-sweep's skips building and factoring Q and reuses d, e and sqrt(d) from the
-last factorization; dpttrs does not overwrite d or e, so the reuse is exact.
-On TEETH-like input (T = 140, MAD sigma, basad defaults) about 36% of
-sweeps reuse the factor. Each sweep is one pass of one loop body, with every
-buffer, view, ufunc and LAPACK routine bound to a local before the loop.
+alone. The chains' negated weights -w_t share one (C, M) buffer; with the
+couplings (the first entries of chains 2..C) zeroed, its flat entries after
+the first are the off-diagonal dpttrf factors in place. Every per-sweep array
+is allocated once and written in place. Q depends only on z, as the counts
+are fixed, so a sweep whose z (all C rows) equals the last factored z reuses
+d, e and sqrt(d), which dpttrs does not overwrite: the reuse is exact. On
+TEETH-like input (T = 140, MAD sigma, basad defaults) about 36% of sweeps do.
+At M = 140 a sweep costs its calls, not its O(M) arithmetic: a reusing sweep
+makes eleven, each bound to a local before the loop (z.tobytes, eight ufuncs
+with out by position, dpttrs and one element assignment, cheaper than
+np.copyto's Python wrapper); a refactoring sweep six more (take, the two
+subtractions of level_precision's build, a couplings fill, dpttrf, sqrt).
 
 Randomness is drawn in blocks of _BLOCK sweeps. Chain k has two child
 streams, SeedSequence(seeds[k]).spawn(2): one Generator for the normals of
@@ -116,24 +120,22 @@ class _Sweeps:
     units, the scores score[b] = slope * delta^2 and the indicators
     z[b + 1] = score[b] > cuts[:, b]. After the last sweep z[n] moves to z[0],
     where the next block starts; set z[0] before the first run to start the
-    chains elsewhere than at all zeros.
+    chains elsewhere than at all zeros. weights, the negated prior precisions
+    taken from table by z, doubles as Q's off-diagonal and then holds e.
     """
 
     def __init__(self, series: TimeSeries | BinnedSeries, hypers: Hyperparameters,
                  chains: int, block: int):
         c, m = chains, series.length
-        # table[z] is the prior precision of an increment with indicator z
-        self.table = np.array([1.0 / hypers.tau0_sq, 1.0 / hypers.tau1_sq])
+        # table[z] is minus the prior precision of an increment with indicator z
+        self.table = -np.array([1.0 / hypers.tau0_sq, 1.0 / hypers.tau1_sq])
         # a 0-d array: numpy multiplies by it faster than by a scalar
-        self.slope = np.asarray(0.5 * (self.table[0] - self.table[1]))
+        self.slope = np.asarray(0.5 * (1.0 / hypers.tau0_sq - 1.0 / hypers.tau1_sq))
         self.counts = np.tile(series.counts, (c, 1))
         self.sums = np.tile(series.sums / series.noise_sd, (c, 1))
-        self.weights, self.diag, self.root, self.levels, self.delta = (
-            np.empty((c, m)) for _ in range(5)
-        )
-        # row k's last entry stays 0: it decouples chain k from chain k + 1
-        coupling = np.zeros((c, m))
-        self.off = coupling[:, :-1]
+        self.weights = np.zeros((c, m))
+        self.diag, _, self.build = level_precision(self.counts, self.weights)
+        self.root, self.levels, self.delta = (np.empty((c, m)) for _ in range(3))
         self.carry = np.empty(c * m - 1)
         # odds is _cuts' buffer for -u, so no block allocates a temporary
         self.normals, self.cuts, self.odds = (np.empty((c, block, m)) for _ in range(3))
@@ -143,8 +145,9 @@ class _Sweeps:
         self.last_factor = None, None, None
         # views made once: slicing a 2-D array costs more than the work on
         # M = 140 sites it selects
-        rhs = self.levels.ravel()
-        self.factor_views = self.diag.ravel(), coupling.ravel()[:-1], self.root.ravel()
+        rhs, weights = self.levels.ravel(), self.weights
+        self.factor_views = (self.diag.ravel(), weights.ravel()[1:], self.root.ravel(),
+                             weights[1:, 0])
         # the flat differences of the levels are each chain's increments,
         # once its first entry is overwritten with its first level
         self.rhs_views = rhs, rhs[:-1], rhs[1:], self.delta.ravel()[1:]
@@ -158,50 +161,47 @@ class _Sweeps:
     def run(self, n: int) -> None:
         """Sweeps 0..n-1 of the block; Q is built and factored only in a
         sweep whose z differs from the z of the last factorization."""
-        take, weights, counts, diag, off = (
-            self.table.take, self.weights, self.counts, self.diag, self.off
-        )
-        (flat_diag, flat_off, flat_root), (rhs, heads, tails, steps) = (
+        take, weights, build = self.table.take, self.weights, self.build
+        (flat_diag, flat_off, flat_root, couplings), (rhs, heads, tails, steps) = (
             self.factor_views, self.rhs_views
         )
         first_delta, first_level = self.firsts
         root, levels, sums, carry, delta, slope = (
             self.root, self.levels, self.sums, self.carry, self.delta, self.slope
         )
-        sqrt, multiply, add, subtract, greater, copyto = (
-            np.sqrt, np.multiply, np.add, np.subtract, np.greater, np.copyto
-        )
-        factor, solve, precision = dpttrf, dpttrs, level_precision
+        sqrt, multiply, add, subtract = np.sqrt, np.multiply, np.add, np.subtract
+        greater, factor, solve = np.greater, dpttrf, dpttrs
         d, e, factored = self.last_factor
         with np.errstate(over="ignore", invalid="ignore"):
             for noise, cut, z_bytes, z, z_next, score in self.rows[:n]:
                 key = z_bytes()
                 if key != factored:
                     # mode "clip" spares the buffered copy that "raise" makes of out
-                    take(z, out=weights, mode="clip")
-                    precision(counts, weights, diag, off)
+                    take(z, None, weights, "clip")
+                    build()
+                    couplings.fill(0.0)
                     # overwrite flags passed by position: f2py parses keywords slowly
                     d, e, info = factor(flat_diag, flat_off, 1, 1)
                     if info != 0:
                         raise LinearSolveFailureError(
                             f"level precision is not positive definite (LAPACK info {info})"
                         )
-                    sqrt(d, out=flat_root)
+                    sqrt(d, flat_root)
                     factored = key
-                multiply(root, noise, out=levels)
-                multiply(e, heads, out=carry)
-                add(tails, carry, out=tails)
-                add(levels, sums, out=levels)
+                multiply(root, noise, levels)
+                multiply(e, heads, carry)
+                add(tails, carry, tails)
+                add(levels, sums, levels)
                 _, info = solve(d, e, rhs, 1)
                 if info != 0:
                     raise LinearSolveFailureError(f"level solve failed (LAPACK info {info})")
-                subtract(tails, heads, out=steps)
-                copyto(first_delta, first_level)
-                multiply(delta, delta, out=score)
-                multiply(score, slope, out=score)
-                greater(score, cut, out=z_next)
+                subtract(tails, heads, steps)
+                first_delta[...] = first_level
+                multiply(delta, delta, score)
+                multiply(score, slope, score)
+                greater(score, cut, z_next)
         self.last_factor = d, e, factored
-        copyto(self.z[0], self.z[n])
+        self.z[0] = self.z[n]
         # NaN and inf stay in the block's scores, so one check covers it
         if not np.isfinite(self.score[:n]).all():
             raise NumericOverflowError("indicator log-odds are not finite; rescale the data")

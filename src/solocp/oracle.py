@@ -104,6 +104,8 @@ def oracle_site_posterior(
         mus.append(c * float(xj @ alpha))
         xis.append(c - c * c * float(xj @ dpotrs(chol, xj, lower=1)[0]))
         logms.append(logm)
+    if not all(map(math.isfinite, mus + xis)):  # (s2 * tau_k)^2 can overflow
+        raise NumericOverflowError("posterior mean or variance is not finite; rescale the data")
     prob = float(inclusion_probability(prior_log_odds(hypers.q) + logms[1] - logms[0]))
     return OracleResult(
         site=j,

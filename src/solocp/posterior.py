@@ -81,7 +81,7 @@ def forward_pass(
     p = 1.0 / float(hypers.tau_sq)
     if not math.isfinite(2.0 * p):
         raise NumericOverflowError(f"1/tau_sq overflows at tau_sq={hypers.tau_sq:.3g}")
-    diag, off = level_precision(counts, np.full(counts.size, p))
+    diag, off, _ = level_precision(counts, np.full(counts.size, -p))
     phi, e, info_fwd = dpttrf(diag, off)
     pivots, _, info_bwd = dpttrf(diag[::-1], off[::-1])
     x, info_solve = dpttrs(phi, e, series.sums)

@@ -248,18 +248,22 @@ def inclusion_probability(log_odds):
         return np.divide(1.0, out, out=out)
 
 
-def level_precision(counts, weights, diag=None, off=None) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the level precision (sigma^2 units)
-    Q = diag(counts) + Delta' diag(weights) Delta, Delta the first differences
-    with f_1 - f_0 included; weights[..., j-1] is the prior precision of
-    increment j. The solo posterior and the Gibbs level draw both factor this
-    matrix; the draw passes one row of weights per chain and writes into its
-    own diag (same shape) and off (one column fewer)."""
-    rest = weights[..., 1:]
-    diag = np.add(counts, weights, out=diag)
-    head = diag[..., :-1]
-    np.add(head, rest, out=head)  # an augmented assignment would copy head back
-    return diag, np.negative(rest, out=off)
+def level_precision(counts, neg_weights):
+    """(diag, off, build) of the level precision Q = diag(counts) + Delta'
+    diag(w) Delta (sigma^2 units; Delta the first differences with f_1 - f_0
+    included; w[..., j-1] the prior precision of increment j) from neg_weights
+    = -w. off is the view neg_weights[..., 1:]; diag = counts - neg_weights,
+    then diag[..., :-1] -= off, is bitwise the sum with w (x - (-y) is x + y).
+    build() forms diag again from what neg_weights then holds, its views bound
+    once: the Gibbs draw calls it per refactor; the solo posterior, never."""
+    diag = np.empty_like(neg_weights)
+    head, off, subtract = diag[..., :-1], neg_weights[..., 1:], np.subtract
+
+    def build():
+        subtract(counts, neg_weights, diag)
+        subtract(head, off, head)  # an augmented assignment would copy head back
+    build()
+    return diag, off, build
 
 
 @dataclass(frozen=True)

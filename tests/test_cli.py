@@ -61,6 +61,21 @@ def test_detect_probs_csv(tmp_path):
     assert abs(np.mean(fitted[39:]) - 5.0) < 0.6
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_detect_probs_csv_unopenable_emits_no_report(tmp_path, capsys, to_file):
+    # the report was printed or written before the CSV failed to open, so a
+    # run that exits 2 left a report that looked successful
+    inp = tmp_path / "jump.csv"
+    _write_jump_csv(inp)
+    out = tmp_path / "r.json"
+    argv = ["detect", str(inp), "--probs-csv", str(tmp_path / "missing" / "probs.csv")]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[IO]")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_detect_three_column_binned_routing(tmp_path, capsys):
     rng = np.random.default_rng(1)
     path = tmp_path / "binned.csv"

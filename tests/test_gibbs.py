@@ -18,13 +18,14 @@ from solocp import (
     gibbs_inclusion_probabilities,
 )
 from solocp import gibbs
+from solocp._lapack import dpttrf, dpttrs
 from solocp.gibbs import _Sweeps, _cuts, _log_odds_intercept, _run_chains
 from solocp.oracle import (
     conditional_deltaf_moments,
     enumerate_inclusion_probabilities,
     exact_z_posterior,
 )
-from solocp.types import inclusion_probability, prior_log_odds
+from solocp.types import inclusion_probability, level_precision, prior_log_odds
 
 
 def _hyp(tau0, tau1, q=0.2, tau=0.5):
@@ -392,3 +393,80 @@ def test_chain_visits_configurations_at_posterior_rates():
         abs(counts.get(z, 0) / kept - p) for z, p in exact.items()
     )
     assert tv < 0.05
+
+
+def _reference_sweep(series, hypers, z, eps, cut):
+    """One sweep of one chain from indicators z, factored afresh: Q from
+    level_precision, dpttrf, rhs = sums / sigma + L D^{1/2} eps, dpttrs, the
+    differences of the levels and slope * delta^2 > cut. Returns (delta, z)."""
+    table = np.array([1.0 / hypers.tau0_sq, 1.0 / hypers.tau1_sq])
+    diag, off, _ = level_precision(series.counts, -table[z.astype(int)])
+    d, e, info = dpttrf(diag, off)
+    assert info == 0
+    x = np.sqrt(d) * eps
+    x[1:] += e * x[:-1]
+    f, info = dpttrs(d, e, x + series.sums / series.noise_sd)
+    assert info == 0
+    delta = np.diff(f, prepend=0.0)
+    return delta, delta * delta * (0.5 * (table[0] - table[1])) > cut
+
+
+@pytest.mark.parametrize("binned", [False, True], ids=["plain", "unequal"])
+@pytest.mark.parametrize("m", [2, 140])
+@pytest.mark.parametrize("chains", [1, 3])
+def test_kernel_matches_reference_sweep(chains, m, binned):
+    # the kernel, fed the reference's normals and cuts, one sweep per run and
+    # all sweeps in one block: every sweep's delta, scores and z bit for bit.
+    # The cuts of every third sweep flip every indicator, so the next sweep
+    # factors afresh, and those of the sweep after keep them, so the next
+    # sweep reuses the kernel's factor
+    rng = np.random.default_rng(10 * m + chains)
+    level = np.where(np.arange(m) >= m // 2, 2.0, 0.0)
+    counts = rng.integers(1, 6, m) if binned else np.ones(m, int)
+    y = np.repeat(level, counts) + rng.normal(0, 0.5, counts.sum())
+    series = BinnedSeries(y, 0.5, counts=counts)
+    h, n = Hyperparameters.basad_defaults(m), 60
+    noise = rng.standard_normal((n, chains, m))
+    cuts = _cuts(rng.random((n, chains, m)), _log_odds_intercept(h))
+    stepped, whole = _Sweeps(series, h, chains, 1), _Sweeps(series, h, chains, n)
+    z, rows, scores, repeats = np.zeros((chains, m), dtype=bool), [], [], 0
+    for b in range(n):
+        if b % 3:
+            cuts[b] = np.where(z, np.inf, -np.inf) if b % 3 == 1 else np.where(z, -np.inf, np.inf)
+        deltas, z_next = map(np.array, zip(*(
+            _reference_sweep(series, h, z[k], noise[b, k], cuts[b, k]) for k in range(chains)
+        )))
+        stepped.normals[:, 0], stepped.cuts[:, 0] = noise[b], cuts[b]
+        stepped.run(1)
+        assert stepped.delta.tobytes() == deltas.tobytes()
+        assert np.array_equal(stepped.z[0], z_next)
+        repeats += np.array_equal(z_next, z)
+        z = z_next
+        rows.append(z)
+        scores.append(deltas * deltas * stepped.slope)
+    assert 0 < repeats < n - 1
+    whole.normals[:], whole.cuts[:] = noise.swapaxes(0, 1), cuts.swapaxes(0, 1)
+    whole.run(n)
+    assert np.array_equal(whole.z[0], z)
+    assert np.array_equal(whole.z[1:], np.array(rows))
+    assert whole.score.tobytes() == np.array(scores).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1,), (9,), (1, 140), (3, 140)])
+def test_level_precision_matches_the_weights_formula(shape):
+    # Q's entries summed from the weights, diag = counts + w,
+    # diag[..., :-1] += w[..., 1:] and off = -w[..., 1:], bit for bit
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    counts = rng.integers(1, 6, shape).astype(float)
+    weights = 10.0 ** rng.uniform(-12, 12, shape)
+    diag = counts + weights
+    diag[..., :-1] += weights[..., 1:]
+    neg = np.zeros(shape)
+    got_diag, got_off, build = level_precision(counts, neg)
+    assert got_off.base is neg  # a view, not a negated copy
+    neg[...] = -weights
+    build()  # the views bound in the first call see the new weights
+    assert got_diag.tobytes() == diag.tobytes()
+    assert got_off.tobytes() == (-weights[..., 1:]).tobytes()
+    alone, off, _ = level_precision(counts, -weights)
+    assert alone.tobytes() == diag.tobytes() and off.tobytes() == got_off.tobytes()

@@ -176,6 +176,21 @@ def test_extreme_scales_raise_numeric_overflow(scale, sd):
             call()
 
 
+@pytest.mark.parametrize("scale", [1e70, 1e80])
+def test_overflowing_posterior_variance_raises(scale):
+    # at 1e80, (noise_sd^2 * tau1_sq)^2 overflows: xi came back as (-inf, -inf)
+    # while the log marginals stayed finite
+    y = np.where(np.arange(1, 13) >= 7, 3.0, 0.0) + np.random.default_rng(7).normal(0, 1, 12)
+    series = TimeSeries(scale * y, scale)
+    h = Hyperparameters.solo_defaults(12)
+    if scale < 1e75:
+        r = oracle_site_posterior(series, 6, h)
+        assert all(map(math.isfinite, r.mu + r.xi)) and min(r.xi) > 0
+    else:
+        with pytest.raises(NumericOverflowError):
+            oracle_site_posterior(series, 6, h)
+
+
 def test_vanishing_noise_sd_is_a_singular_covariance():
     y = np.random.default_rng(6).normal(0, 1, 8)
     for call in _oracle_calls(TimeSeries(y, 1e-200)):  # noise_sd^2 underflows to 0

@@ -148,7 +148,7 @@ def test_level_precision_is_the_dense_precision(binned, per_site):
     weights = rng.uniform(0.01, 100.0, m) if per_site else np.full(m, 1.0 / 0.3)
     diff = np.eye(m) - np.eye(m, k=-1)
     dense = np.diag(series.counts) + diff.T @ np.diag(weights) @ diff
-    diag, off = level_precision(series.counts, weights)
+    diag, off, _ = level_precision(series.counts, -weights)
     banded = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
     np.testing.assert_allclose(banded, dense, rtol=1e-15, atol=0.0)
 
