@@ -5,7 +5,7 @@ joint model, detection post-processing with delta-clustering, a dense
 conjugate oracle for auditing, benchmark signal/noise generators, and the
 evaluation metrics used to score detections.
 
-The oracle's three exports load solocp.oracle on first use, since detect and
+The oracle's two exports load solocp.oracle on first use, since detect and
 bench never run it.
 """
 from .detect import SingleChangePoint, detect, select_changepoints, single_cp_locate
@@ -25,13 +25,7 @@ from .errors import (
     UnknownSignalError,
 )
 from .gibbs import GibbsConfig, gibbs_inclusion_probabilities
-from .metrics import (
-    EvalReport,
-    distance_histogram,
-    evaluate_sets,
-    hausdorff,
-    one_sided_hausdorff,
-)
+from .metrics import EvalReport, evaluate_sets, hausdorff
 from .posterior import all_site_posteriors, posterior_mean_surface
 from .signals import (
     NoiseSpec,
@@ -42,14 +36,7 @@ from .signals import (
     simulate,
     simulate_binned,
 )
-from .types import (
-    BinnedSeries,
-    ChangePointSet,
-    DetectionResult,
-    Hyperparameters,
-    PosteriorSiteSummary,
-    TimeSeries,
-)
+from .types import BinnedSeries, ChangePointSet, DetectionResult, Hyperparameters, TimeSeries
 
 __all__ = [
     "BinnedSeries",
@@ -59,21 +46,17 @@ __all__ = [
     "GibbsConfig",
     "Hyperparameters",
     "NoiseSpec",
-    "OracleResult",
-    "PosteriorSiteSummary",
     "SignalSpec",
     "SingleChangePoint",
     "TimeSeries",
     "all_site_posteriors",
     "builtin_signal",
     "detect",
-    "distance_histogram",
     "estimate_sigma_mad",
     "evaluate_sets",
     "gibbs_inclusion_probabilities",
     "hausdorff",
     "map_changepoints_to_bins",
-    "one_sided_hausdorff",
     "oracle_joint_marginal",
     "oracle_site_posterior",
     "posterior_mean_surface",
@@ -100,7 +83,7 @@ __all__ = [
 
 def __getattr__(name):
     """The oracle's exports, imported from solocp.oracle on first access."""
-    if name in ("OracleResult", "oracle_joint_marginal", "oracle_site_posterior"):
+    if name in ("oracle_joint_marginal", "oracle_site_posterior"):
         from . import oracle
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

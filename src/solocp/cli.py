@@ -42,7 +42,7 @@ still fail in bench. Method single takes no binned entry. Integer entries must
 be JSON integers; no number may be a bool.
 
 The detect report is one line of JSON with sorted keys.
-Every library error exits nonzero with an "error[<Type>]:" prefix.
+Every library error or failed allocation exits nonzero with an "error[<Type>]:" prefix.
 """
 from __future__ import annotations
 
@@ -507,6 +507,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SolocpError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's subclass would print as _ArrayMemoryError
+        print(f"error[MemoryError]: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error[IO]: {exc}", file=sys.stderr)

@@ -20,9 +20,10 @@ from .types import (
 )
 
 
-def select_changepoints(probs, scores, hypers: Hyperparameters):
-    """Candidates, their clusters and one representative per cluster, in one
-    pass over the sites whose probability strictly exceeds hypers.threshold.
+def select_changepoints(probs, scores, hypers: Hyperparameters) -> DetectionResult:
+    """The DetectionResult of probs: candidates, their clusters and one
+    representative per cluster, in one pass over the sites whose probability
+    strictly exceeds hypers.threshold.
 
     probs[i] and scores[i] belong to site i + 2. A gap greater than
     hypers.delta between consecutive candidates starts a new cluster: on a
@@ -56,7 +57,7 @@ def select_changepoints(probs, scores, hypers: Hyperparameters):
             selected.append(site)
             best = score
     clusters = tuple(tuple(c) for c in clusters)
-    return ChangePointSet(tuple(candidates)), clusters, ChangePointSet(tuple(selected))
+    return DetectionResult(probs, ChangePointSet(candidates), clusters, ChangePointSet(selected))
 
 
 def detect(
@@ -78,10 +79,7 @@ def detect(
         scores = probs
     else:
         raise InvalidConfigError(f"unknown method {method!r}")
-    c0, clusters, selected = select_changepoints(probs, scores, hypers)
-    return DetectionResult(
-        probabilities=probs, raw_candidates=c0, clusters=clusters, selected=selected
-    )
+    return select_changepoints(probs, scores, hypers)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Accuracy criteria comparing an estimated change point set against truth:
-the symmetrized Hausdorff distance, the count bias, and the normalized
-min-distance histograms."""
+evaluate_sets gives the symmetrized Hausdorff distance, the count bias and
+both min-distance histograms from one nearest-point pass per direction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,12 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySetError
+from .types import checked_locations
 
 _HIST_HEADER = ("zero", "one", "two", "ge3")
 
 
 def _locations(s) -> np.ndarray:
-    return np.asarray(sorted(int(x) for x in s), dtype=float)
+    return np.asarray(sorted(checked_locations(s)), dtype=float)
 
 
 def _min_distances(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -35,27 +36,13 @@ def _histogram(d: np.ndarray) -> np.ndarray:
     return np.bincount(np.minimum(d, 3).astype(int), minlength=4) / d.size
 
 
-def one_sided_hausdorff(a, b) -> float:
-    """max over points of b of the distance to the nearest point of a."""
-    a = _locations(a)
-    b = _locations(b)
-    if a.size == 0 or b.size == 0:
-        raise EmptySetError("one-sided distance needs both sets nonempty")
-    return float(_min_distances(b, a).max())
-
-
 def hausdorff(est, truth) -> float:
-    """Order-invariant distance: d(est|truth) + d(truth|est)."""
-    return one_sided_hausdorff(est, truth) + one_sided_hausdorff(truth, est)
-
-
-def distance_histogram(reference, other) -> np.ndarray:
-    """Proportion of reference points at distance 0, 1, 2, and >= 3 from the
-    other set. An empty other set puts all mass in the >= 3 bucket."""
-    ref = _locations(reference)
-    if ref.size == 0:
-        raise EmptySetError("reference set is empty")
-    return _histogram(_min_distances(ref, _locations(other)))
+    """Order-invariant distance: d(est|truth) + d(truth|est), where d(a|b) is
+    the largest distance from a point of b to the nearest point of a."""
+    est, truth = _locations(est), _locations(truth)
+    if est.size == 0 or truth.size == 0:
+        raise EmptySetError("the Hausdorff distance needs both sets nonempty")
+    return float(_min_distances(truth, est).max()) + float(_min_distances(est, truth).max())
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Ground-truth signals, noise families, benchmark dataset generation and
-the robust noise-scale estimator."""
+"""Ground-truth signals and their binned change points, noise families,
+benchmark dataset generation and the robust noise-scale estimator."""
 from __future__ import annotations
 
 import math
@@ -46,10 +46,6 @@ class SignalSpec:
         object.__setattr__(self, "changepoints", cps)
         object.__setattr__(self, "levels", levels)
 
-    @property
-    def count(self) -> int:
-        return len(self.changepoints)
-
     def values(self) -> np.ndarray:
         """f_t for t = 1..length: site t sits at position (t - 1) / length."""
         return self.value_at_fraction(np.arange(self.length) / self.length)
@@ -60,14 +56,6 @@ class SignalSpec:
         bounds = (np.asarray(self.changepoints, dtype=float) - 1.0) / self.length
         idx = np.searchsorted(bounds, np.asarray(x, dtype=float), side="right")
         return np.asarray(self.levels, dtype=float)[idx]
-
-    def grid_changepoints(self, grid: int) -> tuple[int, ...]:
-        """1-based grid cells containing each change position (for evaluating
-        detections made on a regular grid over [0, 1))."""
-        out = []
-        for eta in self.changepoints:
-            out.append(int(math.floor((eta - 1) * grid / self.length)) + 1)
-        return tuple(out)
 
 
 # Appendix-style benchmark signals. BLOCKS2 is labeled with six change points
@@ -234,11 +222,13 @@ def map_changepoints_to_bins(
 ) -> tuple[int, ...]:
     """Ground-truth change locations in the index space of a binned series.
 
-    Without merges this is grid_changepoints; with merges each original cell
-    maps to its position among the surviving cells (a dropped cell maps to
-    the neighbour that absorbed its interval).
+    Change point eta begins at position (eta - 1) / length, in grid cell
+    floor((eta - 1) * grid / length) + 1 (1-based). Without merges these
+    cells are the locations; with merges each original cell maps to its
+    position among the surviving cells (a dropped cell maps to the neighbour
+    that absorbed its interval).
     """
-    cells = signal.grid_changepoints(grid)
+    cells = tuple(math.floor((eta - 1) * grid / signal.length) + 1 for eta in signal.changepoints)
     if source_bins is None:
         return cells
     pos = np.searchsorted(np.asarray(source_bins, dtype=int), cells, side="right")

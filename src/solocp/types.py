@@ -46,6 +46,18 @@ def checked_numbers(values, what: str, kind=numbers.Real) -> tuple:
     return tuple(checked_number(v, what, kind) for v in entries)
 
 
+def checked_locations(values) -> tuple[int, ...]:
+    """Change point locations as ints. Whole numbers of any numeric type pass
+    (3, np.int64(3), 3.0); a fraction, nan, inf, a bool or a string raises
+    InvalidConfigError instead of being truncated."""
+    locs = tuple(values)
+    if not set(map(type, locs)) <= {int}:  # plain ints skip the per-item checks
+        locs = checked_numbers(locs, "change point locations")
+        if not all(x.is_integer() for x in locs):
+            raise InvalidConfigError(f"locations must be whole numbers, got {values!r}")
+    return tuple(map(int, locs))
+
+
 def _frozen_array(x, dtype=float) -> np.ndarray:
     a = np.array(x, dtype=dtype)
     a.setflags(write=False)
@@ -57,7 +69,7 @@ def _observations(values, noise_sd: float) -> np.ndarray:
     dimension and a positive noise_sd. Returns the values read-only."""
     v = _frozen_array(values)
     if v.ndim != 1 or v.size < 2:
-        raise TooShortError(f"need at least 2 observations, got {v.size}")
+        raise TooShortError(f"need at least 2 observations in one dimension, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise NonFiniteValueError("series contains non-finite values")
     if not (noise_sd > 0 and math.isfinite(noise_sd)):
@@ -88,10 +100,6 @@ class TimeSeries:
     @property
     def length(self) -> int:
         return self.values.size
-
-    def to_binned(self) -> "BinnedSeries":
-        """Equivalent series with every n_t = 1."""
-        return BinnedSeries(self.values, self.noise_sd, counts=self.counts)
 
 
 @dataclass(frozen=True)
@@ -290,7 +298,7 @@ class ChangePointSet:
     locations: tuple[int, ...]
 
     def __post_init__(self):
-        locs = tuple(int(x) for x in self.locations)
+        locs = checked_locations(self.locations)
         if any(b <= a for a, b in zip(locs, locs[1:])):
             raise InvalidConfigError("locations must be strictly increasing")
         if locs and locs[0] < 2:

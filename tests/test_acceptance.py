@@ -18,7 +18,6 @@ from solocp import (
     evaluate_sets,
     hausdorff,
     map_changepoints_to_bins,
-    one_sided_hausdorff,
     oracle_site_posterior,
     simulate,
     simulate_binned,
@@ -26,7 +25,6 @@ from solocp import (
 )
 from solocp.detect import select_changepoints
 from solocp.gibbs import _run_chains
-from solocp.metrics import distance_histogram
 from solocp.oracle import enumerate_inclusion_probabilities
 from solocp.posterior import all_site_posteriors, forward_pass
 from solocp.signals import NoiseSpec, builtin_signal
@@ -114,7 +112,7 @@ def test_criterion_02_reduction_identity():
         y = rng.normal(rng.normal(0, 2), 1.0, t)
         sigma = float(rng.uniform(0.3, 2.0))
         ts = TimeSeries(y, sigma)
-        bs = ts.to_binned()
+        bs = BinnedSeries(ts.values, ts.noise_sd, counts=ts.counts)
         hypers = Hyperparameters(
             tau0_sq=float(10.0 ** rng.uniform(-2, 1)),
             tau1_sq=float(10.0 ** rng.uniform(1, 3)),
@@ -280,15 +278,18 @@ def test_criterion_09_metric_brute_force_equivalence():
         b = sorted(rng.choice(np.arange(1, 300), size=rng.integers(1, 9), replace=False))
         brute_ab = max(min(abs(x - y) for x in a) for y in b)
         brute_ba = max(min(abs(x - y) for x in b) for y in a)
-        assert one_sided_hausdorff(a, b) == brute_ab
         assert hausdorff(a, b) == brute_ab + brute_ba
         assert hausdorff(a, b) == hausdorff(b, a)
         assert hausdorff(a, a) == 0
-        d = np.array([min(abs(x - y) for y in b) for x in a], float)
-        expected = np.array(
-            [np.mean(d == 0), np.mean(d == 1), np.mean(d == 2), np.mean(d >= 3)]
-        )
-        assert np.array_equal(distance_histogram(a, b), expected)
+        # the criteria `solocp bench` reports: a is the estimate, b the truth
+        report = evaluate_sets(a, b, 300)
+        assert report.hausdorff == brute_ab + brute_ba and not report.hausdorff_is_sentinel
+        for hist, ref, other in ((report.hist_est, a, b), (report.hist_true, b, a)):
+            d = np.array([min(abs(x - y) for y in other) for x in ref], float)
+            expected = np.array(
+                [np.mean(d == 0), np.mean(d == 1), np.mean(d == 2), np.mean(d >= 3)]
+            )
+            assert np.array_equal(hist, expected)
     _report(9, "metrics equal brute force", True, "500 random set pairs, exact")
 
 
@@ -307,7 +308,7 @@ def test_criterion_10_delta_sensitivity_monotone():
         prev = None
         for delta in (0, 1, 2, 4, 8):
             h = Hyperparameters.solo_defaults(140, delta=delta)
-            _, _, selected = select_changepoints(probs, scores, h)
+            selected = select_changepoints(probs, scores, h).selected
             if prev is not None and selected.count > prev:
                 violations += 1
             prev = selected.count

@@ -284,6 +284,28 @@ def test_missing_file_io_error(tmp_path, capsys):
     assert "error[IO]" in capsys.readouterr().err
 
 
+# 10**16 points: 80 PB per float array, beyond any address space, so numpy's
+# allocation fails at once under any overcommit setting
+_OVERSIZED = {"signal": "TEETH", "noise": {"family": "gaussian", "sd": 0.3},
+              "binned": {"n": 10**16, "grid": 70}, "replications": 2}
+
+
+@pytest.mark.parametrize(
+    "argv", [["bench"], ["bench", "--jobs", "2"], ["simulate", "out"]], ids=" ".join
+)
+def test_failed_allocation_is_a_prefixed_error_without_traceback(tmp_path, capsys, argv):
+    # with --jobs 2 the error comes back pickled from a worker process
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(_OVERSIZED))
+    outdir = tmp_path / "out"
+    command, *rest = argv
+    argv = [command, str(cfg)] + [str(outdir) if a == "out" else a for a in rest]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[MemoryError]: ") and "Traceback" not in captured.err
+    assert captured.out == "" and not outdir.exists()
+
+
 def _teeth_config(tmp_path, reps=3, extra=None):
     cfg = {
         "signal": "TEETH",

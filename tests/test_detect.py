@@ -1,9 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from solocp import (
     EmptySearchWindowError,
+    GibbsConfig,
     Hyperparameters,
     InvalidConfigError,
     NumericOverflowError,
@@ -35,47 +38,47 @@ def _select(sites, probs, delta=2, threshold=0.5, scores=None):
 
 
 def test_threshold_all_below():
-    c0, clusters, selected = _select([2, 3, 4], [0.3, 0.3, 0.3])
-    assert c0.locations == () and clusters == () and selected.locations == ()
+    r = _select([2, 3, 4], [0.3, 0.3, 0.3])
+    assert r.raw_candidates.locations == () and r.clusters == () and r.selected.locations == ()
 
 
 def test_threshold_by_definition():
     probs = {7: 0.9, 8: 0.6, 20: 0.8}
     sites = list(range(2, 31))
     p = [probs.get(s, 0.0) for s in sites]
-    assert _select(sites, p)[0].locations == (7, 8, 20)
-    assert _select(np.array(sites), np.array(p))[0].locations == (7, 8, 20)
+    assert _select(sites, p).raw_candidates.locations == (7, 8, 20)
+    assert _select(np.array(sites), np.array(p)).raw_candidates.locations == (7, 8, 20)
 
 
 def test_threshold_is_strict():
-    assert _select([2, 3], [0.5, 0.6])[0].locations == (3,)
+    assert _select([2, 3], [0.5, 0.6]).raw_candidates.locations == (3,)
 
 
 def test_cluster_gap_rule():
-    assert _select([10, 12, 30], [0.9, 0.9, 0.9], delta=2)[1] == ((10, 12), (30,))
+    assert _select([10, 12, 30], [0.9, 0.9, 0.9], delta=2).clusters == ((10, 12), (30,))
 
 
 def test_cluster_delta_zero_singletons():
-    assert _select([4, 5, 9], [0.9, 0.9, 0.9], delta=0)[1] == ((4,), (5,), (9,))
+    assert _select([4, 5, 9], [0.9, 0.9, 0.9], delta=0).clusters == ((4,), (5,), (9,))
 
 
 def test_cluster_chained_linkage():
     # pairwise linkage is transitive on a line: 3..9 chain in steps of 2
-    assert _select([3, 5, 7, 9], [0.9] * 4, delta=2)[1] == ((3, 5, 7, 9),)
+    assert _select([3, 5, 7, 9], [0.9] * 4, delta=2).clusters == ((3, 5, 7, 9),)
 
 
 def test_representatives_argmax():
-    assert _select([10, 12], [0.9, 0.6])[2].locations == (10,)
+    assert _select([10, 12], [0.9, 0.6]).selected.locations == (10,)
     # scores, not probabilities, rank the members of a cluster
-    assert _select([10, 12], [0.9, 0.6], scores=[1.0, 2.0])[2].locations == (12,)
+    assert _select([10, 12], [0.9, 0.6], scores=[1.0, 2.0]).selected.locations == (12,)
 
 
 def test_representatives_tie_smallest():
-    assert _select([10, 12], [0.9, 0.9])[2].locations == (10,)
+    assert _select([10, 12], [0.9, 0.9]).selected.locations == (10,)
 
 
 def test_representatives_singleton():
-    assert _select([8], [0.7])[2].locations == (8,)
+    assert _select([8], [0.7]).selected.locations == (8,)
 
 
 def test_nan_probability_raises():
@@ -93,7 +96,7 @@ def test_nan_candidate_score_raises():
 
 
 def test_nan_score_below_threshold_is_ignored():
-    assert _select([10, 12], [0.9, 0.1], scores=[1.0, float("nan")])[2].locations == (10,)
+    assert _select([10, 12], [0.9, 0.1], scores=[1.0, float("nan")]).selected.locations == (10,)
 
 
 @pytest.mark.parametrize(
@@ -112,8 +115,8 @@ def test_probs_not_1d_or_scores_of_another_shape_are_config_errors(probs, scores
 
 @pytest.mark.parametrize("delta", [2**63, 10**300])
 def test_huge_delta_makes_one_cluster(delta):
-    c0, clusters, selected = _select([2, 5, 40, 90], [0.6, 0.9, 0.7, 0.95], delta=delta)
-    assert clusters == ((2, 5, 40, 90),) and selected.locations == (90,)
+    r = _select([2, 5, 40, 90], [0.6, 0.9, 0.7, 0.95], delta=delta)
+    assert r.clusters == ((2, 5, 40, 90),) and r.selected.locations == (90,)
 
 
 def _brute_components(locs, delta):
@@ -144,7 +147,8 @@ def _brute_components(locs, delta):
 )
 def test_partition_matches_brute_force_components(locs, delta):
     sites = sorted(locs)
-    assert _select(sites, [0.9] * len(sites), delta=delta)[1] == _brute_components(locs, delta)
+    clusters = _select(sites, [0.9] * len(sites), delta=delta).clusters
+    assert clusters == _brute_components(locs, delta)
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,13 +168,13 @@ def test_selection_matches_brute_force(rows, delta, threshold, rank_by_probs):
     sites = list(range(2, len(rows) + 2))
     probs = [p / 4 for p, _ in rows]
     scores = None if rank_by_probs else [r for _, r in rows]
-    c0, clusters, selected = _select(sites, probs, delta, threshold, scores)
+    r = _select(sites, probs, delta, threshold, scores)
     ranking = dict(zip(sites, probs if scores is None else scores))
     want_c0 = tuple(s for s, p in zip(sites, probs) if p > threshold)
     want_clusters = _brute_components(want_c0, delta) if want_c0 else ()
     # max returns the first maximum, and each group is in site order
     want_selected = tuple(max(g, key=ranking.__getitem__) for g in want_clusters)
-    assert (c0.locations, clusters, selected.locations) == (
+    assert (r.raw_candidates.locations, r.clusters, r.selected.locations) == (
         want_c0, want_clusters, want_selected
     )
 
@@ -181,10 +185,28 @@ def test_khat_monotone_nonincreasing_in_delta():
     prev = None
     for delta in (0, 1, 2, 4, 8, 16):
         h = Hyperparameters(tau0_sq=0.1, tau1_sq=1.0, tau_sq=0.1, q=0.1, delta=delta)
-        _, _, selected = select_changepoints(probs, probs, h)
+        selected = select_changepoints(probs, probs, h).selected
         if prev is not None:
             assert selected.count <= prev
         prev = selected.count
+
+
+@pytest.mark.parametrize("method", ["solo", "basad"])
+def test_detect_returns_the_selection_result_as_it_is(monkeypatch, method):
+    # detect looks select_changepoints up as a module global, where a tracer wraps it
+    returned = []
+
+    def recording(*args):
+        returned.append(select_changepoints(*args))
+        return returned[-1]
+
+    # the package's `detect` attribute is the function, so fetch the module itself
+    detect_module = importlib.import_module("solocp.detect")
+    monkeypatch.setattr(detect_module, "select_changepoints", recording)
+    ts = TimeSeries(np.where(np.arange(40) >= 20, 3.0, 0.0) + np.sin(np.arange(40)), 1.0)
+    r = detect(ts, Hyperparameters.solo_defaults(40), method, GibbsConfig(200, 50, seed=0))
+    assert len(returned) == 1 and r is returned[0]
+    assert r.probabilities.shape == (39,) and not r.probabilities.flags.writeable
 
 
 def test_detect_constant_series_finds_nothing():
@@ -262,8 +284,6 @@ def test_single_cp_empty_window():
 
 
 def test_detect_basad_smoke():
-    from solocp import GibbsConfig
-
     rng = np.random.default_rng(4)
     f = np.where(np.arange(1, 41) >= 20, 3.0, 0.0)
     ts = TimeSeries(f + rng.normal(0, 1, 40), 1.0)

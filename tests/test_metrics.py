@@ -6,12 +6,11 @@ from solocp import (
     ChangePointSet,
     EmptySetError,
     Hyperparameters,
+    InvalidConfigError,
     TimeSeries,
     detect,
-    distance_histogram,
     evaluate_sets,
     hausdorff,
-    one_sided_hausdorff,
     simulate,
 )
 from solocp.cli import _aggregate
@@ -19,16 +18,21 @@ from solocp.metrics import EvalReport
 from solocp.signals import NoiseSpec, builtin_signal
 
 
+# One set inside the other zeroes one side of the Hausdorff sum, so these
+# check each side alone: the distance from the extra points to the smaller set.
 def test_one_sided_single_pair():
-    assert one_sided_hausdorff([5], [3]) == 2
+    assert hausdorff([3, 5], [3]) == 2
+    assert hausdorff([3], [3, 5]) == 2
 
 
 def test_one_sided_identity():
-    assert one_sided_hausdorff([4, 9], [4, 9]) == 0
+    assert hausdorff([4, 9], [4, 9]) == 0
+    assert hausdorff([4, 9], [4, 6, 9]) == 2
 
 
 def test_one_sided_by_definition():
-    assert one_sided_hausdorff([1, 10], [4, 9]) == 3
+    assert hausdorff([1, 4, 9, 10], [4, 9]) == 3
+    assert hausdorff([4, 9], [1, 4, 9, 10]) == 3
 
 
 def test_hausdorff_symmetric_sum():
@@ -38,18 +42,22 @@ def test_hausdorff_symmetric_sum():
 
 
 def test_histogram_trivials():
-    assert distance_histogram([10, 20, 30, 40], [10, 20, 30, 40]).tolist() == [1, 0, 0, 0]
-    assert distance_histogram([10], [12]).tolist() == [0, 0, 1, 0]
-    assert distance_histogram([10, 20], [10, 25]).tolist() == [0.5, 0, 0, 0.5]
+    # hist_true buckets the true points by their distance to the estimate
+    same = evaluate_sets([10, 20, 30, 40], [10, 20, 30, 40], 50)
+    assert same.hist_true.tolist() == same.hist_est.tolist() == [1, 0, 0, 0]
+    assert evaluate_sets([12], [10], 50).hist_true.tolist() == [0, 0, 1, 0]
+    report = evaluate_sets([10, 25], [10, 20], 50)
+    assert report.hist_true.tolist() == [0.5, 0, 0, 0.5]
+    assert report.hist_est.tolist() == [0.5, 0, 0, 0.5]
 
 
 def test_empty_sets_raise():
     with pytest.raises(EmptySetError):
-        one_sided_hausdorff([], [3])
+        hausdorff([], [3])
     with pytest.raises(EmptySetError):
-        one_sided_hausdorff([3], [])
+        hausdorff([3], [])
     with pytest.raises(EmptySetError):
-        distance_histogram([], [3])
+        hausdorff([], [])
 
 
 def _brute_min_dists(ref, other):
@@ -64,13 +72,13 @@ def _brute_min_dists(ref, other):
 def test_metrics_match_brute_force(a, b):
     a_sorted, b_sorted = sorted(a), sorted(b)
     brute_one = max(_brute_min_dists(b_sorted, a_sorted))
-    assert one_sided_hausdorff(a_sorted, b_sorted) == brute_one
     assert hausdorff(a_sorted, b_sorted) == brute_one + max(
         _brute_min_dists(a_sorted, b_sorted)
     )
     assert hausdorff(a_sorted, b_sorted) == hausdorff(b_sorted, a_sorted)
     assert hausdorff(a_sorted, a_sorted) == 0
-    assert hausdorff(a_sorted, b_sorted) >= one_sided_hausdorff(a_sorted, b_sorted)
+    # a inside the union leaves one side of the sum: brute_one
+    assert hausdorff(sorted(a | b), a_sorted) == brute_one
     d = np.asarray(_brute_min_dists(a_sorted, b_sorted))
     expected = [
         np.mean(d == 0),
@@ -78,7 +86,7 @@ def test_metrics_match_brute_force(a, b):
         np.mean(d == 2),
         np.mean(d >= 3),
     ]
-    got = distance_histogram(a_sorted, b_sorted)
+    got = evaluate_sets(a_sorted, b_sorted, 200).hist_est  # a as the estimate
     assert got.tolist() == pytest.approx(expected)
     assert got.sum() == pytest.approx(1.0)
     assert np.all((got >= 0) & (got <= 1))
@@ -108,7 +116,6 @@ def test_evaluate_sets_matches_the_separate_criteria(est, truth, domain):
         if not ref:
             assert np.isnan(hist).all() and hist.shape == (4,)
             continue
-        assert hist.tobytes() == distance_histogram(ref, other).tobytes()
         d = np.asarray(_brute_min_dists(sorted(ref), sorted(other)) if other else [3] * len(ref))
         assert hist.tobytes() == _mean_histogram(d).tobytes()
 
@@ -158,3 +165,24 @@ def test_changepointset_inputs_accepted():
     a = ChangePointSet((5, 9))
     b = ChangePointSet((5, 11))
     assert hausdorff(a, b) == 4
+
+
+@pytest.mark.parametrize("bad", [2.7, float("nan"), float("inf"), True, "3"])
+def test_locations_that_are_not_whole_numbers_are_config_errors(bad):
+    # a fraction is rejected, not truncated toward a whole location
+    for call in (
+        lambda: ChangePointSet((2, bad)),
+        lambda: hausdorff([bad], [3]),
+        lambda: evaluate_sets([bad, 9.9], [3, 10], 20),
+        lambda: evaluate_sets([3], [bad], 20),
+    ):
+        with pytest.raises(InvalidConfigError, match="whole numbers|real number"):
+            call()
+
+
+@pytest.mark.parametrize("whole", [3, np.int64(3), np.int32(3), 3.0, np.float64(3.0)])
+def test_whole_locations_of_any_numeric_type_are_accepted(whole):
+    cps = ChangePointSet((2, whole))
+    assert cps.locations == (2, 3) and type(cps.locations[1]) is int
+    assert hausdorff([whole], [3]) == 0
+    assert evaluate_sets([whole], np.array([whole]), 20).hausdorff == 0

@@ -1,4 +1,7 @@
+import ast
+import importlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,16 @@ def test_validate_series_too_short():
         TimeSeries(np.asarray([1.0], dtype=float), 1.0)
 
 
+@pytest.mark.parametrize(
+    "values, shape",
+    [(np.zeros((3, 3)), r"\(3, 3\)"), (np.zeros((1, 5)), r"\(1, 5\)"), (np.zeros(1), r"\(1,\)"),
+     (np.float64(2.0), r"\(\)")],
+)
+def test_too_short_message_names_the_shape(values, shape):
+    with pytest.raises(TooShortError, match=r"in one dimension, got shape " + shape):
+        TimeSeries(values, 1.0)
+
+
 def test_validate_series_non_finite():
     with pytest.raises(NonFiniteValueError):
         TimeSeries(np.asarray([1.0, np.nan], dtype=float), 1.0)
@@ -54,7 +67,7 @@ def test_series_values_read_only():
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=20))
 def test_binned_round_trip_is_identity(values):
     ts = TimeSeries(np.asarray(values), 1.5)
-    back = ts.to_binned()
+    back = BinnedSeries(ts.values, ts.noise_sd, counts=ts.counts)
     assert np.array_equal(back.values, ts.values) and np.array_equal(back.sums, ts.sums)
     assert back.noise_sd == ts.noise_sd and back.length == back.total == ts.length
 
@@ -171,7 +184,50 @@ def test_changepoint_set_rules():
         ChangePointSet((1, 5))
 
 
+# What a documented workflow calls: the library steps behind detect, bench and
+# simulate, the benchmark's imports, the oracle audit, the paper's estimators
+# and criteria, and the library errors.
+PUBLIC_NAMES = {
+    "BinnedSeries", "ChangePointSet", "DetectionResult", "EvalReport", "GibbsConfig",
+    "Hyperparameters", "NoiseSpec", "SignalSpec", "SingleChangePoint", "TimeSeries",
+    "all_site_posteriors", "builtin_signal", "detect", "estimate_sigma_mad", "evaluate_sets",
+    "gibbs_inclusion_probabilities", "hausdorff", "map_changepoints_to_bins",
+    "oracle_joint_marginal", "oracle_site_posterior", "posterior_mean_surface",
+    "select_changepoints", "simulate", "simulate_binned", "single_cp_locate",
+    "SolocpError", "NonFiniteValueError", "TooShortError", "NonPositiveSigmaError",
+    "InvalidHyperparameterError", "NumericOverflowError", "LinearSolveFailureError",
+    "SingularCovarianceError", "InvalidConfigError", "UnknownSignalError",
+    "EmptySearchWindowError", "EmptySetError", "ParseError",
+}
+
+
 def test_public_names_resolve_once():
     assert len(set(solocp.__all__)) == len(solocp.__all__)
     missing = [name for name in solocp.__all__ if not hasattr(solocp, name)]
     assert not missing
+
+
+def test_public_names_are_the_documented_set():
+    assert len(PUBLIC_NAMES) == 38 and set(solocp.__all__) == PUBLIC_NAMES
+
+
+def test_result_types_import_from_their_modules():
+    from solocp.oracle import OracleResult
+    from solocp.types import PosteriorSiteSummary
+
+    assert OracleResult.__module__ == "solocp.oracle"
+    assert PosteriorSiteSummary.__module__ == "solocp.types"
+
+
+@pytest.mark.parametrize("script", ["oracle_gate.py", "workloads.py"])
+def test_every_solocp_name_a_benchmark_imports_resolves(script):
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / script
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "solocp"
+        for alias in node.names
+    ]
+    assert imports
+    missing = [(m, n) for m, n in imports if not hasattr(importlib.import_module(m), n)]
+    assert missing == []

@@ -287,7 +287,7 @@ def test_unit_count_binned_path_matches_plain_path_exactly():
     rng = np.random.default_rng(7)
     y = rng.normal(0, 2, 25)
     ts = TimeSeries(y, 0.8)
-    bs = ts.to_binned()
+    bs = BinnedSeries(ts.values, ts.noise_sd, counts=ts.counts)
     h = _hyp(0.02, 50.0, 0.08)
     for a, b in zip(forward_pass(ts, h), forward_pass(bs, h)):
         assert np.array_equal(a, b)

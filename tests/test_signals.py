@@ -22,13 +22,13 @@ def test_builtin_teeth():
     assert s.length == 140
     assert s.changepoints == (31, 61, 91, 121)
     assert s.levels == (0.0, 1.0, 0.0, 1.0, 0.0)
-    assert s.count == 4
+    assert len(s.changepoints) == 4
 
 
 def test_builtin_blocks():
     s = builtin_signal("BLOCKS")
     assert s.length == 2048
-    assert s.count == 11
+    assert len(s.changepoints) == 11
     assert len(s.levels) == 12
     assert s.changepoints[0] == 205 and s.changepoints[-1] == 1659
 
@@ -242,7 +242,7 @@ def test_simulate_binned_matches_per_cell_grouping(n, grid):
     for group, b in zip(bs.bins, kept):
         assert np.array_equal(group, y[cell == b])
     truth = [max(int(np.searchsorted(bs.source_bins, c, side="right")), 1)
-             for c in signal.grid_changepoints(grid)]
+             for c in map_changepoints_to_bins(signal, grid)]
     assert map_changepoints_to_bins(signal, grid, bs.source_bins) == tuple(truth)
 
 
@@ -279,7 +279,19 @@ def test_simulate_binned_zero_noise_bin_means():
 
 def test_grid_changepoints_convention():
     s = builtin_signal("BLOCKS2")
-    assert s.grid_changepoints(200) == (20, 46, 80, 130, 162)
+    assert map_changepoints_to_bins(s, 200) == (20, 46, 80, 130, 162)
+
+
+@pytest.mark.parametrize("name", ["BLOCKS", "TEETH", "BLOCKS2"])
+def test_binned_truth_is_the_cell_holding_each_change_position(name):
+    # change point eta begins at (eta - 1) / length, inside 1-based cell k when
+    # (k - 1) / grid <= (eta - 1) / length < k / grid; integer floor division
+    # gives that k exactly, with no float rounding
+    signal = builtin_signal(name)
+    grids = [*range(2, 3000), *np.unique(np.geomspace(3000, 10**6, 400).astype(int))]
+    for grid in grids:
+        exact = tuple((eta - 1) * int(grid) // signal.length + 1 for eta in signal.changepoints)
+        assert map_changepoints_to_bins(signal, grid) == exact
 
 
 @pytest.mark.parametrize("n", [*range(1, 80), 139, 140, 2047, 2048])
