@@ -54,7 +54,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass, fields, replace
 from numbers import Integral
 
@@ -316,12 +315,15 @@ def run_replication(exp: Experiment, rep: int, overrides: dict) -> tuple[EvalRep
     return evaluate_sets(est, truth, series.length), elapsed
 
 
+def _column_nanmeans(a: np.ndarray) -> list[float]:
+    """np.nanmean(a, axis=0) bit for bit, without its warning for an all-NaN column."""
+    nan = np.isnan(a)
+    with np.errstate(invalid="ignore"):
+        return (np.where(nan, 0.0, a).sum(axis=0) / (~nan).sum(axis=0)).tolist()
+
+
 def _aggregate(reports: list[EvalReport], times: list[float]) -> list[str]:
-    ht = np.vstack([r.hist_true for r in reports])
-    he = np.vstack([r.hist_est for r in reports])
-    with warnings.catch_warnings():  # a column with no detections stays nan, quietly
-        warnings.simplefilter("ignore", RuntimeWarning)
-        cols = list(np.nanmean(ht, axis=0)) + list(np.nanmean(he, axis=0))
+    cols = _column_nanmeans(np.array([(*r.hist_true, *r.hist_est) for r in reports]))
     cols += [
         float(np.mean([r.k_bias for r in reports])),
         float(np.mean([r.hausdorff for r in reports])),

@@ -102,11 +102,13 @@ def forward_pass(
         rhs = series.sums - c * counts
         rhs[0] -= c * p
         x_r = dpttrs(phi, e, rhs)[0]
-        step = np.diff(x_r, prepend=-c)
+        step, lead_var, lead_mean = np.empty(x_r.size), np.zeros(x_r.size), np.zeros(x_r.size)
+        step[0] = x_r[0] - (-c)  # x_r's differences, with x_0 - c = -c
+        np.subtract(x_r[1:], x_r[:-1], out=step[1:])
         x = x_r + c
         tail_d = tail_w * x + p * step
-        lead_var = np.concatenate(([0.0], 1.0 / (phi[:-1] - p)))
-        lead_mean = np.concatenate(([0.0], x[:-1] - p * step[1:] * lead_var[1:]))
+        np.divide(1.0, phi[:-1] - p, out=lead_var[1:])  # lead_var, lead_mean are 0 at site 1
+        np.subtract(x[:-1], p * step[1:] * lead_var[1:], out=lead_mean[1:])
         den = 1.0 + lead_var * tail_w
         info = tail_w / den
         data = (tail_d - lead_mean * tail_w) / den

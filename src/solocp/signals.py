@@ -14,7 +14,7 @@ from .errors import (
     TooShortError,
     UnknownSignalError,
 )
-from .types import BinnedSeries, TimeSeries, checked_number, checked_numbers
+from .types import BinnedSeries, TimeSeries, checked_cells, checked_number, checked_numbers
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,16 @@ class SignalSpec:
         return self.value_at_fraction(np.arange(self.length) / self.length)
 
     def value_at_fraction(self, x: np.ndarray) -> np.ndarray:
-        """Signal level at continuous positions x in [0, 1); position
-        (eta - 1) / length is where segment eta begins."""
+        """Signal level at positions x in [0, 1), a nondecreasing 1-D array without
+        NaN (else InvalidConfigError); segment eta begins at (eta - 1) / length."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or np.isnan(x).any() or (x[1:] < x[:-1]).any():
+            raise InvalidConfigError("positions must be a nondecreasing 1-D array without NaN")
         bounds = (np.asarray(self.changepoints, dtype=float) - 1.0) / self.length
-        idx = np.searchsorted(bounds, np.asarray(x, dtype=float), side="right")
-        return np.asarray(self.levels, dtype=float)[idx]
+        edges = np.zeros(len(self.levels) + 1, dtype=np.intp)  # segment k: x[edges[k]:edges[k+1]]
+        edges[1:-1] = np.searchsorted(x, bounds)
+        edges[-1] = x.size
+        return np.repeat(np.asarray(self.levels, dtype=float), edges[1:] - edges[:-1])
 
 
 # Appendix-style benchmark signals. BLOCKS2 is labeled with six change points
@@ -199,9 +204,9 @@ def simulate_binned(
 
     Grid cells that receive no observations are merged into their nearest
     nonempty left neighbour (leading empties merge right), so the returned
-    series can have fewer than `grid` groups; source_bins records the
-    surviving original cell indexes (1-based). noise_sd defaults as in
-    simulate.
+    series can have fewer than `grid` groups; source_bins, an integer array,
+    records the surviving original cell indexes (1-based). noise_sd defaults
+    as in simulate.
     """
     if grid < 2:
         raise InvalidConfigError(f"grid must be >= 2, got {grid}")
@@ -214,11 +219,11 @@ def simulate_binned(
     sizes = np.bincount(cell, minlength=grid)  # x is sorted, so each cell's y are consecutive
     kept = np.flatnonzero(sizes)
     sd = noise.std if noise_sd is None else noise_sd
-    return BinnedSeries(y, sd, tuple((kept + 1).tolist()), counts=sizes[kept])
+    return BinnedSeries(y, sd, kept + 1, counts=sizes[kept])
 
 
 def map_changepoints_to_bins(
-    signal: SignalSpec, grid: int, source_bins: tuple[int, ...] | None = None
+    signal: SignalSpec, grid: int, source_bins: np.ndarray | None = None
 ) -> tuple[int, ...]:
     """Ground-truth change locations in the index space of a binned series.
 
@@ -226,12 +231,12 @@ def map_changepoints_to_bins(
     floor((eta - 1) * grid / length) + 1 (1-based). Without merges these
     cells are the locations; with merges each original cell maps to its
     position among the surviving cells (a dropped cell maps to the neighbour
-    that absorbed its interval).
+    that absorbed its interval); source_bins must be strictly increasing cells >= 1.
     """
     cells = tuple(math.floor((eta - 1) * grid / signal.length) + 1 for eta in signal.changepoints)
     if source_bins is None:
         return cells
-    pos = np.searchsorted(np.asarray(source_bins, dtype=int), cells, side="right")
+    pos = np.searchsorted(checked_cells(source_bins), cells, side="right")
     return tuple(np.maximum(pos, 1).tolist())
 
 

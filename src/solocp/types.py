@@ -37,25 +37,38 @@ def checked_number(value, what: str, kind=numbers.Real):
         raise InvalidConfigError(f"{what} must be {noun} within the float range") from None
 
 
-def checked_numbers(values, what: str, kind=numbers.Real) -> tuple:
-    """checked_number of every entry of a sequence, as a tuple."""
+def _entries(values, what: str) -> tuple:
     try:
-        entries = tuple(values)
+        return tuple(values)
     except TypeError:
         raise InvalidConfigError(f"{what} must be a sequence, got {values!r}") from None
-    return tuple(checked_number(v, what, kind) for v in entries)
+
+
+def checked_numbers(values, what: str, kind=numbers.Real) -> tuple:
+    """checked_number of every entry of a sequence, as a tuple."""
+    return tuple(checked_number(v, what, kind) for v in _entries(values, what))
 
 
 def checked_locations(values) -> tuple[int, ...]:
     """Change point locations as ints. Whole numbers of any numeric type pass
     (3, np.int64(3), 3.0); a fraction, nan, inf, a bool or a string raises
-    InvalidConfigError instead of being truncated."""
-    locs = tuple(values)
+    InvalidConfigError instead of being truncated, and so does a non-sequence."""
+    locs = _entries(values, "change point locations")
     if not set(map(type, locs)) <= {int}:  # plain ints skip the per-item checks
         locs = checked_numbers(locs, "change point locations")
         if not all(x.is_integer() for x in locs):
             raise InvalidConfigError(f"locations must be whole numbers, got {values!r}")
     return tuple(map(int, locs))
+
+
+def checked_cells(values, size=None) -> np.ndarray:
+    """values, without a copy, as a 1-D array of strictly increasing integer
+    (not bool) grid cells >= 1, `size` of them if given; else InvalidConfigError."""
+    a = np.asarray(values)
+    if not (a.dtype.kind in "iu" and a.ndim == 1 and a.size >= 1 and a[0] >= 1
+            and (a[1:] > a[:-1]).all() and size in (None, a.size)):
+        raise InvalidConfigError(f"need {size or 'some'} strictly increasing integer cells >= 1")
+    return a
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -114,14 +127,14 @@ class BinnedSeries:
     counts=sizes)` takes the flat array and the group sizes. `bins`, a tuple
     of read-only views into `values`, one per group, is computed on demand.
 
-    source_bins, when present, records the original grid index (1-based) of
-    each surviving group after empty grid cells were merged away during
-    simulation; it is metadata only.
+    source_bins, when present, is a read-only integer array: the original grid
+    cell (1-based, strictly increasing) of each group left after simulation
+    merged away the empty cells. It is metadata only.
     """
 
     values: np.ndarray
     noise_sd: float
-    source_bins: tuple[int, ...] | None = None
+    source_bins: np.ndarray | None = None
     counts: np.ndarray | None = field(default=None, repr=False, compare=False)
     sums: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -140,6 +153,9 @@ class BinnedSeries:
             raise TooShortError(
                 f"need at least 2 groups of whole sizes >= 1 adding up to {values.size}"
             )
+        if self.source_bins is not None:  # one grid cell per group
+            cells = checked_cells(self.source_bins, counts.size)
+            object.__setattr__(self, "source_bins", _frozen_array(cells, None))
         starts = np.concatenate(([0], counts[:-1].cumsum())).astype(np.intp)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "counts", counts)

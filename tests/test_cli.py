@@ -14,6 +14,7 @@ from solocp.cli import (
     load_experiment_config,
     main,
     read_series_csv,
+    run_replication,
 )
 from solocp.signals import NoiseSpec, builtin_signal, estimate_sigma_mad, simulate_binned
 from solocp.types import BinnedSeries, TimeSeries
@@ -753,6 +754,26 @@ def test_bench_row_without_detections_is_quiet(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.splitlines()[1].split(",")[5:9] == ["nan"] * 4
+
+
+def test_binned_bench_means_skip_replications_without_detections(tmp_path, capsys):
+    # at sd 0.9 and q 0.1 two of six binned replications detect nothing, and
+    # at q 0.001 none detects anything: the est_* means skip the empty ones,
+    # a column empty in every replication is nan, and nothing warns
+    cfg = _teeth_config(tmp_path, reps=6, extra={
+        "noise": {"family": "gaussian", "sd": 0.9}, "binned": {"n": 200, "grid": 70},
+        "grid": {"q": [0.1, 0.001]},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bench", str(cfg), "--jobs", "1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    exp = load_experiment_config(str(cfg))
+    reports = [run_replication(exp, rep, exp.rows[0][1])[0] for rep in range(6)]
+    found = [r.hist_est for r in reports if not np.isnan(r.hist_est).any()]
+    assert 0 < len(found) < 6
+    assert rows[0][5:9] == [f"{c:.6g}" for c in np.mean(found, axis=0)]
+    assert rows[1][5:9] == ["nan"] * 4 and "nan" not in rows[1][1:5]
 
 
 def test_bench_fractional_delta_rejected_not_truncated(tmp_path, capsys):

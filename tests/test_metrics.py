@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from solocp import (
     hausdorff,
     simulate,
 )
-from solocp.cli import _aggregate
+from solocp.cli import _aggregate, _column_nanmeans
 from solocp.metrics import EvalReport
 from solocp.signals import NoiseSpec, builtin_signal
 
@@ -178,6 +180,37 @@ def test_locations_that_are_not_whole_numbers_are_config_errors(bad):
     ):
         with pytest.raises(InvalidConfigError, match="whole numbers|real number"):
             call()
+
+
+def test_locations_that_are_not_a_sequence_are_config_errors():
+    # an int was once iterated and raised a bare TypeError
+    for call in (
+        lambda: ChangePointSet(5),
+        lambda: evaluate_sets([3], None, 10),
+        lambda: hausdorff(3, [4]),
+    ):
+        with pytest.raises(InvalidConfigError, match="must be a sequence"):
+            call()
+
+
+def _nanmean(a):
+    with warnings.catch_warnings():  # np.nanmean warns on an all-NaN column
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanmean(a, axis=0)
+
+
+@pytest.mark.parametrize("reps", range(1, 21))
+def test_aggregate_histogram_means_are_nanmeans_bit_for_bit(reps):
+    # random NaN patterns, all-NaN columns included, and no RuntimeWarning
+    # (the test configuration turns one into an error)
+    rng = np.random.default_rng(reps)
+    for _ in range(50):
+        hists = rng.uniform(0, 1, (reps, 8)) * 10.0 ** rng.integers(-3, 4, (reps, 8))
+        hists[rng.uniform(size=(reps, 8)) < rng.uniform()] = np.nan
+        want = _nanmean(hists)
+        assert np.float64(_column_nanmeans(hists)).tobytes() == want.tobytes()
+        reports = [EvalReport(1.0, False, 0, h[:4], h[4:]) for h in hists]
+        assert _aggregate(reports, [0.0] * reps)[:8] == [f"{c:.6g}" for c in want]
 
 
 @pytest.mark.parametrize("whole", [3, np.int64(3), np.int32(3), 3.0, np.float64(3.0)])

@@ -78,6 +78,41 @@ def test_signal_values_are_segment_lookups_bit_for_bit():
         assert got.tobytes() == want.tobytes(), spec.changepoints
 
 
+def _lookup(spec, x):
+    """Each position's level by a binary search of the segment starts."""
+    starts = (np.asarray(spec.changepoints, dtype=float) - 1.0) / spec.length
+    return np.asarray(spec.levels, dtype=float)[np.searchsorted(starts, x, side="right")]
+
+
+def test_value_at_fraction_is_a_segment_start_search_bit_for_bit():
+    # sorted positions, some exactly at a segment start and some repeated,
+    # an empty array, and the signed-zero specs of the values() test
+    rng = np.random.default_rng(17)
+    specs = [builtin_signal(name) for name in ("BLOCKS", "TEETH", "BLOCKS2")]
+    specs += [
+        SignalSpec(5, (3,), (-0.0, 0.0)),
+        SignalSpec(9, tuple(range(2, 10)), tuple(float(v) for v in range(-4, 5))),
+        SignalSpec(7, (), (2.5,)),
+    ]
+    for spec in specs:
+        starts = (np.asarray(spec.changepoints, dtype=float) - 1.0) / spec.length
+        for n in (0, 1, 2, 50, 4000):
+            x = np.concatenate((rng.uniform(0, 1, n), rng.choice(np.append(starts, 0.0), n // 2)))
+            x = np.sort(np.concatenate((x, x[: n // 4])))  # repeated positions
+            got = spec.value_at_fraction(x)
+            assert got.dtype == float and got.tobytes() == _lookup(spec, x).tobytes()
+        for t in (0, 1, 2, spec.length - 1):  # lone positions, sign of zero included
+            x = np.array([t / spec.length])
+            assert spec.value_at_fraction(x).tobytes() == _lookup(spec, x).tobytes()
+
+
+@pytest.mark.parametrize("x", [[0.5, 0.2], [0.1, 0.3, 0.3, 0.2], [np.nan], [0.1, np.nan],
+                               [np.nan, 0.1], 0.5, [[0.1, 0.2]]])
+def test_value_at_fraction_rejects_unsorted_or_nan_positions(x):
+    with pytest.raises(InvalidConfigError, match="nondecreasing"):
+        builtin_signal("TEETH").value_at_fraction(np.asarray(x, dtype=float))
+
+
 # each of these was once converted silently (20.7 -> 20, "1" -> 1.0, True -> 1)
 _MALFORMED_SPECS = {
     "length_fraction": lambda: SignalSpec(60.0, (20, 40), (0.0, 1.0, 0.0)),
@@ -191,7 +226,7 @@ def test_simulate_binned_full_grid_seed():
     bs = simulate_binned(builtin_signal("BLOCKS2"), NoiseSpec.gaussian(7.0), 1024, 200, seed=4)
     assert bs.length == 200
     assert bs.total == 1024
-    assert bs.source_bins == tuple(range(1, 201))
+    assert bs.source_bins.tolist() == list(range(1, 201))
 
 
 def test_simulate_binned_merges_empty_cells():
@@ -234,9 +269,9 @@ def test_simulate_binned_matches_per_cell_grouping(n, grid):
     cell = np.minimum((x * grid).astype(int), grid - 1)
     kept = [b for b in range(grid) if (cell == b).any()]
     bs = simulate_binned(signal, noise, n, grid, seed=5)
-    assert bs.source_bins == tuple(b + 1 for b in kept)
+    assert bs.source_bins.tolist() == [b + 1 for b in kept]
     unique, sizes = np.unique(cell, return_counts=True)
-    assert bs.source_bins == tuple((unique + 1).tolist())
+    assert bs.source_bins.tolist() == (unique + 1).tolist()
     assert np.array_equal(bs.counts, sizes)
     assert len(bs.bins) == len(kept)
     for group, b in zip(bs.bins, kept):
@@ -275,6 +310,38 @@ def test_simulate_binned_zero_noise_bin_means():
     # cells fully inside one segment carry the exact level
     assert np.allclose(means[:4], 0.0, atol=1e-9)
     assert np.allclose(means[6:], 3.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("cells", [
+    (5, 3, 1), (1, 3, 3), (0, 1, 2), (-2, 4), (), (1.0, 2.0, 3.0), (True,), [[1, 2]],
+])
+def test_binned_truth_rejects_cells_that_are_not_increasing_integers(cells):
+    # (5, 3, 1) once gave eleven 3s
+    with pytest.raises(InvalidConfigError, match="strictly increasing integer cells"):
+        map_changepoints_to_bins(builtin_signal("BLOCKS"), 2048, cells)
+
+
+@pytest.mark.parametrize("cells", [
+    (3, 1, 5), (1, 1, 2), (0, 2, 3), (1.0, 2.0, 3.0), (True, True, True), (1, 2), (1, 2, 3, 4),
+    "123", np.array([[1, 2, 3]]),
+])
+def test_binned_series_rejects_source_bins_that_are_not_one_cell_per_group(cells):
+    with pytest.raises(InvalidConfigError):
+        BinnedSeries(np.arange(6.0), 1.0, cells, counts=(1, 2, 3))
+
+
+def test_binned_series_source_bins_are_a_read_only_copy():
+    cells = np.array([2, 5, 9])
+    bs = BinnedSeries(np.arange(6.0), 1.0, cells, counts=(1, 2, 3))
+    assert bs.source_bins.tolist() == [2, 5, 9] and bs.source_bins.dtype.kind == "i"
+    with pytest.raises(ValueError):
+        bs.source_bins[0] = 1
+    cells[0] = 1  # the caller's array stays writable and unshared
+    assert bs.source_bins[0] == 2
+    from_tuple = BinnedSeries(np.arange(6.0), 1.0, (4, 7, 8), counts=(1, 2, 3))
+    assert from_tuple.source_bins.tolist() == [4, 7, 8]
+    # TEETH's change points fall in cells 3, 5, 7 and 9 of 10
+    assert map_changepoints_to_bins(builtin_signal("TEETH"), 10, bs.source_bins) == (1, 2, 2, 3)
 
 
 def test_grid_changepoints_convention():
