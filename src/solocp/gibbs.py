@@ -96,9 +96,9 @@ def _log_odds_intercept(hypers: Hyperparameters) -> float:
     return prior_log_odds(hypers.q) + 0.5 * (np.log(hypers.tau0_sq) - np.log(hypers.tau1_sq))
 
 
-def _cuts(u, intercept: float, scratch=None):
+def _cuts(u, intercept: float, scratch):
     """Uniforms u turned, in place, into log-odds cuts log(u) - log1p(-u) -
-    intercept; scratch, an array of u's shape, spares allocating one for -u."""
+    intercept; scratch, an array of u's shape, holds -u."""
     odds = np.negative(u, out=scratch)
     np.log1p(odds, out=odds)
     np.log(u, out=u)

@@ -45,14 +45,15 @@ def hausdorff(est, truth) -> float:
     return float(_min_distances(truth, est).max()) + float(_min_distances(est, truth).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     """One replication's criteria.
 
     hist_true buckets |est - truth| per true point (normalized by K);
     hist_est the reverse (normalized by K-hat, NaN when nothing was
     detected). A sentinel Hausdorff equal to the domain length is reported,
-    and flagged, when exactly one of the sets is empty.
+    and flagged, when exactly one of the sets is empty. It holds arrays, so
+    it compares and hashes by identity.
     """
 
     hausdorff: float

@@ -213,7 +213,7 @@ def simulate_binned(
     if n < 2:
         raise InvalidConfigError(f"need at least 2 points, got {n}")
     rng = np.random.default_rng(seed)
-    x = np.sort(rng.uniform(0.0, 1.0, n))
+    x = np.sort(rng.random(n))
     y = signal.value_at_fraction(x) + noise.draw(rng, n)
     cell = np.minimum((x * grid).astype(int), grid - 1)
     sizes = np.bincount(cell, minlength=grid)  # x is sorted, so each cell's y are consecutive

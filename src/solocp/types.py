@@ -2,6 +2,8 @@
 and change point sets.
 
 All types are immutable after construction and safe to share across threads.
+Those holding arrays (TimeSeries, BinnedSeries, DetectionResult) compare and
+hash by identity, so == and hash never raise; the others compare by value.
 Sites are 1-based; a change point location is the FIRST index of the new
 segment. Site 1 is the baseline increment and is never reported as a change
 point.
@@ -90,7 +92,7 @@ def _observations(values, noise_sd: float) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Observations y_1..y_T with one observation per time index.
 
@@ -101,8 +103,8 @@ class TimeSeries:
     values: np.ndarray
     noise_sd: float
     # one observation per time index: the same view BinnedSeries gives
-    counts: np.ndarray = field(init=False, repr=False, compare=False)
-    sums: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False)
+    sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = _observations(self.values, self.noise_sd)
@@ -115,17 +117,18 @@ class TimeSeries:
         return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinnedSeries:
     """M groups of observations; group t holds the n_t >= 1 values recorded
     at time index t.
 
     Stored like TimeSeries: `values` is one flat, read-only array holding the
-    groups back to back, `counts` holds each n_t and `sums` each group sum.
-    Two input forms give the same series: `BinnedSeries(groups, sd)` takes a
-    sequence of 1-D arrays, one per group, and `BinnedSeries(values, sd,
-    counts=sizes)` takes the flat array and the group sizes. `bins`, a tuple
-    of read-only views into `values`, one per group, is computed on demand.
+    groups back to back (values.size is the total sample size), `counts`
+    holds each n_t and `sums` each group sum; these three are the one view of
+    the series. Two input forms give the same series: `BinnedSeries(groups,
+    sd)` takes a sequence of 1-D arrays, one per group, and
+    `BinnedSeries(values, sd, counts=sizes)` takes the flat array and the
+    group sizes.
 
     source_bins, when present, is a read-only integer array: the original grid
     cell (1-based, strictly increasing) of each group left after simulation
@@ -135,8 +138,8 @@ class BinnedSeries:
     values: np.ndarray
     noise_sd: float
     source_bins: np.ndarray | None = None
-    counts: np.ndarray | None = field(default=None, repr=False, compare=False)
-    sums: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray | None = field(default=None, repr=False)
+    sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         values, counts = self.values, self.counts
@@ -162,19 +165,9 @@ class BinnedSeries:
         object.__setattr__(self, "sums", _frozen_array(np.add.reduceat(values, starts)))
 
     @property
-    def bins(self) -> tuple[np.ndarray, ...]:
-        """Read-only views of `values`, one per group."""
-        return tuple(np.split(self.values, self.counts[:-1].cumsum().astype(np.intp)))
-
-    @property
     def length(self) -> int:
         """Number of groups M."""
         return self.counts.size
-
-    @property
-    def total(self) -> int:
-        """Total sample size T = sum of n_t."""
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -332,7 +325,7 @@ class ChangePointSet:
         return len(self.locations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionResult:
     """Full output of the detection pipeline.
 

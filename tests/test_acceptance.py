@@ -176,7 +176,7 @@ def test_criterion_05_blocks2_binned_replication():
     for seed in range(100):
         bs = simulate_binned(signal, noise, 1024, 200, seed)
         sigma = estimate_sigma_mad(bs)
-        bs = BinnedSeries(bs.bins, sigma, source_bins=bs.source_bins)
+        bs = BinnedSeries(bs.values, sigma, bs.source_bins, counts=bs.counts)
         result = detect(bs, Hyperparameters.solo_defaults(bs.length))
         truth = map_changepoints_to_bins(signal, 200, bs.source_bins)
         rep = evaluate_sets(result.selected, truth, bs.length)

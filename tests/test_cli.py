@@ -91,7 +91,7 @@ def test_detect_three_column_binned_routing(tmp_path, capsys):
                 w.writerow([t, repr(float(level + rng.normal(0, 1))), b])
     series = read_series_csv(str(path))
     assert isinstance(series, BinnedSeries)
-    assert series.length == 20 and series.total == 60
+    assert series.length == 20 and series.values.size == 60
     out = tmp_path / "r.json"
     rc = main(["detect", str(path), "--sigma", "1.0", "--out", str(out)])
     assert rc == 0

@@ -1,8 +1,12 @@
 """Every error the library raises is a SolocpError, so the CLI reports it
 with its error[...] prefix: a static check over the raise statements of
-src/solocp."""
+src/solocp, and == and hash of every exported dataclass."""
 import ast
+import dataclasses
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import solocp
 from solocp import errors
@@ -62,3 +66,40 @@ def test_the_check_sees_every_raise():
     assert list(_raises(tree)) == [
         ("<module>", "ValueError", 1), ("inner", "ParseError", 5), ("m", "<re-raise>", 6)
     ]
+
+
+_SERIES = np.array([0.0, 0.1, -0.2, 0.1, 3.0, 3.2, 2.9, 3.1])
+# a fresh instance of each exported dataclass, equal in value on every call
+_INSTANCES = {
+    "BinnedSeries": lambda: solocp.BinnedSeries(_SERIES, 0.5, counts=[2, 2, 2, 2]),
+    "ChangePointSet": lambda: solocp.ChangePointSet((5,)),
+    "DetectionResult": lambda: solocp.detect(
+        solocp.TimeSeries(_SERIES, 0.5), solocp.Hyperparameters.solo_defaults(8)
+    ),
+    "EvalReport": lambda: solocp.evaluate_sets([2], [3], 4),
+    "GibbsConfig": lambda: solocp.GibbsConfig(200, 50, 1),
+    "Hyperparameters": lambda: solocp.Hyperparameters.solo_defaults(8),
+    "NoiseSpec": lambda: solocp.NoiseSpec.gaussian(1.0),
+    "SignalSpec": lambda: solocp.SignalSpec(8, (5,), (0.0, 3.0)),
+    "SingleChangePoint": lambda: solocp.SingleChangePoint(5, 3.0, False),
+    "TimeSeries": lambda: solocp.TimeSeries(_SERIES, 0.5),
+}
+# the ones holding arrays compare by identity; the rest by value
+_BY_IDENTITY = {"BinnedSeries", "DetectionResult", "EvalReport", "TimeSeries"}
+
+
+def test_every_exported_dataclass_has_an_instance_here():
+    exported = {name for name in solocp.__all__ if dataclasses.is_dataclass(getattr(solocp, name))}
+    assert exported == set(_INSTANCES)
+
+
+@pytest.mark.parametrize("name", sorted(_INSTANCES))
+def test_equality_and_hash_never_raise(name):
+    x, y = _INSTANCES[name](), _INSTANCES[name]()
+    assert type(x) is getattr(solocp, name)
+    assert x == x and not x != x
+    same = x == y  # a generated __eq__ over ndarray fields raises a bare ValueError
+    assert hash(x) == hash(x)
+    assert same is (name not in _BY_IDENTITY)
+    if same:
+        assert hash(x) == hash(y)

@@ -52,7 +52,7 @@ def _indicator_draw(series, hypers, z, uniforms):
     sweeps = _Sweeps(series, hypers, len(z), 1)
     sweeps.z[0] = z
     sweeps.normals[:] = 0.0
-    sweeps.cuts[:, 0] = _cuts(uniforms, _log_odds_intercept(hypers))
+    sweeps.cuts[:, 0] = _cuts(uniforms, _log_odds_intercept(hypers), np.empty_like(uniforms))
     sweeps.run(1)
     return sweeps.z[1]
 
@@ -237,7 +237,7 @@ def _indicator_rows(series, h, iterations, seeds):
         normal.standard_normal(out=normals)
         uniform.random(out=cuts)
     with np.errstate(divide="ignore"):
-        _cuts(sweeps.cuts, _log_odds_intercept(h))
+        _cuts(sweeps.cuts, _log_odds_intercept(h), np.empty_like(sweeps.cuts))
     sweeps.run(iterations)
     return sweeps.z[1:].copy()
 
@@ -377,7 +377,8 @@ def test_chain_visits_configurations_at_posterior_rates():
     sweeps = _Sweeps(ts, h, 1, gibbs._BLOCK)
     normal, uniform = (np.random.default_rng(c) for c in np.random.SeedSequence(12).spawn(2))
     noise = normal.standard_normal((1, iters, 5))
-    cuts = _cuts(uniform.random((1, iters, 5)), _log_odds_intercept(h))
+    u = uniform.random((1, iters, 5))
+    cuts = _cuts(u, _log_odds_intercept(h), np.empty_like(u))
     counts: dict[tuple, int] = {}
     for start in range(0, iters, gibbs._BLOCK):
         n = min(gibbs._BLOCK, iters - start)
@@ -427,7 +428,8 @@ def test_kernel_matches_reference_sweep(chains, m, binned):
     series = BinnedSeries(y, 0.5, counts=counts)
     h, n = Hyperparameters.basad_defaults(m), 60
     noise = rng.standard_normal((n, chains, m))
-    cuts = _cuts(rng.random((n, chains, m)), _log_odds_intercept(h))
+    u = rng.random((n, chains, m))
+    cuts = _cuts(u, _log_odds_intercept(h), np.empty_like(u))
     stepped, whole = _Sweeps(series, h, chains, 1), _Sweeps(series, h, chains, n)
     z, rows, scores, repeats = np.zeros((chains, m), dtype=bool), [], [], 0
     for b in range(n):

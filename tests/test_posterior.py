@@ -310,7 +310,7 @@ def test_scaling_data_and_sigma_by_power_of_two_is_bitwise_invariant(seed, k, bi
     h = _hyp(0.02, 50.0, float(10.0 ** rng.uniform(-3, 3)), q=0.2)
     if binned:
         base = _random_binned(rng, max_groups=30)
-        scaled = BinnedSeries(tuple(b * 2.0**k for b in base.bins), base.noise_sd * 2.0**k)
+        scaled = BinnedSeries(base.values * 2.0**k, base.noise_sd * 2.0**k, counts=base.counts)
     else:
         y = rng.normal(rng.normal(0, 2), 1.0, int(rng.integers(3, 60)))
         base = TimeSeries(y, float(rng.uniform(0.3, 2.0)))
@@ -329,7 +329,7 @@ def test_negating_the_data_mirrors_site_data_and_keeps_scores(seed, binned):
     rng = np.random.default_rng(seed)
     if binned:
         base = _random_binned(rng, max_groups=30)
-        negated = BinnedSeries(tuple(-b for b in base.bins), base.noise_sd)
+        negated = BinnedSeries(-base.values, base.noise_sd, counts=base.counts)
     else:
         y = rng.normal(0, 1.0, int(rng.integers(3, 60)))
         y[int(rng.integers(1, y.size)):] += rng.normal(0, 4)

@@ -225,14 +225,14 @@ def test_simulate_binned_full_grid_seed():
     # seed 4 is a replication where every one of the 200 cells is occupied
     bs = simulate_binned(builtin_signal("BLOCKS2"), NoiseSpec.gaussian(7.0), 1024, 200, seed=4)
     assert bs.length == 200
-    assert bs.total == 1024
+    assert bs.values.size == 1024
     assert bs.source_bins.tolist() == list(range(1, 201))
 
 
 def test_simulate_binned_merges_empty_cells():
     bs = simulate_binned(builtin_signal("BLOCKS2"), NoiseSpec.gaussian(7.0), 1024, 200, seed=0)
     assert bs.length < 200
-    assert bs.total == 1024  # no observation lost
+    assert bs.values.size == 1024  # no observation lost
     kept = np.asarray(bs.source_bins)
     assert np.all(np.diff(kept) > 0)
     truth = map_changepoints_to_bins(builtin_signal("BLOCKS2"), 200, bs.source_bins)
@@ -246,11 +246,11 @@ def test_simulate_binned_sparse_grid_reduces_to_points():
     s = SignalSpec(length=100, changepoints=(51,), levels=(0.0, 3.0))
     noise = NoiseSpec.gaussian(0.1)
     bs = simulate_binned(s, noise, n=40, grid=4000, seed=7)
-    assert all(b.size == 1 for b in bs.bins)
+    assert np.all(bs.counts == 1)
     rng = np.random.default_rng(7)
     x = np.sort(rng.uniform(0.0, 1.0, 40))
     y = s.value_at_fraction(x) + noise.draw(rng, 40)
-    assert np.allclose(np.concatenate(bs.bins), y)
+    assert np.allclose(bs.values, y)
 
 
 # fixed cases, then random ones: a grid finer than n leaves cells empty
@@ -273,9 +273,8 @@ def test_simulate_binned_matches_per_cell_grouping(n, grid):
     unique, sizes = np.unique(cell, return_counts=True)
     assert bs.source_bins.tolist() == (unique + 1).tolist()
     assert np.array_equal(bs.counts, sizes)
-    assert len(bs.bins) == len(kept)
-    for group, b in zip(bs.bins, kept):
-        assert np.array_equal(group, y[cell == b])
+    assert bs.length == len(kept)
+    assert np.array_equal(bs.values, np.concatenate([y[cell == b] for b in kept]))
     truth = [max(int(np.searchsorted(bs.source_bins, c, side="right")), 1)
              for c in map_changepoints_to_bins(signal, grid)]
     assert map_changepoints_to_bins(signal, grid, bs.source_bins) == tuple(truth)
@@ -284,16 +283,14 @@ def test_simulate_binned_matches_per_cell_grouping(n, grid):
 def test_binned_layout_is_one_flat_read_only_array():
     rng = np.random.default_rng(3)
     counts = rng.integers(1, 9, size=300)
-    bs = BinnedSeries(tuple(rng.normal(0, 5, c) for c in counts), 1.0)
-    assert np.array_equal(bs.values, np.concatenate(bs.bins))
+    groups = tuple(rng.normal(0, 5, c) for c in counts)
+    bs = BinnedSeries(groups, 1.0)
+    assert np.array_equal(bs.values, np.concatenate(groups))
     assert np.array_equal(bs.counts, counts)
-    for group in bs.bins:
-        assert group.base is bs.values
+    for view in (bs.values, bs.counts, bs.sums):
         with pytest.raises(ValueError):
-            group[0] = 0.0
-    with pytest.raises(ValueError):
-        bs.values[0] = 0.0
-    per_group = np.array([b.sum() for b in bs.bins])
+            view[0] = 0.0
+    per_group = np.array([g.sum() for g in groups])
     assert np.all(np.abs(bs.sums - per_group) <= 1e-12 * np.abs(bs.values).sum())
 
 
