@@ -3,11 +3,15 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import solocp
 from solocp.cli import (
     _make_dataset,
     build_parser,
@@ -18,6 +22,8 @@ from solocp.cli import (
 )
 from solocp.signals import NoiseSpec, builtin_signal, estimate_sigma_mad, simulate_binned
 from solocp.types import BinnedSeries, TimeSeries
+
+SRC = Path(solocp.__file__).resolve().parents[1]  # subprocesses import this same solocp
 
 
 def _write_jump_csv(path, seed=0, t=80, jump_at=40, size=5.0):
@@ -112,6 +118,9 @@ def test_detect_single_method(tmp_path):
     report = json.loads(out.read_text())
     assert abs(report["locations"][0] - 100) <= 5
     assert "criterion" in report and "low_confidence" in report
+    # and with the MAD estimate of sigma
+    assert main(["detect", str(inp), "--method", "single", "--out", str(out)]) == 0
+    assert abs(json.loads(out.read_text())["locations"][0] - 100) <= 5
 
 
 def test_detect_single_method_rejects_probs_csv(tmp_path, capsys):
@@ -131,8 +140,26 @@ def test_detect_malformed_row_names_line(tmp_path, capsys):
     rc = main(["detect", str(path), "--sigma", "1.0"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error[ParseError]" in err
+    assert err.startswith("error[ParseError]") and "Traceback" not in err
     assert "line 3" in err
+
+
+def test_basad_detect_gives_the_same_bytes_in_fresh_processes(tmp_path):
+    # the chain depends on its seed alone, not on the process or its hash seed
+    _write_jump_csv(tmp_path / "jump.csv")
+    reports = []
+    for hash_seed in ("0", "1"):
+        out = f"basad{hash_seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "solocp.cli", "detect", "jump.csv", "--method", "basad",
+             "--iterations", "1000", "--burn-in", "250", "--seed", "1", "--out", out],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((tmp_path / out).read_bytes())
+    assert json.loads(reports[0])["method"] == "basad"
+    assert reports[0] == reports[1]
 
 
 def test_detect_nonincreasing_t_rejected(tmp_path, capsys):
@@ -406,15 +433,26 @@ def _strip_timing(text):
     return [",".join(line.split(",")[:-1]) for line in text.strip().splitlines()]
 
 
-def test_bench_parallel_matches_serial(tmp_path):
-    # two rows that differ, so one pool's results must land in the right row
-    cfg = _teeth_config(tmp_path, reps=3, extra={"grid": {"q": [0.001, 0.9]}})
+@pytest.mark.parametrize(
+    "extra, rows",
+    [
+        # two rows that differ, so one pool's results must land in the right row
+        ({"grid": {"q": [0.001, 0.9]}}, 2),
+        # binned replications, each drawn and fitted in a worker
+        ({"noise": {"family": "gaussian", "sd": 0.3}, "sigma_mode": "mad",
+          "binned": {"n": 200, "grid": 70}}, 1),
+    ],
+    ids=["two-rows", "binned"],
+)
+def test_bench_parallel_matches_serial(tmp_path, extra, rows):
+    cfg = _teeth_config(tmp_path, reps=3, extra=extra)
     out1 = tmp_path / "serial.csv"
     out2 = tmp_path / "parallel.csv"
     assert main(["bench", str(cfg), "--out", str(out1), "--jobs", "1"]) == 0
     assert main(["bench", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
     serial = _strip_timing(out1.read_text())
-    assert len(serial) == 3 and serial[1].split(",")[1:] != serial[2].split(",")[1:]
+    assert len(serial) == 1 + rows
+    assert len({row.split(",", 1)[1] for row in serial[1:]}) == rows
     # identical up to the wall-clock column
     assert serial == _strip_timing(out2.read_text())
 
