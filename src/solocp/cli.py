@@ -38,7 +38,8 @@ with a grid hypers plus one grid value, never hypers alone) by Hyperparameters
 with the defaults at the signal length, or if binned at min(n, grid), the most
 groups a replication can have. A binned replication whose empty cells leave
 fewer groups gets the defaults for that count, so hypers that pass at load can
-still fail in bench. Method single takes no binned entry. Integer entries must
+still fail in bench; the error names the replication, its seed and its group
+count. Method single takes no binned entry. Integer entries must
 be JSON integers; no number may be a bool.
 
 The detect report is one line of JSON with sorted keys.
@@ -60,7 +61,7 @@ from numbers import Integral
 import numpy as np
 
 from .detect import checked_edge_fraction, detect, single_cp_locate
-from .errors import InvalidConfigError, ParseError, SolocpError
+from .errors import InvalidConfigError, InvalidHyperparameterError, ParseError, SolocpError
 from .gibbs import GibbsConfig
 from .metrics import EvalReport, evaluate_sets
 from .signals import (
@@ -156,8 +157,9 @@ def _first_bad_line(lines: list[str], dtype: np.dtype) -> tuple[int, str, np.nda
 def _check_order(path: str, rows: np.ndarray, lines: list[str]) -> None:
     """Raise on the first row, in file order, that breaks the ordering rules;
     on one line the checks apply in the order listed."""
-    t = rows["t"]
-    checks = [(t[1:] <= t[:-1], 1, "t must be strictly increasing")]
+    t = rows["t"]  # a NaN t fails no comparison, so it is checked itself
+    checks = [(np.isnan(t), 0, "t must be a number, got nan")]
+    checks += [(t[1:] <= t[:-1], 1, "t must be strictly increasing")]
     if "bin" in rows.dtype.names:
         b = rows["bin"]
         checks += [
@@ -304,7 +306,11 @@ def _make_dataset(exp: Experiment, rep: int):
 def run_replication(exp: Experiment, rep: int, overrides: dict) -> tuple[EvalReport, float]:
     """simulate -> detect -> evaluate for one seeded replication of one bench row."""
     series, truth = _make_dataset(exp, rep)
-    hypers = _METHOD_DEFAULTS[exp.method](series.length, **overrides)
+    try:  # the loader checked the overrides at the most groups a binned replication can have
+        hypers = _METHOD_DEFAULTS[exp.method](series.length, **overrides)
+    except InvalidHyperparameterError as exc:
+        raise InvalidHyperparameterError(
+            f"replication {rep} (seed {exp.seed + rep}, {series.length} groups): {exc}") from None
     start = time.perf_counter()
     if exp.method == "single":
         est = [single_cp_locate(series, hypers, exp.edge_fraction).site]
@@ -354,11 +360,8 @@ def cmd_detect(args) -> int:
             low_confidence=located.low_confidence,
         )
     else:
-        gibbs_cfg = GibbsConfig()
-        if args.method == "basad":
-            gibbs_cfg = GibbsConfig(
-                iterations=args.iterations, burn_in=args.burn_in, seed=args.seed
-            )
+        gibbs_cfg = (GibbsConfig(iterations=args.iterations, burn_in=args.burn_in, seed=args.seed)
+                     if args.method == "basad" else GibbsConfig())
         result = detect(series, hypers, method=args.method, gibbs_config=gibbs_cfg)
         report.update(
             locations=list(result.selected.locations),
@@ -367,16 +370,23 @@ def cmd_detect(args) -> int:
             clusters=[list(c) for c in result.clusters],
         )
     text = json.dumps(report, sort_keys=True)
-    # opened first: a path that cannot be opened must leave no report behind
-    probs_fh = (open(args.probs_csv, "w", newline="", encoding="utf-8") if args.probs_csv
+    # the CSV opens first, in append mode so that nothing is truncated yet, and
+    # is emptied once the report is open: a path that cannot be opened leaves
+    # no report, and the other file as it was
+    new_csv = args.probs_csv and not os.path.exists(args.probs_csv)
+    probs_fh = (open(args.probs_csv, "a", newline="", encoding="utf-8") if args.probs_csv
                 else contextlib.nullcontext())
     with probs_fh:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        with contextlib.ExitStack() as undo:  # removes a new CSV if --out fails to open
+            if new_csv:
+                undo.callback(os.remove, args.probs_csv)
+            out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
+            undo.pop_all()
+        with out_fh or contextlib.nullcontext(sys.stdout) as fh:
+            fh.write(text + "\n")
         if args.probs_csv:
+            if probs_fh.seekable():
+                probs_fh.truncate(0)
             fitted = _fitted_levels(series, report["locations"]).tolist()
             writer = csv.writer(probs_fh)
             writer.writerow(["site", "probability", "fitted_mean"])
@@ -388,14 +398,10 @@ def cmd_detect(args) -> int:
 
 def _fitted_levels(series, locations) -> np.ndarray:
     """Per-site fitted level: mean of the observations of each segment."""
-    counts = series.counts
-    sums = series.sums
-    m = counts.size
-    bounds = [1] + list(locations) + [m + 1]
-    out = np.empty(m)
+    bounds = [0, *(k - 1 for k in locations), series.length]
+    out = np.empty(series.length)
     for lo, hi in zip(bounds, bounds[1:]):
-        seg = slice(lo - 1, hi - 1)
-        out[seg] = sums[seg].sum() / counts[seg].sum()
+        out[lo:hi] = series.sums[lo:hi].sum() / series.counts[lo:hi].sum()
     return out
 
 

@@ -8,7 +8,8 @@ the data and sigma by a power of two leaves every output bitwise the same.
 The increment draw is done in the cumulative (fitted-level) space, where the
 level precision Q = diag(n) + Delta' diag(w) Delta (Delta the first-difference
 operator, w_t = 1/tau^2_{z_t}) is tridiagonal. types.level_precision builds
-it; the solo posterior factors the same matrix with w_t = 1/tau^2 everywhere.
+it; posterior.forward_pass factors the same matrix, with w_t = 1/tau^2
+everywhere for the solo posterior or with a given z for the collapsed one.
 LAPACK dpttrf factors it as Q = L D L' (L unit lower bidiagonal) and dpttrs
 solves Q f = sums / sigma + L D^{1/2} eps (eps standard normal), so one sweep
 is O(M) in two calls (Rue 2001). With U = D^{1/2} L' the upper Cholesky factor

@@ -68,19 +68,30 @@ def test_detect_probs_csv(tmp_path):
     assert abs(np.mean(fitted[39:]) - 5.0) < 0.6
 
 
-@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-def test_detect_probs_csv_unopenable_emits_no_report(tmp_path, capsys, to_file):
+@pytest.mark.parametrize("case", ["stdout", "out", "unopenable_out", "unopenable_out_old_csv"])
+def test_detect_probs_csv_unopenable_emits_no_report(tmp_path, capsys, case):
     # the report was printed or written before the CSV failed to open, so a
-    # run that exits 2 left a report that looked successful
+    # run that exits 2 left a report that looked successful; and an --out that
+    # cannot be opened left an empty CSV behind, or truncated an existing one
     inp = tmp_path / "jump.csv"
     _write_jump_csv(inp)
-    out = tmp_path / "r.json"
-    argv = ["detect", str(inp), "--probs-csv", str(tmp_path / "missing" / "probs.csv")]
-    assert main(argv + (["--out", str(out)] if to_file else [])) == 2
+    out, probs, missing = tmp_path / "r.json", tmp_path / "probs.csv", tmp_path / "missing" / "x"
+    if case == "unopenable_out_old_csv":
+        probs.write_text("earlier run\n")
+    if case.startswith("unopenable_out"):
+        out = missing
+    else:
+        probs = missing
+    argv = ["detect", str(inp), "--probs-csv", str(probs)]
+    assert main(argv + ([] if case == "stdout" else ["--out", str(out)])) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error[IO]")
     assert captured.out == ""
     assert not out.exists()
+    if case == "unopenable_out_old_csv":
+        assert probs.read_text() == "earlier run\n"
+    elif case == "unopenable_out":
+        assert not probs.exists()
 
 
 def test_detect_three_column_binned_routing(tmp_path, capsys):
@@ -189,6 +200,9 @@ _READER_ERRORS = {
     "no_rows": ("t,y\n\n", "no data rows"),
     "empty_file": ("", "empty file"),
     "unknown_header": ("x,y\n1,0.5\n", "header must be 't,y' or 't,y,bin', got ['x', 'y']"),
+    # a NaN t fails no comparison, so the order checks alone passed it
+    "nan_t_first_row": ("t,y\nnan,0.5\n2,0.7\n3,0.2\n", "line 2: t must be a number"),
+    "nan_t": ("t,y\n1,0.5\nnan,0.7\n3,0.2\n4,0.1\n5,2.0\n6,2.1\n", "line 3: t must be a number"),
 }
 
 
@@ -505,6 +519,26 @@ def test_bench_binned_config(tmp_path):
     assert main(["bench", str(cfg), "--out", str(out)]) == 0
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_replication_defaults_failure_names_the_replication(tmp_path, capsys, jobs):
+    # the loader checks the overrides with the defaults at min(n, grid) = 60
+    # groups; replication 1 (seed 1) has 56, and its default tau0_sq = 1/56
+    # exceeds the tau1_sq override
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "signal": "BLOCKS",
+        "noise": {"family": "gaussian", "sd": 1.0},
+        "binned": {"n": 60, "grid": 400},
+        "hypers": {"tau1_sq": 0.0175},
+        "replications": 3,
+    }))
+    assert main(["bench", str(cfg), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == (
+        "error[InvalidHyperparameterError]: replication 1 (seed 1, 56 groups): "
+        "tau1_sq must be >= tau0_sq\n"
+    )
 
 
 def test_bench_single_method_row(tmp_path):
