@@ -6,7 +6,7 @@
 
 Input CSV schema (UTF-8, a BOM allowed, ',' separator, '.' decimal, header required):
 column pair "t,y" for plain series or triple "t,y,bin" for grouped data; t
-strictly increasing, bin ids positive and nondecreasing.
+finite and strictly increasing, bin ids positive and nondecreasing.
 
 Experiment configs are JSON objects (UTF-8, a BOM allowed); signal and noise
 are required:
@@ -40,7 +40,9 @@ groups a replication can have. A binned replication whose empty cells leave
 fewer groups gets the defaults for that count, so hypers that pass at load can
 still fail in bench; the error names the replication, its seed and its group
 count. Method single takes no binned entry. Integer entries must
-be JSON integers; no number may be a bool.
+be JSON integers; no number may be a bool. A signal length and binned n and
+grid are sizes, integers from 2 to 2**53 (types.checked_size): past 2**53 the
+positions of sites and of points are no longer exact floats.
 
 The detect report is one line of JSON with sorted keys.
 Every library error or failed allocation exits nonzero with an "error[<Type>]:" prefix.
@@ -73,7 +75,7 @@ from .signals import (
     simulate,
     simulate_binned,
 )
-from .types import BinnedSeries, Hyperparameters, TimeSeries, checked_number
+from .types import BinnedSeries, Hyperparameters, TimeSeries, checked_number, checked_size
 
 _CHAIN_SEED_OFFSET = 1_000_000  # decouple chain randomness from data seeds
 
@@ -97,6 +99,8 @@ def read_series_csv(path: str) -> TimeSeries | BinnedSeries:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    except csv.Error as exc:  # a field past csv's size limit; before Python 3.11, a NUL byte
+        raise ParseError(f"{path}: line 1: {exc}") from None
     if header is None:
         raise ParseError(f"{path}: empty file")
     cols = [c.strip().lower() for c in header]
@@ -146,7 +150,11 @@ def _first_bad_line(lines: list[str], dtype: np.dtype) -> tuple[int, str, np.nda
     try:
         np.loadtxt(lines[lo : lo + 1], dtype=dtype, **_LOADTXT)
     except ValueError as exc:
-        if len(next(csv.reader([lines[lo]]))) != len(dtype.names):
+        try:
+            count = len(next(csv.reader([lines[lo]])))
+        except csv.Error as err:  # a field csv cannot read, as in the header
+            return lo, str(err), parsed
+        if count != len(dtype.names):
             return lo, f"expected {len(dtype.names)} fields", parsed
         return lo, str(exc), parsed
     # the line parses alone, so a quoted field runs on over a line end
@@ -157,8 +165,9 @@ def _first_bad_line(lines: list[str], dtype: np.dtype) -> tuple[int, str, np.nda
 def _check_order(path: str, rows: np.ndarray, lines: list[str]) -> None:
     """Raise on the first row, in file order, that breaks the ordering rules;
     on one line the checks apply in the order listed."""
-    t = rows["t"]  # a NaN t fails no comparison, so it is checked itself
-    checks = [(np.isnan(t), 0, "t must be a number, got nan")]
+    t = rows["t"]  # a NaN t fails every comparison and an infinite one may pass them all
+    checks = [(np.isnan(t), 0, "t must be a number, got nan"),
+              (np.isinf(t), 0, "t must be finite")]
     checks += [(t[1:] <= t[:-1], 1, "t must be strictly increasing")]
     if "bin" in rows.dtype.names:
         b = rows["bin"]
@@ -192,8 +201,8 @@ class Experiment:
     sigma_mode: str | float  # "true", "mad" or a fixed value
     binned: tuple[int, int] | None  # (n, grid)
     gibbs: GibbsConfig  # replication r runs its chains with gibbs.seed + r
-    edge_fraction: float
     manifest: dict  # the signal, noise and binned entries as written
+    edge_fraction: float = 0.05  # also the default of detect --edge-fraction
 
 
 _CONFIG_KEYS = {f.name for f in fields(Experiment)} - {"rows", "manifest"} | {"hypers", "grid"}
@@ -225,7 +234,7 @@ def load_experiment_config(path: str) -> Experiment:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict) or "signal" not in cfg or "noise" not in cfg:
         raise InvalidConfigError(f"{path}: config needs 'signal' and 'noise' entries")
@@ -253,9 +262,7 @@ def _parse_experiment(cfg: dict) -> Experiment:
     if replications < 1 or seed < 0:
         raise InvalidConfigError("replications must be >= 1 and seed >= 0")
     if binned:
-        binned = tuple(checked_number(binned[k], f"binned.{k}", Integral) for k in ("n", "grid"))
-        if min(binned) < 2:
-            raise InvalidConfigError(f"binned n and grid must be >= 2, got {binned}")
+        binned = tuple(checked_size(binned[k], f"binned.{k}") for k in ("n", "grid"))
         if method == "single":
             raise InvalidConfigError("method single locates in plain series, not binned ones")
     signal = cfg["signal"]
@@ -277,7 +284,7 @@ def _parse_experiment(cfg: dict) -> Experiment:
         sigma_mode=_sigma_rule(cfg.get("sigma_mode", "true")),
         binned=binned or None,
         gibbs=GibbsConfig(**cfg.get("gibbs", {}), seed=seed + _CHAIN_SEED_OFFSET),
-        edge_fraction=checked_edge_fraction(cfg.get("edge_fraction", 0.05)),
+        edge_fraction=checked_edge_fraction(cfg.get("edge_fraction", Experiment.edge_fraction)),
         manifest={"signal": cfg["signal"], "noise": cfg["noise"], "binned": cfg.get("binned")},
     )
 
@@ -486,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--seed", type=int, default=GibbsConfig.seed, help="basad chain seed")
     p_detect.add_argument("--iterations", type=int, default=GibbsConfig.iterations)
     p_detect.add_argument("--burn-in", dest="burn_in", type=int, default=GibbsConfig.burn_in)
-    p_detect.add_argument("--edge-fraction", dest="edge_fraction", type=float, default=0.05)
+    p_detect.add_argument("--edge-fraction", type=float, default=Experiment.edge_fraction)
     p_detect.add_argument("--out", default=None, help="JSON report path (default stdout)")
     p_detect.add_argument("--probs-csv", dest="probs_csv", default=None,
                           help="per-site probability/fitted-level CSV for plotting")

@@ -22,7 +22,8 @@ from .errors import (
     SingularCovarianceError,
 )
 from .types import (
-    BinnedSeries, Hyperparameters, TimeSeries, inclusion_probability, prior_log_odds
+    BinnedSeries, Hyperparameters, TimeSeries, checked_indicators, inclusion_probability,
+    prior_log_odds,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -42,6 +43,15 @@ def _noise_variance(series: TimeSeries | BinnedSeries) -> float:
         return series.noise_sd**2
     except OverflowError:
         raise NumericOverflowError(f"noise_sd^2 overflows at {series.noise_sd}") from None
+
+
+def _log_marginal(series: TimeSeries | BinnedSeries, variances: np.ndarray):
+    """_gaussian_logpdf_zero_mean of the data under the dense marginal
+    covariance sigma^2 (I + X diag(variances) X'), X the expanded design."""
+    y, design = series.values, _expanded_design(series.counts)
+    with np.errstate(over="ignore"):  # checked before it is factored
+        cov = _noise_variance(series) * (np.eye(y.size) + (design * variances) @ design.T)
+    return _gaussian_logpdf_zero_mean(y, cov)
 
 
 def _gaussian_logpdf_zero_mean(y: np.ndarray, cov: np.ndarray):
@@ -83,23 +93,18 @@ def oracle_site_posterior(
     Cost is O(T^3) per spike/slab component; a site outside 1..M or a series
     longer than max_size observations raises InvalidConfigError.
     """
-    y = series.values
-    m = series.length
+    m, t = series.length, series.values.size
     if not 1 <= j <= m:
         raise InvalidConfigError(f"site {j} outside 1..{m}")
-    t = y.size
     if t > max_size:
         raise InvalidConfigError(f"series of {t} observations exceeds oracle cap {max_size}")
-    design = _expanded_design(series.counts)
-    xj = design[:, j - 1]
+    xj = _expanded_design(series.counts)[:, j - 1]
     s2 = _noise_variance(series)
     mus, xis, logms = [], [], []
     for tau_k in (hypers.tau0_sq, hypers.tau1_sq):
         d = np.full(m, hypers.tau_sq)
         d[j - 1] = tau_k
-        with np.errstate(over="ignore"):  # checked before it is factored
-            cov = s2 * (np.eye(t) + (design * d) @ design.T)
-        logm, chol, alpha = _gaussian_logpdf_zero_mean(y, cov)
+        logm, chol, alpha = _log_marginal(series, d)
         c = s2 * tau_k  # cov(increment_j, Y) = c * xj
         mus.append(c * float(xj @ alpha))
         xis.append(c - c * c * float(xj @ dpotrs(chol, xj, lower=1)[0]))
@@ -125,22 +130,13 @@ def oracle_joint_marginal(
     """log marginal likelihood of the joint model under indicator vector z.
 
     z has one entry per time index; entry t selects the slab (1) or spike (0)
-    variance for increment t. A z of another length or a series longer than
-    max_size observations raises InvalidConfigError.
+    variance for increment t. A z that is not one 0 or 1 per time index or a
+    series longer than max_size observations raises InvalidConfigError.
     """
-    y = series.values
-    z = np.asarray(z, dtype=int)
-    m = series.length
-    if z.shape != (m,):
-        raise InvalidConfigError(f"z must have length {m}")
-    if y.size > max_size:
-        raise InvalidConfigError(f"series of {y.size} observations exceeds cap {max_size}")
-    design = _expanded_design(series.counts)
-    d = np.where(z == 1, hypers.tau1_sq, hypers.tau0_sq)
-    with np.errstate(over="ignore"):  # checked before it is factored
-        cov = _noise_variance(series) * (np.eye(y.size) + (design * d) @ design.T)
-    logm, _, _ = _gaussian_logpdf_zero_mean(y, cov)
-    return logm
+    z, t = checked_indicators(z, series.length), series.values.size
+    if t > max_size:
+        raise InvalidConfigError(f"series of {t} observations exceeds cap {max_size}")
+    return _log_marginal(series, np.where(z, hypers.tau1_sq, hypers.tau0_sq))[0]
 
 
 def conditional_deltaf_moments(
@@ -148,15 +144,13 @@ def conditional_deltaf_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of the increments given z, by a dense solve.
 
-    The reference for the Gibbs sampler's tridiagonal level draw. A z of
-    another length raises InvalidConfigError.
+    The reference for the Gibbs sampler's tridiagonal level draw. A z that is
+    not one 0 or 1 per time index raises InvalidConfigError.
     """
-    z = np.asarray(z, dtype=int)
-    if z.shape != (series.length,):
-        raise InvalidConfigError(f"z must have length {series.length}")
+    z = checked_indicators(z, series.length)
     design = _expanded_design(series.counts)
     y = series.values
-    d_inv = np.where(z == 1, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
+    d_inv = np.where(z, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
     prec = design.T @ design + np.diag(d_inv)
     try:
         cov = np.linalg.inv(prec)

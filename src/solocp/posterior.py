@@ -66,12 +66,13 @@ import math
 import numpy as np
 
 from ._lapack import dpttrf, dpttrs
-from .errors import InvalidConfigError, LinearSolveFailureError, NumericOverflowError
+from .errors import LinearSolveFailureError, NumericOverflowError
 from .types import (
     BinnedSeries,
     Hyperparameters,
     PosteriorSiteSummary,
     TimeSeries,
+    checked_indicators,
     inclusion_probability,
     level_precision,
     prior_log_odds,
@@ -87,17 +88,16 @@ def forward_pass(
     """Both filters over the series; O(M). Returns (A, B), the site scalars
     A_j and B_j for sites 1..M, with the prior variance tau_sq on every
     increment, or given indicators z (one per site) tau1_sq where z_t = 1 and
-    tau0_sq elsewhere. Raises InvalidConfigError for a z of another length,
-    NumericOverflowError when a prior variance is too small for the pivot form
-    or A or B is not finite, and LinearSolveFailureError when LAPACK rejects Q."""
+    tau0_sq elsewhere. Raises InvalidConfigError unless z holds one 0 or 1 per
+    site, NumericOverflowError when a prior variance is too small for the pivot
+    form or A or B is not finite, and LinearSolveFailureError when LAPACK
+    rejects Q."""
     counts = series.counts
     # w[j-1] is the prior precision of increment j: 1/tau_sq, or 1/tau^2_{z_j} given z
     if z is None:
         w = np.full(counts.size, 1.0 / float(hypers.tau_sq))
-    elif np.shape(z) != counts.shape:
-        raise InvalidConfigError(f"z must have length {counts.size}")
     else:
-        w = np.where(np.asarray(z) == 1, 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
+        w = np.where(checked_indicators(z, counts.size), 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
     w_max = float(w.max())  # a Python float: 2.0 * w_max overflows without a warning
     if not math.isfinite(2.0 * w_max):
         raise NumericOverflowError("a prior variance tau^2 is too small: 1/tau^2 overflows")

@@ -14,26 +14,27 @@ from .errors import (
     TooShortError,
     UnknownSignalError,
 )
-from .types import BinnedSeries, TimeSeries, checked_cells, checked_number, checked_numbers
+from .types import (
+    BinnedSeries, TimeSeries, checked_cells, checked_number, checked_numbers, checked_size
+)
 
 
 @dataclass(frozen=True)
 class SignalSpec:
     """Piecewise-constant ground truth: levels[k] holds on the k-th segment,
     segments change at the listed (strictly increasing) first-new-index sites.
-    length (at least 2) and change points are integers and levels finite real
-    numbers; bools and strings are rejected, not converted."""
+    length (from 2 to 2**53, types.checked_size) and change points are
+    integers and levels finite real numbers; bools and strings are rejected,
+    not converted."""
 
     length: int
     changepoints: tuple[int, ...]
     levels: tuple[float, ...]
 
     def __post_init__(self):
-        length = checked_number(self.length, "signal length", numbers.Integral)
+        length = checked_size(self.length, "signal length")
         cps = checked_numbers(self.changepoints, "changepoints", numbers.Integral)
         levels = checked_numbers(self.levels, "levels")
-        if length < 2:
-            raise InvalidConfigError(f"signal length must be at least 2, got {length}")
         if not all(map(math.isfinite, levels)):
             raise InvalidConfigError(f"levels must be finite, got {levels}")
         if len(levels) != len(cps) + 1:
@@ -124,16 +125,16 @@ class NoiseSpec:
         if given != set(params):
             raise InvalidConfigError(f"{self.family} noise takes {params}, got {sorted(given)}")
         if self.family == "gaussian_mixture":
-            w = np.array(checked_numbers(self.weights, "mixture weights"), dtype=float)
-            s = np.array(checked_numbers(self.sds, "mixture sds"), dtype=float)
-            if w.size == 0 or w.size != s.size:
+            w = checked_numbers(self.weights, "mixture weights")
+            s = checked_numbers(self.sds, "mixture sds")
+            if not w or len(w) != len(s):
                 raise InvalidConfigError("mixture needs matching weights and sds")
-            if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
+            if not (all(x >= 0 for x in w) and abs(sum(w) - 1.0) <= 1e-9):
                 raise InvalidConfigError("mixture weights must be in [0,1] and sum to 1")
-            if not np.all((s > 0) & np.isfinite(s)):
+            if not all(x > 0 and math.isfinite(x) for x in s):
                 raise InvalidConfigError("mixture sds must be positive and finite")
-            object.__setattr__(self, "weights", tuple(float(x) for x in w))
-            object.__setattr__(self, "sds", tuple(float(x) for x in s))
+            object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "sds", s)
             return
         for name in params:
             value = checked_number(getattr(self, name), f"{self.family} {name}")
@@ -208,10 +209,7 @@ def simulate_binned(
     records the surviving original cell indexes (1-based). noise_sd defaults
     as in simulate.
     """
-    if grid < 2:
-        raise InvalidConfigError(f"grid must be >= 2, got {grid}")
-    if n < 2:
-        raise InvalidConfigError(f"need at least 2 points, got {n}")
+    n, grid = checked_size(n, "n"), checked_size(grid, "grid")
     rng = np.random.default_rng(seed)
     x = np.sort(rng.random(n))
     y = signal.value_at_fraction(x) + noise.draw(rng, n)
@@ -233,6 +231,7 @@ def map_changepoints_to_bins(
     position among the surviving cells (a dropped cell maps to the neighbour
     that absorbed its interval); source_bins must be strictly increasing cells >= 1.
     """
+    grid = checked_size(grid, "grid")
     cells = tuple(math.floor((eta - 1) * grid / signal.length) + 1 for eta in signal.changepoints)
     if source_bins is None:
         return cells

@@ -39,6 +39,28 @@ def checked_number(value, what: str, kind=numbers.Real):
         raise InvalidConfigError(f"{what} must be {noun} within the float range") from None
 
 
+def checked_size(value, what: str) -> int:
+    """value as an int from 2 to 2**53, else InvalidConfigError: past 2**53 the
+    positions i / size are no longer exact floats, and numpy fails on such a
+    size with ValueError or OverflowError instead of MemoryError."""
+    size = checked_number(value, what, numbers.Integral)
+    if not 2 <= size <= 2**53:
+        raise InvalidConfigError(f"{what} must be an integer from 2 to 2**53, got {size}")
+    return size
+
+
+def checked_indicators(z, length: int) -> np.ndarray:
+    """z as a bool array of shape (length,), else InvalidConfigError; every
+    entry must be 0 or 1 (a bool passes)."""
+    z = np.asarray(z)
+    if z.shape != (length,):
+        raise InvalidConfigError(f"z must have length {length}")
+    ones = z == 1
+    if not (ones | (z == 0)).all():
+        raise InvalidConfigError("z entries must be 0 or 1")
+    return ones
+
+
 def _entries(values, what: str) -> tuple:
     try:
         return tuple(values)
@@ -214,30 +236,21 @@ class Hyperparameters:
         """Benchmark defaults: tau0_sq=1/T, tau1_sq=T, q=0.1, threshold=0.5;
         (tau_sq, delta) = (2/sqrt(T), 5) for T > 500, else (2/T, 2)."""
         t = int(length)
-        if t > 500:
-            tau_sq, delta = 2.0 / math.sqrt(t), 5
-        else:
-            tau_sq, delta = 2.0 / t, 2
-        params = dict(
-            tau0_sq=1.0 / t, tau1_sq=float(t), tau_sq=tau_sq, q=0.1, delta=delta
-        )
-        params.update(overrides)
-        return cls(**params)
+        tau_sq = 2.0 / math.sqrt(t) if t > 500 else 2.0 / t
+        return cls._defaults(t, overrides, tau0_sq=1.0 / t, tau1_sq=float(t), tau_sq=tau_sq)
 
     @classmethod
     def basad_defaults(cls, length: int, **overrides) -> "Hyperparameters":
         """Joint-model defaults: tau0_sq=1/(10T), tau1_sq=log T (scaled units)."""
         t = int(length)
-        delta = 5 if t > 500 else 2
-        params = dict(
-            tau0_sq=1.0 / (10.0 * t),
-            tau1_sq=math.log(t),
-            tau_sq=2.0 / t,
-            q=0.1,
-            delta=delta,
+        return cls._defaults(
+            t, overrides, tau0_sq=1.0 / (10.0 * t), tau1_sq=math.log(t), tau_sq=2.0 / t
         )
-        params.update(overrides)
-        return cls(**params)
+
+    @classmethod
+    def _defaults(cls, t: int, overrides: dict, **variances) -> "Hyperparameters":
+        """What both defaults share: q=0.1, delta 5 for T > 500 else 2, then the overrides."""
+        return cls(**{**variances, "q": 0.1, "delta": 5 if t > 500 else 2, **overrides})
 
 
 def prior_log_odds(q: float) -> float:

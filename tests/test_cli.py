@@ -59,7 +59,8 @@ def test_detect_probs_csv(tmp_path):
     rc = main(["detect", str(inp), "--sigma", "1.0", "--out", str(tmp_path / "r.json"),
                "--probs-csv", str(probs)])
     assert rc == 0
-    rows = list(csv.reader(probs.open()))
+    with probs.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["site", "probability", "fitted_mean"]
     assert len(rows) == 81  # header + sites 1..80
     assert rows[1][1] == ""  # site 1 carries no candidate probability
@@ -203,6 +204,22 @@ _READER_ERRORS = {
     # a NaN t fails no comparison, so the order checks alone passed it
     "nan_t_first_row": ("t,y\nnan,0.5\n2,0.7\n3,0.2\n", "line 2: t must be a number"),
     "nan_t": ("t,y\n1,0.5\nnan,0.7\n3,0.2\n4,0.1\n5,2.0\n6,2.1\n", "line 3: t must be a number"),
+    # an infinite t at either end passed the strict-increase check
+    "minus_inf_t_first_row": (
+        "t,y\n-inf,0.5\n2,0.7\n3,0.2\n4,0.1\n5,2.0\n6,2.1\n", "line 2: t must be finite"
+    ),
+    "inf_t_last_row": (
+        "t,y\n1,0.5\n2,0.7\n3,0.2\n4,0.1\n5,2.0\ninf,2.1\n", "line 7: t must be finite"
+    ),
+    # csv's own errors: a field past its 131072-character limit, in the header
+    # or in a row's field count, and a NUL byte, which csv rejects before
+    # Python 3.11 and reads into the header from 3.11 on
+    "header_past_field_limit": ("t,y" + "x" * 200_000 + "\n1,0.5\n", "line 1: field larger than"),
+    "row_past_field_limit": ("t,y\n1,0.5\n2," + "x" * 200_000 + "\n", "line 3: field larger than"),
+    "nul_in_header": (
+        "t\x00,y\n1,0.5\n2,0.7\n",
+        "line 1: line contains NUL" if sys.version_info < (3, 11) else "header must be",
+    ),
 }
 
 
@@ -326,10 +343,11 @@ def test_missing_file_io_error(tmp_path, capsys):
     assert "error[IO]" in capsys.readouterr().err
 
 
-# 10**16 points: 80 PB per float array, beyond any address space, so numpy's
-# allocation fails at once under any overcommit setting
+# 2**53 points, the largest size the loader accepts: 64 PiB per float array,
+# beyond any address space, so numpy's allocation fails at once under any
+# overcommit setting
 _OVERSIZED = {"signal": "TEETH", "noise": {"family": "gaussian", "sd": 0.3},
-              "binned": {"n": 10**16, "grid": 70}, "replications": 2}
+              "binned": {"n": 2**53, "grid": 70}, "replications": 2}
 
 
 @pytest.mark.parametrize(
@@ -670,6 +688,15 @@ def test_bench_single_on_binned_config_rejected(tmp_path, capsys):
 
 
 _MALFORMED_CONFIG = {
+    # sizes are integers from 2 to 2**53; larger ones failed in numpy with a traceback
+    "signal_length_1e30": {"signal": {"length": 10**30, "changepoints": [], "levels": [0.0]}},
+    "signal_length_2_53_plus_1": {
+        "signal": {"length": 2**53 + 1, "changepoints": [], "levels": [0.0]}
+    },
+    "binned_n_1e30": {"binned": {"n": 10**30, "grid": 20}},
+    "binned_n_2_53_plus_1": {"binned": {"n": 2**53 + 1, "grid": 20}},
+    "binned_grid_1e30": {"binned": {"n": 100, "grid": 10**30}},
+    "binned_grid_2_53_plus_1": {"binned": {"n": 100, "grid": 2**53 + 1}},
     "sigma_mode": {"sigma_mode": "fixed:abc"},
     "sigma_mode_name": {"sigma_mode": "median"},
     # a fixed sigma is positive and finite, checked before any replication runs
@@ -792,6 +819,20 @@ def test_simulate_checks_hyperparameter_ranges_at_load(tmp_path, capsys, extra):
     assert main(["simulate", str(_teeth_config(tmp_path, reps=1, extra=extra)), str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error[InvalidHyperparameterError]")
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "entry", ['"hypers": ' + "[" * 100_000 + "]" * 100_000, '"seed": ' + "7" * 5_000],
+    ids=["deep_list", "long_integer"],
+)
+def test_undecodable_config_is_a_parse_error(tmp_path, capsys, entry):
+    # json.dumps writes neither; json.load raises RecursionError on the first
+    # and ValueError (past 4300 digits) on the second
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"signal": "TEETH", "noise": {"family": "gaussian", "sd": 1}, ' + entry + "}")
+    assert main(["bench", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[ParseError]: {cfg}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,9 @@ from solocp import (
     TooShortError,
 )
 from solocp.posterior import all_site_posteriors
-from solocp.types import inclusion_probability, prior_log_odds
+from solocp.types import (
+    checked_indicators, checked_size, inclusion_probability, prior_log_odds
+)
 
 
 def test_validate_series_minimal():
@@ -158,6 +160,47 @@ def test_default_rule_switches_on_length():
     large = Hyperparameters.solo_defaults(2048)
     assert large.tau_sq == pytest.approx(2.0 / np.sqrt(2048))
     assert large.delta == 5
+
+
+@pytest.mark.parametrize("defaults", [Hyperparameters.solo_defaults, Hyperparameters.basad_defaults])
+def test_both_defaults_share_q_the_delta_rule_and_overrides(defaults):
+    assert [(defaults(t).q, defaults(t).delta) for t in (500, 501)] == [(0.1, 2), (0.1, 5)]
+    h = defaults(501, q=0.3, delta=1)
+    assert (h.q, h.delta, h.tau0_sq) == (0.3, 1, defaults(501).tau0_sq)
+    with pytest.raises(TypeError):  # an unknown key, which the config loader reports
+        defaults(501, qq=0.3)
+
+
+@pytest.mark.parametrize("value", [2, 2**53, np.int64(140)])
+def test_checked_size_accepts_integers_from_2_to_2_53(value):
+    size = checked_size(value, "grid")
+    assert size == value and type(size) is int
+
+
+@pytest.mark.parametrize("value", [1, 2**53 + 1, 10**30, True, 2.0, "8"])
+def test_checked_size_rejects_other_values(value):
+    # past 2**53 numpy fails on the size with ValueError or OverflowError
+    with pytest.raises(InvalidConfigError, match="^grid must be an integer"):
+        checked_size(value, "grid")
+
+
+@pytest.mark.parametrize(
+    "z", [[True, False, True], [1, 0, 1], np.array([1, 0, 1], np.int8), np.array([1.0, 0.0, 1.0])]
+)
+def test_checked_indicators_gives_bools(z):
+    out = checked_indicators(z, 3)
+    assert out.dtype == bool and out.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize(
+    "z, message",
+    [([1, 0, 1.5], "0 or 1"), ([1, 0, 2], "0 or 1"), ([1, 0, -1], "0 or 1"),
+     ([1, 0, np.nan], "0 or 1"), (["1", "0", "1"], "0 or 1"),
+     ([1, 0], "z must have length 3"), ([[1, 0, 1]], "z must have length 3")],
+)
+def test_checked_indicators_rejects_other_values(z, message):
+    with pytest.raises(InvalidConfigError, match=message):
+        checked_indicators(z, 3)
 
 
 def test_summary_inclusion_recomputes_bit_for_bit():

@@ -370,6 +370,18 @@ def test_indicators_of_another_shape_raise(shape):
         forward_pass(ts, _hyp(0.1, 1.0, 1.0), np.zeros(shape, dtype=int))
 
 
+def test_fractional_indicators_raise_in_the_filter_and_the_oracle():
+    # forward_pass once read z_3 = 1.5 as the spike and the oracle as the
+    # slab, so site 4's collapsed log-odds came out as -1.021 against -1.409
+    ts = TimeSeries(np.array([0.0, 0.3, -0.2, 2.1, 1.8, 2.2]), 1.0)
+    z = [0, 1, 1.5, 0, 0, 0]
+    h = _hyp(0.01, 4.0, 1.0)
+    with pytest.raises(InvalidConfigError, match="0 or 1"):
+        forward_pass(ts, h, z)
+    with pytest.raises(InvalidConfigError, match="0 or 1"):
+        oracle_joint_marginal(ts, z, h)
+
+
 def test_unit_count_binned_path_matches_plain_path_exactly():
     rng = np.random.default_rng(7)
     y = rng.normal(0, 2, 25)

@@ -318,6 +318,19 @@ def test_binned_truth_rejects_cells_that_are_not_increasing_integers(cells):
         map_changepoints_to_bins(builtin_signal("BLOCKS"), 2048, cells)
 
 
+@pytest.mark.parametrize("grid", [-5, 1, 2**53 + 1, 20.0, True])
+def test_binned_truth_rejects_a_grid_that_is_not_a_size(grid):
+    # a grid of -5 once gave (-1, -2, -3, -4)
+    with pytest.raises(InvalidConfigError, match="grid must be an integer"):
+        map_changepoints_to_bins(builtin_signal("TEETH"), grid)
+
+
+@pytest.mark.parametrize("n, grid", [(1, 20), (100, 1), (2**53 + 1, 20), (100, 10**30)])
+def test_simulate_binned_rejects_sizes_out_of_range(n, grid):
+    with pytest.raises(InvalidConfigError, match="must be an integer from 2 to 2\\*\\*53"):
+        simulate_binned(builtin_signal("TEETH"), NoiseSpec.gaussian(1.0), n, grid, seed=0)
+
+
 @pytest.mark.parametrize("cells", [
     (3, 1, 5), (1, 1, 2), (0, 2, 3), (1.0, 2.0, 3.0), (True, True, True), (1, 2), (1, 2, 3, 4),
     "123", np.array([[1, 2, 3]]),
