@@ -18,7 +18,7 @@ are required:
                    {"family": "gaussian_mixture", "weights", "sds"}
     method         solo (default), basad or single
     hypers         overrides of tau0_sq, tau1_sq, tau_sq, q, delta, threshold
-    replications   seeded replications (1)
+    replications   seeded replications, 1 to 100,000 (1)
     seed           base seed; replication r uses seed + r (0)
     sigma_mode     true (default), mad or fixed:<value>; a fixed value, like
                    detect --sigma, must be positive and finite; mad and fixed
@@ -205,6 +205,8 @@ class Experiment:
     edge_fraction: float = 0.05  # also the default of detect --edge-fraction
 
 
+# simulate writes one file per replication and bench holds one task per replication
+_MAX_REPLICATIONS = 100_000
 _CONFIG_KEYS = {f.name for f in fields(Experiment)} - {"rows", "manifest"} | {"hypers", "grid"}
 _HYPER_KEYS = tuple(f.name for f in fields(Hyperparameters))
 # the methods, each with the defaults its hyperparameters start from
@@ -259,8 +261,8 @@ def _parse_experiment(cfg: dict) -> Experiment:
         raise InvalidConfigError("grid takes one swept parameter and a nonempty list of values")
     replications = checked_number(cfg.get("replications", 1), "replications", Integral)
     seed = checked_number(cfg.get("seed", 0), "seed", Integral)
-    if replications < 1 or seed < 0:
-        raise InvalidConfigError("replications must be >= 1 and seed >= 0")
+    if not 1 <= replications <= _MAX_REPLICATIONS or seed < 0:
+        raise InvalidConfigError(f"replications must be 1..{_MAX_REPLICATIONS:,} and seed >= 0")
     if binned:
         binned = tuple(checked_size(binned[k], f"binned.{k}") for k in ("n", "grid"))
         if method == "single":

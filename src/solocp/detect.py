@@ -1,10 +1,11 @@
 """Detection post-processing and the single-change-point locator.
 
-select_changepoints thresholds the per-site inclusion probabilities, merges
-candidates within delta of each other into clusters and keeps one
-representative per cluster, all in one pass over the candidates. Entry i of
-every per-site array belongs to site i + 2, so the arrays cover sites 2..M.
-Also the symmetrized single-change-point location criterion."""
+select_changepoints thresholds the per-site inclusion probabilities, splits
+the candidates into clusters wherever two consecutive ones lie more than delta
+apart and keeps one representative per cluster, with array rules and no loop
+over the candidates. Entry i of every per-site array belongs to site i + 2, so
+the arrays cover sites 2..M. Also the symmetrized single-change-point location
+criterion."""
 from __future__ import annotations
 
 import math
@@ -21,9 +22,9 @@ from .types import (
 
 
 def select_changepoints(probs, scores, hypers: Hyperparameters) -> DetectionResult:
-    """The DetectionResult of probs: candidates, their clusters and one
-    representative per cluster, in one pass over the sites whose probability
-    strictly exceeds hypers.threshold.
+    """The DetectionResult of probs: the candidates, the sites whose
+    probability strictly exceeds hypers.threshold, their clusters and one
+    representative per cluster.
 
     probs[i] and scores[i] belong to site i + 2. A gap greater than
     hypers.delta between consecutive candidates starts a new cluster: on a
@@ -45,19 +46,17 @@ def select_changepoints(probs, scores, hypers: Hyperparameters) -> DetectionResu
     ranking = scores[keep]
     if np.isnan(probs).any() or np.isnan(ranking).any():
         raise NumericOverflowError("inclusion probabilities or candidate scores are NaN")
-    candidates, ranking = (np.flatnonzero(keep) + 2).tolist(), ranking.tolist()
-    clusters, selected = [], []
-    for site, score in zip(candidates, ranking):
-        if clusters and site - clusters[-1][-1] <= hypers.delta:
-            clusters[-1].append(site)
-            if score > best:
-                selected[-1], best = site, score
-        else:
-            clusters.append([site])
-            selected.append(site)
-            best = score
-    clusters = tuple(tuple(c) for c in clusters)
-    return DetectionResult(probs, ChangePointSet(candidates), clusters, ChangePointSet(selected))
+    sites = np.flatnonzero(keep) + 2
+    # clusters open at the first candidate and after each gap wider than delta,
+    # which is never subtracted: a valid delta can exceed int64
+    starts = np.flatnonzero(np.concatenate(([sites.size > 0], np.diff(sites) > hypers.delta)))
+    best = np.maximum.reduceat(ranking, starts).tolist()
+    bounds, sites, ranking = [*starts.tolist(), sites.size], sites.tolist(), ranking.tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    clusters = tuple(tuple(sites[a:b]) for a, b in spans)
+    # index finds the first member that reaches the best score: ties go to the smallest site
+    selected = [sites[ranking.index(top, a, b)] for (a, b), top in zip(spans, best)]
+    return DetectionResult(probs, ChangePointSet(sites), clusters, ChangePointSet(selected))
 
 
 def detect(
@@ -107,8 +106,9 @@ def checked_edge_fraction(edge_fraction) -> float:
 def single_cp_locate(
     series: TimeSeries, hypers: Hyperparameters, edge_fraction: float
 ) -> SingleChangePoint:
-    """Maximize |(mu_{1,j} + mu'_{1,T-j+1}) / 2| over the interior window
-    min(T-j, j) >= edge_fraction * T.
+    """Maximize |(mu_{1,j} + mu'_{1,T-j+1}) / 2| over the sites j in 2..T of
+    the interior window min(T-j, j) >= edge_fraction * T; site 1 is the
+    baseline increment, never a change point.
 
     mu' is the slab posterior-mean surface of the reversed, negated series;
     the averaging restores one-sided discrimination on both flanks of the
@@ -123,13 +123,13 @@ def single_cp_locate(
     mu_fwd = posterior_mean_surface(series, hypers)
     reversed_neg = TimeSeries(-series.values[::-1], series.noise_sd)
     mu_rev = posterior_mean_surface(reversed_neg, hypers)
-    sites = np.arange(1, t + 1)
+    sites = np.arange(2, t + 1)
     window = np.minimum(t - sites, sites) >= edge_fraction * t
     if not window.any():
         raise EmptySearchWindowError(
-            f"no site satisfies min(T-j, j) >= {edge_fraction} * {t}"
+            f"no site in 2..{t} satisfies min(T-j, j) >= {edge_fraction} * {t}"
         )
-    criterion = np.abs(0.5 * (mu_fwd + mu_rev[::-1]))
+    criterion = np.abs(0.5 * (mu_fwd + mu_rev[::-1]))[1:]
     criterion[~window] = -np.inf
     best = criterion.max()
     site = int(sites[criterion >= best][-1])

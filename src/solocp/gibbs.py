@@ -3,8 +3,9 @@
 Block 1 draws the whole increment vector from its Gaussian full conditional
 given the indicators; block 2 draws every indicator independently given its
 increment. Every prior variance is sigma^2-scaled, so the chain runs in
-sigma units and sees the data only through sums / sigma, formed once: scaling
-the data and sigma by a power of two leaves every output bitwise the same.
+sigma units and sees the data only through sums / sigma, formed once and
+checked finite before the first sweep. Scaling the data and sigma by a power
+of two leaves every output bitwise the same.
 The increment draw is done in the cumulative (fitted-level) space, where the
 level precision Q = diag(n) + Delta' diag(w) Delta (Delta the first-difference
 operator, w_t = 1/tau^2_{z_t}) is tridiagonal. types.level_precision builds
@@ -133,7 +134,10 @@ class _Sweeps:
         # a 0-d array: numpy multiplies by it faster than by a scalar
         self.slope = np.asarray(0.5 * (1.0 / hypers.tau0_sq - 1.0 / hypers.tau1_sq))
         self.counts = np.tile(series.counts, (c, 1))
-        self.sums = np.tile(series.sums / series.noise_sd, (c, 1))
+        with np.errstate(over="ignore"):
+            self.sums = np.tile(series.sums / series.noise_sd, (c, 1))
+        if not np.isfinite(self.sums).all():
+            raise NumericOverflowError(f"sums / sigma overflow at sigma={series.noise_sd:.3g}")
         self.weights = np.zeros((c, m))
         self.diag, _, self.build = level_precision(self.counts, self.weights)
         self.root, self.levels, self.delta = (np.empty((c, m)) for _ in range(3))

@@ -145,9 +145,9 @@ def _site_mixture(series: TimeSeries | BinnedSeries, hypers: Hyperparameters, z=
     Raises NumericOverflowError when a log weight is not finite (data too
     large, or sigma too small, for double precision)."""
     info, data = forward_pass(series, hypers, z)
-    b = data / series.noise_sd
     dens, log_ws = [], []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        b = data / series.noise_sd
         for tk in (hypers.tau0_sq, hypers.tau1_sq):
             den = info + 1.0 / tk
             dens.append(den)

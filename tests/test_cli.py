@@ -627,6 +627,24 @@ def test_detect_basad_tiny_sigma_reported_not_silent(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "method_args", [[], ["--method", "basad", "--iterations", "10", "--burn-in", "1"]],
+    ids=["solo", "basad"],
+)
+def test_detect_subnormal_sigma_reported_without_a_warning(tmp_path, method_args):
+    # a fresh process, as a user runs it: y / sigma overflowed with a NumPy
+    # RuntimeWarning on stderr ahead of the error line
+    _write_jump_csv(tmp_path / "jump.csv")
+    proc = subprocess.run(
+        [sys.executable, "-m", "solocp.cli", "detect", "jump.csv", "--sigma", "1e-320",
+         *method_args],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error[NumericOverflowError]"), proc.stderr
+
+
 @pytest.mark.parametrize("tau_sq", ["3e-17", "1e-310"])
 def test_detect_tau_sq_below_double_precision_reported(tmp_path, capsys, tau_sq):
     inp = tmp_path / "jump.csv"
@@ -705,6 +723,8 @@ _MALFORMED_CONFIG = {
     "sigma_fixed_nan": {"sigma_mode": "fixed:nan"},
     "sigma_fixed_infinite": {"sigma_mode": "fixed:inf"},
     "replications_zero": {"replications": 0},
+    # simulate wrote files and bench built its task list until the disk or memory ran out
+    "replications_past_bound": {"replications": 10**12},
     "seed_negative": {"seed": -1},
     "replications": {"replications": "x"},
     "signal": {"signal": {"length": 10}},

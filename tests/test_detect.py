@@ -179,6 +179,40 @@ def test_selection_matches_brute_force(rows, delta, threshold, rank_by_probs):
     )
 
 
+_SPREAD = 400  # sites 2.._SPREAD + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(2, _SPREAD + 1),
+        st.tuples(
+            st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+            st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]),
+        ),
+        max_size=30,
+    ),
+    st.one_of(st.integers(0, 40), st.integers(0, 10**30)),
+    st.sampled_from([0.25, 0.5, 0.9]),
+)
+def test_selection_matches_linkage_closure_at_any_delta(rows, delta, threshold):
+    # sparse sites spread the gaps; delta reaches far past int64, and the coarse
+    # values force ties, +-inf scores and draws with no candidate at all
+    probs, scores = np.zeros(_SPREAD), np.zeros(_SPREAD)
+    for site, (p, score) in rows.items():
+        probs[site - 2], scores[site - 2] = p, score
+    r = select_changepoints(probs, scores, _hypers(delta, threshold))
+    want_c0 = tuple(sorted(s for s, (p, _) in rows.items() if p > threshold))
+    want_clusters = _brute_components(want_c0, delta)
+    want_selected = []
+    for group in want_clusters:
+        best = max(rows[s][1] for s in group)
+        want_selected.append(next(s for s in group if rows[s][1] == best))
+    assert (r.raw_candidates.locations, r.clusters, r.selected.locations) == (
+        want_c0, want_clusters, tuple(want_selected)
+    )
+
+
 def test_khat_monotone_nonincreasing_in_delta():
     rng = np.random.default_rng(0)
     probs = rng.random(58)  # sites 2..59
@@ -281,6 +315,15 @@ def test_single_cp_empty_window():
     ts = TimeSeries(np.array([0.0, 1.0, 2.0]), 1.0)
     with pytest.raises(EmptySearchWindowError):
         single_cp_locate(ts, Hyperparameters.solo_defaults(3), 0.45)
+
+
+@pytest.mark.parametrize("t", [8, 12, 16])
+def test_single_cp_never_returns_the_baseline_site(t):
+    # site 1 is the baseline increment: f_0 is pinned to 0, so the level 10
+    # made it the largest criterion
+    y = 10.0 + 2.0 * (np.arange(1, t + 1) > t / 2)
+    res = single_cp_locate(TimeSeries(y, 0.3), Hyperparameters.solo_defaults(t), 0.05)
+    assert 2 <= res.site <= t
 
 
 def test_detect_basad_smoke():

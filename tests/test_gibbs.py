@@ -338,6 +338,15 @@ def test_basad_nonfinite_scores_raise(step, sigma):
         )
 
 
+@pytest.mark.parametrize("sigma", [1e-320, 5e-324])
+def test_overflowing_sums_raise_before_the_first_block(sigma):
+    # sums / sigma overflowed with a RuntimeWarning, and only the first block's
+    # scores raised
+    y = np.where(np.arange(1, 41) >= 20, 5.0, 0.0)
+    with pytest.raises(NumericOverflowError, match="sums / sigma"):
+        _Sweeps(TimeSeries(y, sigma), Hyperparameters.basad_defaults(40), 1, 1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 1000), binned=st.booleans())
 def test_scaling_data_and_sigma_by_power_of_two_is_bitwise_invariant(seed, k, binned):
