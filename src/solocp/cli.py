@@ -347,9 +347,38 @@ def _aggregate(reports: list[EvalReport], times: list[float]) -> list[str]:
 # ------------------------------------------------------------------ commands
 
 
+@contextlib.contextmanager
+def _output_file(path: str):
+    """path, opened before the work whose output it will hold: in append mode,
+    so nothing is truncated until _emptied, and removed if this call created
+    it and the work fails. A failed run leaves an existing file as it was and
+    no new one; a path that cannot be opened fails before the work starts."""
+    created = not os.path.exists(path)
+    fh = open(path, "a", newline="", encoding="utf-8")
+    with contextlib.ExitStack() as undo:
+        if created:
+            undo.callback(os.remove, path)
+        with fh:
+            yield fh
+        undo.pop_all()
+
+
+def _emptied(fh):
+    """A file from _output_file, truncated for the output it now takes. A
+    pipe cannot be truncated and holds nothing old, and a file that is still
+    empty is not truncated: on some filesystems that costs 30 us."""
+    if fh.seekable() and fh.tell():
+        fh.truncate(0)
+    return fh
+
+
 def cmd_detect(args) -> int:
     if args.probs_csv and args.method == "single":
         raise InvalidConfigError("--probs-csv needs per-site probabilities; single has none")
+    if args.out and args.probs_csv and (
+        os.path.realpath(args.out) == os.path.realpath(args.probs_csv)
+    ):  # the CSV, written last, would replace the report
+        raise InvalidConfigError("--out and --probs-csv name the same file")
     series = read_series_csv(args.input)
     sigma = _fixed_sigma(args.sigma) if args.sigma is not None else estimate_sigma_mad(series)
     if sigma == 0:  # a MAD estimate; a fixed sigma is positive
@@ -379,25 +408,15 @@ def cmd_detect(args) -> int:
             clusters=[list(c) for c in result.clusters],
         )
     text = json.dumps(report, sort_keys=True)
-    # the CSV opens first, in append mode so that nothing is truncated yet, and
-    # is emptied once the report is open: a path that cannot be opened leaves
-    # no report, and the other file as it was
-    new_csv = args.probs_csv and not os.path.exists(args.probs_csv)
-    probs_fh = (open(args.probs_csv, "a", newline="", encoding="utf-8") if args.probs_csv
-                else contextlib.nullcontext())
-    with probs_fh:
-        with contextlib.ExitStack() as undo:  # removes a new CSV if --out fails to open
-            if new_csv:
-                undo.callback(os.remove, args.probs_csv)
-            out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
-            undo.pop_all()
+    # the CSV opens first and is emptied once the report is written: a path
+    # that cannot be opened leaves no report, and the other file as it was
+    with _output_file(args.probs_csv) if args.probs_csv else contextlib.nullcontext() as probs_fh:
+        out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
         with out_fh or contextlib.nullcontext(sys.stdout) as fh:
             fh.write(text + "\n")
-        if args.probs_csv:
-            if probs_fh.seekable():
-                probs_fh.truncate(0)
+        if probs_fh:
             fitted = _fitted_levels(series, report["locations"]).tolist()
-            writer = csv.writer(probs_fh)
+            writer = csv.writer(_emptied(probs_fh))
             writer.writerow(["site", "probability", "fitted_mean"])
             writer.writerow([1, "", repr(fitted[0])])
             rows = enumerate(zip(report["probabilities"], fitted[1:]), start=2)
@@ -453,21 +472,22 @@ def cmd_bench(args) -> int:
     # a fork-started pool forks all its workers at the first submit, so start
     # no more than there are tasks
     workers = min(args.jobs, len(tasks))
-    if workers == 1:  # no pool: importing concurrent.futures costs a fresh process about 25 ms
-        results = list(map(run_replication, *zip(*tasks)))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    # --out opens before the first replication, so an unopenable path costs no run
+    with _output_file(args.out) if args.out else contextlib.nullcontext() as out_fh:
+        if workers == 1:  # no pool: importing concurrent.futures costs a fresh process about 25 ms
+            results = list(map(run_replication, *zip(*tasks)))
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers) as pool:
-            results = list(pool.map(run_replication, *zip(*tasks)))
-    lines = [",".join(["label", *EvalReport.csv_header()])]
-    for k, (label, _) in enumerate(exp.rows):
-        reports, times = zip(*results[k * n : (k + 1) * n])
-        lines.append(",".join([label, *_aggregate(reports, times)]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            with ProcessPoolExecutor(workers) as pool:
+                results = list(pool.map(run_replication, *zip(*tasks)))
+        lines = [",".join(["label", *EvalReport.csv_header()])]
+        for k, (label, _) in enumerate(exp.rows):
+            reports, times = zip(*results[k * n : (k + 1) * n])
+            lines.append(",".join([label, *_aggregate(reports, times)]))
+        text = "\n".join(lines) + "\n"
+        if out_fh:
+            _emptied(out_fh).write(text)
     print(text, end="")
     return 0
 

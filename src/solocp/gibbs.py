@@ -16,7 +16,13 @@ solves Q f = sums / sigma + L D^{1/2} eps (eps standard normal), so one sweep
 is O(M) in two calls (Rue 2001). With U = D^{1/2} L' the upper Cholesky factor
 of Q, Q^{-1} L D^{1/2} = U^{-1}: f is the usual Q^{-1} sums / sigma + U^{-1} eps.
 Both routines come from _lapack, which loads scipy's LAPACK extension without
-importing scipy.linalg.
+importing scipy.linalg. The range guard of this pivot form lives in
+level_precision, for the solo filter and this draw alike: it raises
+NumericOverflowError when eps * max(w) exceeds 1e-3 of the smallest count
+(tau0_sq below about 2.2e-13 at unit counts), where the draw drifts from the
+dense conditional mean. Its first Q is built at the largest precision
+1/tau0_sq, so that one check, before the first block, covers every z a chain
+can visit and no sweep checks again.
 
 One kernel runs C >= 1 chains on the same series. Their level systems are
 stacked into one block-diagonal tridiagonal system of size C*M, whose
@@ -138,7 +144,9 @@ class _Sweeps:
             self.sums = np.tile(series.sums / series.noise_sd, (c, 1))
         if not np.isfinite(self.sums).all():
             raise NumericOverflowError(f"sums / sigma overflow at sigma={series.noise_sd:.3g}")
-        self.weights = np.zeros((c, m))
+        # built first at the largest precision: level_precision's range guard
+        # then covers every z, and the first sweep refactors from z[0] anyway
+        self.weights = np.full((c, m), self.table.min())
         self.diag, _, self.build = level_precision(self.counts, self.weights)
         self.root, self.levels, self.delta = (np.empty((c, m)) for _ in range(3))
         self.carry = np.empty(c * m - 1)

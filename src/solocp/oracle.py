@@ -23,7 +23,7 @@ from .errors import (
 )
 from .types import (
     BinnedSeries, Hyperparameters, TimeSeries, checked_indicators, inclusion_probability,
-    prior_log_odds,
+    noise_variance, prior_log_odds,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -37,20 +37,12 @@ def _expanded_design(counts: np.ndarray) -> np.ndarray:
     return (np.arange(m)[None, :] <= cols[:, None]).astype(float)
 
 
-def _noise_variance(series: TimeSeries | BinnedSeries) -> float:
-    """noise_sd^2; NumericOverflowError where it leaves the float range."""
-    try:
-        return series.noise_sd**2
-    except OverflowError:
-        raise NumericOverflowError(f"noise_sd^2 overflows at {series.noise_sd}") from None
-
-
 def _log_marginal(series: TimeSeries | BinnedSeries, variances: np.ndarray):
     """_gaussian_logpdf_zero_mean of the data under the dense marginal
     covariance sigma^2 (I + X diag(variances) X'), X the expanded design."""
     y, design = series.values, _expanded_design(series.counts)
     with np.errstate(over="ignore"):  # checked before it is factored
-        cov = _noise_variance(series) * (np.eye(y.size) + (design * variances) @ design.T)
+        cov = noise_variance(series) * (np.eye(y.size) + (design * variances) @ design.T)
     return _gaussian_logpdf_zero_mean(y, cov)
 
 
@@ -99,7 +91,7 @@ def oracle_site_posterior(
     if t > max_size:
         raise InvalidConfigError(f"series of {t} observations exceeds oracle cap {max_size}")
     xj = _expanded_design(series.counts)[:, j - 1]
-    s2 = _noise_variance(series)
+    s2 = noise_variance(series)
     mus, xis, logms = [], [], []
     for tau_k in (hypers.tau0_sq, hypers.tau1_sq):
         d = np.full(m, hypers.tau_sq)
@@ -157,7 +149,7 @@ def conditional_deltaf_moments(
     except np.linalg.LinAlgError as exc:
         raise LinearSolveFailureError(str(exc)) from exc
     mean = cov @ (design.T @ y)
-    return mean, _noise_variance(series) * cov
+    return mean, noise_variance(series) * cov
 
 
 def _enumerate(

@@ -50,18 +50,17 @@ Precision: pi_j - w_j and phi_j - w_{j+1} lose about eps * max(w)
 absolutely, and both are at least n_j (solo's phi_j - 1/tau^2 >= 1/(j tau^2)
 does not cancel). Against the scalar recurrences, A_j agrees to about 1e-10
 relative at tau^2 = 1e-6 and a few 1e-6 at 1e-11, and B_j to about 2e-10 of
-|B_j| + sqrt(A_j) at level offsets up to 1e3. As r_j >= n_j exactly,
-forward_pass raises NumericOverflowError when eps * max(w) exceeds 1e-3 of
-the smallest r_j (a tau^2 below about 2e-13 at unit counts) instead of
-returning wrong scalars. The oracle module checks all of it against the
-dense conjugate computation.
+|B_j| + sqrt(A_j) at level offsets up to 1e3. The guard lives in
+types.level_precision, which builds Q for this filter and the Gibbs draw
+alike: as both data parts are at least the smallest count, it raises
+NumericOverflowError when eps * max(w) exceeds 1e-3 of that count (a tau^2
+below about 2.2e-13 at unit counts) instead of returning wrong scalars. The
+oracle module checks all of it against the dense conjugate computation.
 
 Grouped data (n_t > 1 observations per time index) and plain data (n_t = 1)
 share this one path through the series' counts and sums.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -75,11 +74,9 @@ from .types import (
     checked_indicators,
     inclusion_probability,
     level_precision,
+    noise_variance,
     prior_log_odds,
 )
-
-
-_MAX_TAIL_ERROR = 1e-3  # largest tolerated relative rounding error of a tail weight
 
 
 def forward_pass(
@@ -98,9 +95,6 @@ def forward_pass(
         w = np.full(counts.size, 1.0 / float(hypers.tau_sq))
     else:
         w = np.where(checked_indicators(z, counts.size), 1.0 / hypers.tau1_sq, 1.0 / hypers.tau0_sq)
-    w_max = float(w.max())  # a Python float: 2.0 * w_max overflows without a warning
-    if not math.isfinite(2.0 * w_max):
-        raise NumericOverflowError("a prior variance tau^2 is too small: 1/tau^2 overflows")
     diag, off, _ = level_precision(counts, -w)
     phi, e, info_fwd = dpttrf(diag, off)
     pivots, _, info_bwd = dpttrf(diag[::-1], off[::-1])
@@ -111,12 +105,6 @@ def forward_pass(
             f"(LAPACK info {info_fwd}, {info_bwd}, {info_solve})"
         )
     tail_w = pivots[::-1] - w
-    # pi_j - w_j keeps an absolute error of about eps * max(w), and r_j >= n_j exactly
-    if np.finfo(float).eps * w_max > _MAX_TAIL_ERROR * tail_w.min():
-        raise NumericOverflowError(
-            f"tau^2={1.0 / w_max:.3g} is too small for double precision: "
-            "the tail weights cancel"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         c = x[-1]  # Q (c 1) = c counts + c w_1 e_1
         rhs = series.sums - c * counts
@@ -176,9 +164,10 @@ def inclusion_scores(
 def all_site_posteriors(
     series: TimeSeries | BinnedSeries, hypers: Hyperparameters
 ) -> list[PosteriorSiteSummary]:
-    """Full mixture summaries for every site 1..M."""
+    """Full mixture summaries for every site 1..M. Raises NumericOverflowError
+    where noise_sd^2, the numerator of xi, overflows."""
+    s2 = noise_variance(series)
     data, (den0, den1), (lw0, lw1), log_odds = _site_mixture(series, hypers)
-    s2 = series.noise_sd * series.noise_sd
     probs = inclusion_probability(log_odds)
     return [
         PosteriorSiteSummary(

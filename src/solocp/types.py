@@ -21,6 +21,7 @@ from .errors import (
     InvalidHyperparameterError,
     NonFiniteValueError,
     NonPositiveSigmaError,
+    NumericOverflowError,
     TooShortError,
 )
 
@@ -253,6 +254,15 @@ class Hyperparameters:
         return cls(**{**variances, "q": 0.1, "delta": 5 if t > 500 else 2, **overrides})
 
 
+def noise_variance(series: TimeSeries | BinnedSeries) -> float:
+    """noise_sd^2, the one place it is formed (for the solo posterior's xi and
+    the oracle alike); NumericOverflowError where it leaves the float range."""
+    sd = float(series.noise_sd)  # a Python float overflows to inf without a warning
+    if not math.isfinite(sd * sd):
+        raise NumericOverflowError(f"noise_sd^2 overflows at {series.noise_sd}")
+    return sd * sd
+
+
 def prior_log_odds(q: float) -> float:
     """log(q / (1 - q)), the prior log-odds of inclusion; -inf at q = 0 and
     +inf at q = 1."""
@@ -278,6 +288,10 @@ def inclusion_probability(log_odds):
         return np.divide(1.0, out, out=out)
 
 
+# largest tolerated rounding error of a pivot's data part, relative to its count
+_MAX_PIVOT_ERROR = 1e-3
+
+
 def level_precision(counts, neg_weights):
     """(diag, off, build) of the level precision Q = diag(counts) + Delta'
     diag(w) Delta (sigma^2 units; Delta the first differences with f_1 - f_0
@@ -285,7 +299,22 @@ def level_precision(counts, neg_weights):
     = -w. off is the view neg_weights[..., 1:]; diag = counts - neg_weights,
     then diag[..., :-1] -= off, is bitwise the sum with w (x - (-y) is x + y).
     build() forms diag again from what neg_weights then holds, its views bound
-    once: the Gibbs draw calls it per refactor; the solo posterior, never."""
+    once: the Gibbs draw calls it per refactor; the solo posterior, never.
+
+    The one range guard of the pivot form, for both models: the data parts of
+    the pivots (the tail weights r_j = pi_j - w_j and the forward phi_j -
+    w_{j+1}, see the posterior module) lose about eps * max(w) absolutely and
+    are at least the smallest count, so NumericOverflowError is raised when
+    eps * max(w) exceeds 1e-3 of that count (a tau^2 below about 2.2e-13 at
+    unit counts). At any count a series can hold, that also keeps 2 * max(w),
+    and so diag, finite. build() never checks: the Gibbs draw passes its
+    largest precision here first."""
+    w_max = -float(neg_weights.min())
+    if not np.finfo(float).eps * w_max <= _MAX_PIVOT_ERROR * float(counts.min()):
+        raise NumericOverflowError(
+            f"a prior precision 1/tau^2={w_max:.3g} is too large for double precision: "
+            "the pivots of the level precision cancel"
+        )
     diag = np.empty_like(neg_weights)
     head, off, subtract = diag[..., :-1], neg_weights[..., 1:], np.subtract
 

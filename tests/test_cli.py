@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import solocp
+from solocp import NumericOverflowError, cli
 from solocp.cli import (
     _make_dataset,
     build_parser,
@@ -93,6 +94,22 @@ def test_detect_probs_csv_unopenable_emits_no_report(tmp_path, capsys, case):
         assert probs.read_text() == "earlier run\n"
     elif case == "unopenable_out":
         assert not probs.exists()
+
+
+@pytest.mark.parametrize("case", ["same_path", "symlink"])
+def test_detect_out_and_probs_csv_on_one_file_rejected(tmp_path, capsys, case):
+    # the CSV overwrote the report, and the run exited 0; the input is missing
+    # here, so the check runs before it is read
+    report = tmp_path / "r.json"
+    report.write_text("earlier run\n")
+    probs = report
+    if case == "symlink":
+        probs = tmp_path / "link.csv"
+        probs.symlink_to(report)
+    missing = tmp_path / "missing.csv"
+    assert main(["detect", str(missing), "--out", str(report), "--probs-csv", str(probs)]) == 1
+    assert capsys.readouterr().err.startswith("error[InvalidConfigError]")
+    assert report.read_text() == "earlier run\n"
 
 
 def test_detect_three_column_binned_routing(tmp_path, capsys):
@@ -522,6 +539,46 @@ def test_bench_starts_no_more_workers_than_tasks(tmp_path, monkeypatch, reps, gr
     assert len(out.read_text().strip().splitlines()) == 1 + (len(grid["q"]) if grid else 1)
 
 
+def _counting_replications(monkeypatch, fail_at=None):
+    """Patch run_replication to record each call's replication, and to raise
+    NumericOverflowError at replication fail_at."""
+    calls, run = [], cli.run_replication
+
+    def counted(exp, rep, overrides):
+        calls.append(rep)
+        if rep == fail_at:
+            raise NumericOverflowError("a failing replication")
+        return run(exp, rep, overrides)
+
+    monkeypatch.setattr(cli, "run_replication", counted)
+    return calls
+
+
+def test_bench_unopenable_out_runs_no_replication(tmp_path, capsys, monkeypatch):
+    # --out was opened after all 20 replications had run
+    calls = _counting_replications(monkeypatch)
+    cfg = _teeth_config(tmp_path, reps=20)
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "missing" / "bench.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[IO]") and captured.out == ""
+    assert calls == []
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+def test_bench_failing_replication_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, existing):
+    calls = _counting_replications(monkeypatch, fail_at=1)
+    out = tmp_path / "bench.csv"
+    if existing:
+        out.write_bytes(b"label,earlier\r\nrow\n")
+    assert main(["bench", str(_teeth_config(tmp_path, reps=3)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error[NumericOverflowError]")
+    assert calls == [0, 1]
+    if existing:
+        assert out.read_bytes() == b"label,earlier\r\nrow\n"
+    else:
+        assert not out.exists()
+
+
 def test_bench_binned_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -645,15 +702,24 @@ def test_detect_subnormal_sigma_reported_without_a_warning(tmp_path, method_args
     assert proc.stderr.startswith("error[NumericOverflowError]"), proc.stderr
 
 
-@pytest.mark.parametrize("tau_sq", ["3e-17", "1e-310"])
-def test_detect_tau_sq_below_double_precision_reported(tmp_path, capsys, tau_sq):
+@pytest.mark.parametrize("flags", [
+    ["--tau-sq", "3e-17"],
+    ["--tau-sq", "1e-310"],
+    # basad returned a report from level draws far off the dense mean at 1e-16
+    ["--method", "basad", "--tau0-sq", "2e-13"],
+    ["--method", "basad", "--tau0-sq", "1e-16"],
+    ["--method", "basad", "--tau0-sq", "1e-310"],
+], ids=["3e-17", "1e-310", "basad-2e-13", "basad-1e-16", "basad-1e-310"])
+def test_detect_tau_sq_below_double_precision_reported(tmp_path, capsys, flags):
     inp = tmp_path / "jump.csv"
     _write_jump_csv(inp, t=200, jump_at=100)
-    rc = main(["detect", str(inp), "--sigma", "1.0", "--tau-sq", tau_sq])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["detect", str(inp), "--sigma", "1.0", *flags])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error[NumericOverflowError]")
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[NumericOverflowError]") and captured.err.count("\n") == 1
 
 
 def test_detect_overflowing_differences_reported_not_as_sigma(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -347,6 +348,38 @@ def test_overflowing_sums_raise_before_the_first_block(sigma):
         _Sweeps(TimeSeries(y, sigma), Hyperparameters.basad_defaults(40), 1, 1)
 
 
+def _jump_series(m=40):
+    y = np.where(np.arange(1, m + 1) >= 21, 5.0, 0.0) + np.random.default_rng(0).normal(0, 1, m)
+    return TimeSeries(y, 1.0)
+
+
+@pytest.mark.parametrize("tau0_sq", [2e-13, 1e-16, 1e-310])
+def test_spike_variance_below_the_pivot_range_raises_before_the_first_block(
+    monkeypatch, tau0_sq
+):
+    # the level draw given slab sites 1 and 21 drifted from the dense mean
+    # (a jump of 45.4 for 5.11 at 1e-16) before LAPACK failed at 1e-18
+    monkeypatch.setattr(_Sweeps, "run", lambda self, n: pytest.fail("a block ran"))
+    series, h = _jump_series(), Hyperparameters.basad_defaults(40, tau0_sq=tau0_sq)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="too large for double precision"):
+            gibbs_inclusion_probabilities(series, h, GibbsConfig(10, 1))
+        with pytest.raises(NumericOverflowError, match="too large for double precision"):
+            detect(series, h, method="basad", gibbs_config=GibbsConfig(10, 1))
+
+
+def test_level_draw_at_the_smallest_accepted_spike_variance():
+    # tau0_sq = 1e-12 is the accepted end of the range; without noise the
+    # draw is the conditional mean
+    series, h = _jump_series(), Hyperparameters.basad_defaults(40, tau0_sq=1e-12)
+    z = np.zeros(40, dtype=bool)
+    z[[0, 20]] = True
+    mean, _ = conditional_deltaf_moments(series, z, h)
+    (delta,) = _level_draws(series, h, z[None], [np.zeros((1, 40))])
+    assert np.max(np.abs(delta[0] - mean)) <= 1e-5 * np.max(np.abs(mean))
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 1000), binned=st.booleans())
 def test_scaling_data_and_sigma_by_power_of_two_is_bitwise_invariant(seed, k, binned):
@@ -481,3 +514,18 @@ def test_level_precision_matches_the_weights_formula(shape):
     assert got_off.tobytes() == (-weights[..., 1:]).tobytes()
     alone, off, _ = level_precision(counts, -weights)
     assert alone.tobytes() == diag.tobytes() and off.tobytes() == got_off.tobytes()
+
+
+@pytest.mark.parametrize("counts, weight", [
+    ((1.0, 1.0, 1.0), 1e308),  # 2w, a diagonal entry, overflows
+    ((1.0, 1.0, 1.0), np.inf),
+    ((1.0, 1.0, 1.0), 4.6e12),  # eps * w above 1e-3 of the smallest count
+    ((5.0, 1.0, 5.0), 1e13),
+    ((5.0, 5.0, 5.0), 2.3e13),
+])
+def test_level_precision_rejects_weights_beyond_the_pivot_range(counts, weight):
+    # the weights formula test above takes weights up to 1e12 at counts >= 1
+    neg = np.array([-1.0, -weight, -1.0])
+    with pytest.raises(NumericOverflowError, match="too large for double precision"):
+        level_precision(np.array(counts), neg)
+    level_precision(np.full(3, 5.0), np.full(3, -2.2e13))  # eps * w below 1e-3 of 5

@@ -168,6 +168,35 @@ def test_tau_sq_below_double_precision_raises(tau_sq):
             detect(ts, _hyp(1.0 / 200, 200.0, tau_sq))
 
 
+@pytest.mark.parametrize("counts, accepted, rejected", [
+    ((1,) * 40, 2.3e-13, 2.2e-13),
+    ((5, 5, 5, 5), 5e-14, 4e-14),
+    # the smallest count bounds the range, wherever it stands: at the old
+    # guard on the smallest tail weight, this series took 1e-13 and 5e-14
+    ((1, 5, 5, 5), 2.3e-13, 1e-13),
+], ids=["plain", "binned", "binned_small_first"])
+def test_tau_sq_range_is_bounded_by_the_smallest_count(counts, accepted, rejected):
+    rng = np.random.default_rng(13)
+    series = BinnedSeries(tuple(rng.normal(0, 1, n) for n in counts), 1.0)
+    if set(counts) == {1}:
+        series = TimeSeries(series.values, 1.0)
+    forward_pass(series, _hyp(0.1, 10.0, accepted))
+    with pytest.raises(NumericOverflowError, match="too large for double precision"):
+        forward_pass(series, _hyp(0.1, 10.0, rejected))
+
+
+def test_overflowing_noise_variance_raises_in_the_summaries_and_the_oracle():
+    # site 7's xi came back as (inf, inf), beside a finite mu and a
+    # probability of 0.99994, where the oracle raised
+    rng = np.random.default_rng(14)
+    y = 1e160 * (np.repeat([0.0, 4.0], 6) + rng.normal(0, 1, 12))
+    series, h = TimeSeries(y, 1e160), Hyperparameters.solo_defaults(12)
+    for call in (lambda: all_site_posteriors(series, h),
+                 lambda: oracle_site_posterior(series, 7, h)):
+        with pytest.raises(NumericOverflowError, match="noise_sd\\^2 overflows"):
+            call()
+
+
 def test_forward_cache_is_site_independent():
     rng = np.random.default_rng(0)
     ts = TimeSeries(rng.normal(0, 1, 12), 1.0)
