@@ -19,7 +19,7 @@ are required:
     method         solo (default), basad or single
     hypers         overrides of tau0_sq, tau1_sq, tau_sq, q, delta, threshold
     replications   seeded replications, 1 to 100,000 (1)
-    seed           base seed; replication r uses seed + r (0)
+    seed           base seed >= 0; replication r uses seed + r (0)
     sigma_mode     true (default), mad or fixed:<value>; a fixed value, like
                    detect --sigma, must be positive and finite; mad and fixed
                    also work for noise without a finite variance (student_t
@@ -40,7 +40,8 @@ groups a replication can have. A binned replication whose empty cells leave
 fewer groups gets the defaults for that count, so hypers that pass at load can
 still fail in bench; the error names the replication, its seed and its group
 count. Method single takes no binned entry. Integer entries must
-be JSON integers; no number may be a bool. A signal length and binned n and
+be JSON integers in their range (types.checked_integer); no number may be a
+bool. A signal length and binned n and
 grid are sizes, integers from 2 to 2**53 (types.checked_size): past 2**53 the
 positions of sites and of points are no longer exact floats.
 
@@ -58,7 +59,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -75,7 +75,7 @@ from .signals import (
     simulate,
     simulate_binned,
 )
-from .types import BinnedSeries, Hyperparameters, TimeSeries, checked_number, checked_size
+from .types import BinnedSeries, Hyperparameters, TimeSeries, checked_integer, checked_size
 
 _CHAIN_SEED_OFFSET = 1_000_000  # decouple chain randomness from data seeds
 
@@ -259,10 +259,8 @@ def _parse_experiment(cfg: dict) -> Experiment:
         raise InvalidConfigError(f"unknown method {method!r}")
     if len(grid) > 1 or not all(grid.values()):
         raise InvalidConfigError("grid takes one swept parameter and a nonempty list of values")
-    replications = checked_number(cfg.get("replications", 1), "replications", Integral)
-    seed = checked_number(cfg.get("seed", 0), "seed", Integral)
-    if not 1 <= replications <= _MAX_REPLICATIONS or seed < 0:
-        raise InvalidConfigError(f"replications must be 1..{_MAX_REPLICATIONS:,} and seed >= 0")
+    replications = checked_integer(cfg.get("replications", 1), "replications", 1, _MAX_REPLICATIONS)
+    seed = checked_integer(cfg.get("seed", 0), "seed", 0)
     if binned:
         binned = tuple(checked_size(binned[k], f"binned.{k}") for k in ("n", "grid"))
         if method == "single":
@@ -347,18 +345,23 @@ def _aggregate(reports: list[EvalReport], times: list[float]) -> list[str]:
 # ------------------------------------------------------------------ commands
 
 
+def _open_undoably(path: str, mode: str, undo: contextlib.ExitStack):
+    """path opened in mode; undo removes it if this call created it."""
+    created = not os.path.exists(path)
+    fh = open(path, mode, newline="", encoding="utf-8")
+    if created:
+        undo.callback(os.remove, path)
+    return fh
+
+
 @contextlib.contextmanager
 def _output_file(path: str):
     """path, opened before the work whose output it will hold: in append mode,
     so nothing is truncated until _emptied, and removed if this call created
     it and the work fails. A failed run leaves an existing file as it was and
     no new one; a path that cannot be opened fails before the work starts."""
-    created = not os.path.exists(path)
-    fh = open(path, "a", newline="", encoding="utf-8")
     with contextlib.ExitStack() as undo:
-        if created:
-            undo.callback(os.remove, path)
-        with fh:
+        with _open_undoably(path, "a", undo) as fh:
             yield fh
         undo.pop_all()
 
@@ -434,31 +437,42 @@ def _fitted_levels(series, locations) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
+    """Write OUTDIR/rep_<r>.csv per replication, then OUTDIR/manifest.json. A
+    failed run removes the directories and files it created, so a new OUTDIR
+    is gone and an existing one keeps its other files; a file it overwrote
+    stays overwritten."""
     exp = load_experiment_config(args.config)
     entries = []
-    for rep in range(exp.replications):
-        series, truth = _make_dataset(exp, rep)
-        os.makedirs(args.outdir, exist_ok=True)  # a config failing here leaves no OUTDIR
-        name = f"rep_{rep:03d}.csv"
-        path = os.path.join(args.outdir, name)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            ts = range(1, series.values.size + 1)
-            ys = [repr(y) for y in series.values.tolist()]
-            if isinstance(series, TimeSeries):
-                writer.writerow(["t", "y"])
-                writer.writerows(zip(ts, ys))
-            else:
-                writer.writerow(["t", "y", "bin"])
-                group_ids = np.repeat(np.arange(1, series.length + 1), series.counts.astype(int))
-                writer.writerows(zip(ts, ys, group_ids.tolist()))
-        entries.append({"file": name, "seed": exp.seed + rep, "changepoints": list(truth)})
-    manifest = dict(
-        exp.manifest, replications=exp.replications, base_seed=exp.seed, datasets=entries
-    )
-    with open(os.path.join(args.outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with contextlib.ExitStack() as undo:
+        head, missing = os.path.abspath(args.outdir), []
+        while not os.path.exists(head):  # OUTDIR and its missing parents, innermost first
+            missing.append(head)
+            head = os.path.dirname(head)
+        for new in reversed(missing):
+            os.mkdir(new)
+            undo.callback(os.rmdir, new)
+        for rep in range(exp.replications):
+            series, truth = _make_dataset(exp, rep)
+            name = f"rep_{rep:03d}.csv"
+            with _open_undoably(os.path.join(args.outdir, name), "w", undo) as fh:
+                writer = csv.writer(fh)
+                ts = range(1, series.values.size + 1)
+                ys = [repr(y) for y in series.values.tolist()]
+                if isinstance(series, TimeSeries):
+                    writer.writerow(["t", "y"])
+                    writer.writerows(zip(ts, ys))
+                else:
+                    writer.writerow(["t", "y", "bin"])
+                    ids = np.repeat(np.arange(1, series.length + 1), series.counts.astype(int))
+                    writer.writerows(zip(ts, ys, ids.tolist()))
+            entries.append({"file": name, "seed": exp.seed + rep, "changepoints": list(truth)})
+        manifest = dict(
+            exp.manifest, replications=exp.replications, base_seed=exp.seed, datasets=entries
+        )
+        with _open_undoably(os.path.join(args.outdir, "manifest.json"), "w", undo) as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        undo.pop_all()
     print(f"wrote {exp.replications} datasets to {args.outdir}")
     return 0
 

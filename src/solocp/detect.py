@@ -17,7 +17,8 @@ from .errors import EmptySearchWindowError, InvalidConfigError, NumericOverflowE
 from .gibbs import GibbsConfig, gibbs_inclusion_probabilities
 from .posterior import inclusion_scores, posterior_mean_surface
 from .types import (
-    BinnedSeries, ChangePointSet, DetectionResult, Hyperparameters, TimeSeries, checked_number
+    BinnedSeries, ChangePointSet, DetectionResult, Hyperparameters, TimeSeries,
+    checked_float_array, checked_number,
 )
 
 
@@ -33,11 +34,11 @@ def select_changepoints(probs, scores, hypers: Hyperparameters) -> DetectionResu
     on ties. scores are the probabilities or any monotone transform of them
     (the solo path passes log-odds, which rank identically but do not
     saturate when several sites sit at probability 1.0 in double precision).
-    probs must be 1-D and scores of the same shape, else InvalidConfigError;
-    a NaN probability, or a NaN score at a candidate, raises
-    NumericOverflowError.
+    probs and scores must be real numbers, probs 1-D and scores of its
+    shape, else InvalidConfigError; a NaN probability, or a NaN score at a
+    candidate, raises NumericOverflowError.
     """
-    probs, scores = np.asarray(probs, dtype=float), np.asarray(scores, dtype=float)
+    probs, scores = checked_float_array(probs, "probs"), checked_float_array(scores, "scores")
     if probs.ndim != 1 or scores.shape != probs.shape:
         raise InvalidConfigError(
             f"probs must be 1-D and scores the same shape, got {probs.shape} and {scores.shape}"

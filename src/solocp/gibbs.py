@@ -63,39 +63,34 @@ sigma^2 is fixed at series.noise_sd^2 throughout (known-variance treatment).
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._lapack import dpttrf, dpttrs
-from .errors import InvalidConfigError, LinearSolveFailureError, NumericOverflowError
+from .errors import LinearSolveFailureError, NumericOverflowError
 from .types import (
-    BinnedSeries, Hyperparameters, TimeSeries, checked_number, level_precision, prior_log_odds,
+    BinnedSeries, Hyperparameters, TimeSeries, checked_integer, level_precision, prior_log_odds,
 )
 
 
 @dataclass(frozen=True)
 class GibbsConfig:
     """Chain length bookkeeping: total sweeps, sweeps discarded, RNG seed.
-    All three are integers; bools, strings and fractions are rejected."""
+    All three are integers (types.checked_integer): iterations >= 1, burn_in
+    from 0 to iterations - 1 and seed >= 0; bools, strings and fractions are
+    rejected."""
 
     iterations: int = 5000
     burn_in: int = 1000
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("iterations", "burn_in", "seed"):
-            value = checked_number(getattr(self, name), f"gibbs {name}", numbers.Integral)
-            object.__setattr__(self, name, value)
-        if self.iterations < 1:
-            raise InvalidConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0 <= self.burn_in < self.iterations:
-            raise InvalidConfigError(
-                f"burn_in must lie in [0, iterations), got {self.burn_in}"
-            )
-        if self.seed < 0:
-            raise InvalidConfigError("seed must be a nonnegative integer")
+        iterations = checked_integer(self.iterations, "gibbs iterations", 1)
+        burn_in = checked_integer(self.burn_in, "gibbs burn_in", 0, iterations - 1)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "burn_in", burn_in)
+        object.__setattr__(self, "seed", checked_integer(self.seed, "gibbs seed", 0))
 
 
 def _log_odds_intercept(hypers: Hyperparameters) -> float:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySetError
-from .types import checked_locations
+from .types import checked_integer, checked_locations
 
 _HIST_HEADER = ("zero", "one", "two", "ge3")
 
@@ -70,7 +70,9 @@ class EvalReport:
 
 def evaluate_sets(est, truth, domain_length: int) -> EvalReport:
     """Criteria for an estimated set against true locations on a domain of
-    the given length (the signal length, or the group count of binned data)."""
+    the given length (the signal length, or the group count of binned data),
+    an integer >= 1, else InvalidConfigError."""
+    domain_length = checked_integer(domain_length, "domain_length", 1)
     est_arr = _locations(est)
     truth_arr = _locations(truth)
     to_est = _min_distances(truth_arr, est_arr)  # each true point to the nearest estimate

@@ -15,7 +15,8 @@ from .errors import (
     UnknownSignalError,
 )
 from .types import (
-    BinnedSeries, TimeSeries, checked_cells, checked_number, checked_numbers, checked_size
+    BinnedSeries, TimeSeries, checked_cells, checked_integer, checked_number, checked_numbers,
+    checked_size,
 )
 
 
@@ -87,13 +88,10 @@ _BUILTINS = {
 
 
 def builtin_signal(name: str) -> SignalSpec:
-    """Benchmark signal by name: BLOCKS, TEETH, or BLOCKS2."""
-    try:
-        return _BUILTINS[name.upper()]
-    except KeyError:
-        raise UnknownSignalError(
-            f"unknown signal {name!r}; choose from {sorted(_BUILTINS)}"
-        ) from None
+    """Benchmark signal by name: BLOCKS, TEETH, or BLOCKS2, in any case."""
+    if not (isinstance(name, str) and name.upper() in _BUILTINS):
+        raise UnknownSignalError(f"unknown signal {name!r}; choose from {sorted(_BUILTINS)}")
+    return _BUILTINS[name.upper()]
 
 
 # the parameters each noise family reads; student_t's scale defaults to 1
@@ -189,10 +187,13 @@ class NoiseSpec:
 def simulate(
     signal: SignalSpec, noise: NoiseSpec, seed: int, noise_sd: float | None = None
 ) -> TimeSeries:
-    """One replication y_t = f_t + eps_t. noise_sd defaults to the family's
-    analytic standard deviation, which student_t with df <= 2 lacks."""
-    rng = np.random.default_rng(seed)
-    y = signal.values() + noise.draw(rng, signal.length)
+    """One replication y_t = f_t + eps_t, seeded by an integer seed >= 0.
+    noise_sd defaults to the family's analytic standard deviation, which
+    student_t with df <= 2 lacks. A y that overflows raises
+    NonFiniteValueError, from TimeSeries."""
+    rng = np.random.default_rng(checked_integer(seed, "seed", 0))
+    with np.errstate(over="ignore"):  # TimeSeries checks y is finite
+        y = signal.values() + noise.draw(rng, signal.length)
     return TimeSeries(y, noise.std if noise_sd is None else noise_sd)
 
 
@@ -207,12 +208,13 @@ def simulate_binned(
     nonempty left neighbour (leading empties merge right), so the returned
     series can have fewer than `grid` groups; source_bins, an integer array,
     records the surviving original cell indexes (1-based). noise_sd defaults
-    as in simulate.
+    as in simulate, and seed and an overflowing y are checked as there.
     """
     n, grid = checked_size(n, "n"), checked_size(grid, "grid")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_integer(seed, "seed", 0))
     x = np.sort(rng.random(n))
-    y = signal.value_at_fraction(x) + noise.draw(rng, n)
+    with np.errstate(over="ignore"):  # BinnedSeries checks y is finite
+        y = signal.value_at_fraction(x) + noise.draw(rng, n)
     cell = np.minimum((x * grid).astype(int), grid - 1)
     sizes = np.bincount(cell, minlength=grid)  # x is sorted, so each cell's y are consecutive
     kept = np.flatnonzero(sizes)

@@ -40,6 +40,17 @@ def checked_number(value, what: str, kind=numbers.Real):
         raise InvalidConfigError(f"{what} must be {noun} within the float range") from None
 
 
+def checked_integer(value, what: str, low: int, high: int | None = None) -> int:
+    """value as an int from low to high (unbounded above when high is None),
+    else InvalidConfigError; a bool, a string or a fraction is rejected, not
+    converted, as in checked_number."""
+    n = checked_number(value, what, numbers.Integral)
+    if not low <= n <= (n if high is None else high):
+        bounds = f">= {low}" if high is None else f"from {low} to {high:,}"
+        raise InvalidConfigError(f"{what} must be an integer {bounds}, got {n}")
+    return n
+
+
 def checked_size(value, what: str) -> int:
     """value as an int from 2 to 2**53, else InvalidConfigError: past 2**53 the
     positions i / size are no longer exact floats, and numpy fails on such a
@@ -96,23 +107,35 @@ def checked_cells(values, size=None) -> np.ndarray:
     return a
 
 
+def checked_float_array(values, what: str) -> np.ndarray:
+    """values as a float array, without a copy where numpy allows; an entry
+    that does not convert (a string that is not a number, None) raises
+    InvalidConfigError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"{what} must be real numbers") from None
+
+
 def _frozen_array(x, dtype=float) -> np.ndarray:
     a = np.array(x, dtype=dtype)
     a.setflags(write=False)
     return a
 
 
-def _observations(values, noise_sd: float) -> np.ndarray:
+def _observations(values, noise_sd) -> tuple[np.ndarray, float]:
     """The checks every series makes: at least 2 finite observations in one
-    dimension and a positive noise_sd. Returns the values read-only."""
-    v = _frozen_array(values)
+    dimension, each converting to a float, and a positive real noise_sd.
+    Returns the values read-only and noise_sd as a float."""
+    v = _frozen_array(checked_float_array(values, "series values"))
     if v.ndim != 1 or v.size < 2:
         raise TooShortError(f"need at least 2 observations in one dimension, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise NonFiniteValueError("series contains non-finite values")
-    if not (noise_sd > 0 and math.isfinite(noise_sd)):
-        raise NonPositiveSigmaError(f"noise_sd must be positive, got {noise_sd}")
-    return v
+    sd = checked_number(noise_sd, "noise_sd")
+    if not (sd > 0 and math.isfinite(sd)):
+        raise NonPositiveSigmaError(f"noise_sd must be positive, got {sd}")
+    return v, sd
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +153,9 @@ class TimeSeries:
     sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        v = _observations(self.values, self.noise_sd)
+        v, sd = _observations(self.values, self.noise_sd)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "noise_sd", sd)
         object.__setattr__(self, "counts", _frozen_array(np.ones(v.size)))
         object.__setattr__(self, "sums", v)
 
@@ -167,10 +191,13 @@ class BinnedSeries:
     def __post_init__(self):
         values, counts = self.values, self.counts
         if counts is None:  # a sequence of groups
-            groups = tuple(values)
-            values = np.concatenate(groups, dtype=float) if groups else ()
+            try:
+                groups = tuple(values)
+                values = np.concatenate(groups, dtype=float) if groups else ()
+            except (TypeError, ValueError):  # not a sequence of sequences of numbers
+                raise InvalidConfigError("groups must be sequences of real numbers") from None
             counts = [len(g) for g in groups]
-        values = _observations(values, self.noise_sd)
+        values, sd = _observations(values, self.noise_sd)
         counts = _frozen_array(counts)
         if not (
             counts.ndim == 1 and counts.size >= 2 and counts.sum() == values.size
@@ -183,9 +210,14 @@ class BinnedSeries:
             cells = checked_cells(self.source_bins, counts.size)
             object.__setattr__(self, "source_bins", _frozen_array(cells, None))
         starts = np.concatenate(([0], counts[:-1].cumsum())).astype(np.intp)
+        with np.errstate(over="ignore"):  # checked next
+            sums = _frozen_array(np.add.reduceat(values, starts))
+        if not np.isfinite(sums).all():
+            raise NumericOverflowError("group sums overflow; rescale the data")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "noise_sd", sd)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "sums", _frozen_array(np.add.reduceat(values, starts)))
+        object.__setattr__(self, "sums", sums)
 
     @property
     def length(self) -> int:
@@ -235,15 +267,17 @@ class Hyperparameters:
     @classmethod
     def solo_defaults(cls, length: int, **overrides) -> "Hyperparameters":
         """Benchmark defaults: tau0_sq=1/T, tau1_sq=T, q=0.1, threshold=0.5;
-        (tau_sq, delta) = (2/sqrt(T), 5) for T > 500, else (2/T, 2)."""
-        t = int(length)
+        (tau_sq, delta) = (2/sqrt(T), 5) for T > 500, else (2/T, 2). length is
+        a size (checked_size), as in the series it is for."""
+        t = checked_size(length, "length")
         tau_sq = 2.0 / math.sqrt(t) if t > 500 else 2.0 / t
         return cls._defaults(t, overrides, tau0_sq=1.0 / t, tau1_sq=float(t), tau_sq=tau_sq)
 
     @classmethod
     def basad_defaults(cls, length: int, **overrides) -> "Hyperparameters":
-        """Joint-model defaults: tau0_sq=1/(10T), tau1_sq=log T (scaled units)."""
-        t = int(length)
+        """Joint-model defaults: tau0_sq=1/(10T), tau1_sq=log T (scaled units);
+        length as in solo_defaults."""
+        t = checked_size(length, "length")
         return cls._defaults(
             t, overrides, tau0_sq=1.0 / (10.0 * t), tau1_sq=math.log(t), tau_sq=2.0 / t
         )

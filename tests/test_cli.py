@@ -807,6 +807,10 @@ _MALFORMED_CONFIG = {
     "binned_grid_string": {"binned": {"n": 100, "grid": "20"}},
     "gibbs_iterations_bool": {"method": "basad", "gibbs": {"iterations": True, "burn_in": 0}},
     "gibbs_burn_in_fraction": {"method": "basad", "gibbs": {"iterations": 20, "burn_in": 2.5}},
+    "gibbs_iterations_zero": {"method": "basad", "gibbs": {"iterations": 0, "burn_in": 0}},
+    "gibbs_burn_in_not_below_iterations": {
+        "method": "basad", "gibbs": {"iterations": 20, "burn_in": 20}
+    },
     "signal_length_fraction": {"signal": {"length": 10.5, "changepoints": [], "levels": [0.0]}},
     "changepoint_fraction": {
         "signal": {"length": 60, "changepoints": [20.7, 40], "levels": [0.0, 1.0, 0.0]}
@@ -894,6 +898,78 @@ def test_simulate_failing_first_replication_leaves_no_outdir(tmp_path, capsys, e
     assert main(["simulate", str(_teeth_config(tmp_path, reps=1, extra=extra)), str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error[")
     assert not outdir.exists()
+
+
+# TEETH on 2 points in 2 cells: replication 0 has two groups, replication 1
+# (seed 1) only one, so simulate fails after writing rep_000.csv
+_FAILS_AT_REPLICATION_1 = {"binned": {"n": 2, "grid": 2}}
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["outdir", "outdir_and_parent"])
+def test_simulate_failing_later_replication_removes_the_new_outdir(tmp_path, capsys, nested):
+    outdir = tmp_path / "new" / "out" if nested else tmp_path / "out"
+    cfg = _teeth_config(tmp_path, reps=5, extra=_FAILS_AT_REPLICATION_1)
+    assert main(["simulate", str(cfg), str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("error[TooShortError]")
+    assert list(tmp_path.iterdir()) == [cfg]
+    # replication 0 alone succeeds, so the failed run had written its file
+    cfg = _teeth_config(tmp_path, reps=1, extra=_FAILS_AT_REPLICATION_1)
+    assert main(["simulate", str(cfg), str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json", "rep_000.csv"]
+
+
+def test_simulate_failing_later_replication_keeps_an_existing_outdir(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    before = {"notes.txt": "kept", "manifest.json": "{}\n", "rep_009.csv": "t,y\n"}
+    for name, text in before.items():
+        (outdir / name).write_text(text)
+    cfg = _teeth_config(tmp_path, reps=5, extra=_FAILS_AT_REPLICATION_1)
+    assert main(["simulate", str(cfg), str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("error[TooShortError]")
+    assert {p.name: p.read_text() for p in outdir.iterdir()} == before
+
+
+# simulated draws past the float range; each raised a NumPy overflow warning first
+_OVERFLOWING_DRAWS = {
+    "student_t": {"noise": {"family": "student_t", "df": 3, "scale": 1e308}},
+    "mixture": {"noise": {"family": "gaussian_mixture", "weights": [1.0], "sds": [1e308]}},
+    "mixture_second_sd": {
+        "noise": {"family": "gaussian_mixture", "weights": [0.5, 0.5], "sds": [1.0, 1e308]}
+    },
+    "level_and_sd": {
+        "signal": {"length": 10, "changepoints": [5], "levels": [0.0, 1.7e308]},
+        "noise": {"family": "gaussian", "sd": 1e308},
+    },
+    "level_and_sd_binned": {
+        "signal": {"length": 10, "changepoints": [5], "levels": [0.0, 1.7e308]},
+        "noise": {"family": "gaussian", "sd": 1e308},
+        "binned": {"n": 100, "grid": 10},
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+@pytest.mark.parametrize("case", _OVERFLOWING_DRAWS)
+def test_overflowing_draws_reported_in_one_line(tmp_path, capsys, command, case):
+    cfg = _teeth_config(tmp_path, reps=1, extra=_OVERFLOWING_DRAWS[case])
+    args = [command, str(cfg)] + ([str(tmp_path / "out")] if command == "simulate" else [])
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[NonFiniteValueError]: series contains non-finite values\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method", ["solo", "basad"])
+def test_detect_overflowing_group_sums_reported_in_one_line(tmp_path, capsys, method):
+    # solo named the site scalars and basad sums / sigma, after a NumPy warning
+    inp = tmp_path / "huge.csv"
+    inp.write_text("t,y,bin\n1,1.7e308,1\n2,1.7e308,1\n3,0,2\n4,1,2\n5,0.5,3\n6,2,3\n7,1,4\n")
+    assert main(["detect", str(inp), "--sigma", "1", "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[NumericOverflowError]: group sums overflow; rescale the data\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Every error the library raises is a SolocpError, so the CLI reports it
 with its error[...] prefix: a static check over the raise statements of
-src/solocp, and == and hash of every exported dataclass."""
+src/solocp, a table of public calls on malformed input, and == and hash of
+every exported dataclass."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -9,7 +10,10 @@ import numpy as np
 import pytest
 
 import solocp
-from solocp import errors
+from solocp import (
+    BinnedSeries, Hyperparameters, TimeSeries, errors, evaluate_sets, select_changepoints
+)
+from solocp.signals import NoiseSpec, SignalSpec, builtin_signal, simulate, simulate_binned
 
 LIBRARY_ERRORS = {
     name
@@ -66,6 +70,66 @@ def test_the_check_sees_every_raise():
     assert list(_raises(tree)) == [
         ("<module>", "ValueError", 1), ("inner", "ParseError", 5), ("m", "<re-raise>", 6)
     ]
+
+
+_TEETH, _GAUSS = builtin_signal("TEETH"), NoiseSpec.gaussian(1.0)
+_HUGE_STEP = SignalSpec(10, (5,), (0.0, 1.7e308))
+_CONFIG, _OVERFLOW, _NONFINITE = (
+    errors.InvalidConfigError, errors.NumericOverflowError, errors.NonFiniteValueError
+)
+# public calls on malformed input, each with the library error it raises; the
+# suite turns any RuntimeWarning into a failure, so none may warn on the way
+_MALFORMED_CALLS = {
+    # integer ranges, owned by types.checked_integer and checked_size
+    "simulate_seed_negative": (lambda: simulate(_TEETH, _GAUSS, -1), _CONFIG),
+    "simulate_seed_fraction": (lambda: simulate(_TEETH, _GAUSS, 1.5), _CONFIG),
+    "simulate_seed_bool": (lambda: simulate(_TEETH, _GAUSS, True), _CONFIG),
+    "simulate_binned_seed_negative": (lambda: simulate_binned(_TEETH, _GAUSS, 100, 20, -1),
+                                      _CONFIG),
+    "solo_defaults_fraction": (lambda: Hyperparameters.solo_defaults(2.7), _CONFIG),
+    "solo_defaults_string": (lambda: Hyperparameters.solo_defaults("x"), _CONFIG),
+    "solo_defaults_zero": (lambda: Hyperparameters.solo_defaults(0), _CONFIG),
+    "basad_defaults_one": (lambda: Hyperparameters.basad_defaults(1), _CONFIG),
+    "evaluate_sets_domain_negative": (lambda: evaluate_sets([], [3], -5), _CONFIG),
+    "evaluate_sets_domain_string": (lambda: evaluate_sets([], [3], "x"), _CONFIG),
+    # sums and simulated draws past the float range
+    "group_sums_overflow": (
+        lambda: BinnedSeries(np.array([1.7e308, 1.7e308, 0, 1.0]), 1.0, counts=[2, 2]), _OVERFLOW
+    ),
+    "student_t_scale_overflow": (lambda: simulate(_TEETH, NoiseSpec.student_t(3, 1e308), 0),
+                                 _NONFINITE),
+    "mixture_sd_overflow": (lambda: simulate(_TEETH, NoiseSpec.mixture([1.0], [1e308]), 0),
+                            _NONFINITE),
+    "mixture_second_sd_overflow": (
+        lambda: simulate(_TEETH, NoiseSpec.mixture([0.5, 0.5], [1.0, 1e308]), 0), _NONFINITE
+    ),
+    "level_plus_noise_overflow": (
+        lambda: simulate(_HUGE_STEP, NoiseSpec.gaussian(1e308), 0), _NONFINITE
+    ),
+    "binned_level_plus_noise_overflow": (
+        lambda: simulate_binned(_HUGE_STEP, NoiseSpec.gaussian(1e308), 100, 10, 0), _NONFINITE
+    ),
+    # series inputs, signal names and selection inputs
+    "series_values_strings": (lambda: TimeSeries(["a", "b"], 1.0), _CONFIG),
+    "series_noise_sd_string": (lambda: TimeSeries([1.0, 2.0], "1"), _CONFIG),
+    "series_noise_sd_bool": (lambda: TimeSeries([1.0, 2.0], True), _CONFIG),
+    "binned_group_strings": (lambda: BinnedSeries([[1.0], ["a"]], 1.0), _CONFIG),
+    "binned_flat_strings": (lambda: BinnedSeries(["a", "b"], 1.0, counts=[1, 1]), _CONFIG),
+    "binned_noise_sd_bool": (lambda: BinnedSeries([[1.0], [2.0]], True), _CONFIG),
+    "builtin_signal_not_a_string": (lambda: builtin_signal(3), errors.UnknownSignalError),
+    "select_changepoints_strings": (
+        lambda: select_changepoints(["a"], ["b"], Hyperparameters.solo_defaults(8)), _CONFIG
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_CALLS)
+def test_malformed_public_calls_raise_library_errors(case):
+    # the dynamic side of test_src_raises_only_library_errors, which sees
+    # only raise statements, not what numpy or Python raise or warn
+    call, error = _MALFORMED_CALLS[case]
+    with pytest.raises(error):
+        call()
 
 
 _SERIES = np.array([0.0, 0.1, -0.2, 0.1, 3.0, 3.2, 2.9, 3.1])

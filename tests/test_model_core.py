@@ -21,7 +21,7 @@ from solocp import (
 )
 from solocp.posterior import all_site_posteriors
 from solocp.types import (
-    checked_indicators, checked_size, inclusion_probability, prior_log_odds
+    checked_indicators, checked_integer, checked_size, inclusion_probability, prior_log_odds
 )
 
 
@@ -182,6 +182,32 @@ def test_checked_size_rejects_other_values(value):
     # past 2**53 numpy fails on the size with ValueError or OverflowError
     with pytest.raises(InvalidConfigError, match="^grid must be an integer"):
         checked_size(value, "grid")
+
+
+@pytest.mark.parametrize(
+    "value, low, high", [(0, 0, None), (10**30, 0, None), (np.int64(5), 1, 5), (1, 1, 1)]
+)
+def test_checked_integer_accepts_integers_in_the_range(value, low, high):
+    n = checked_integer(value, "seed", low, high)
+    assert n == value and type(n) is int
+
+
+@pytest.mark.parametrize("value, high, message", [
+    (-1, None, "seed must be an integer >= 0, got -1"),
+    (100_001, 100_000, "seed must be an integer from 0 to 100,000, got 100001"),
+    (True, None, "seed must be an integer, got True"),
+    (2.0, None, "seed must be an integer, got 2.0"),
+    ("3", None, "seed must be an integer, got '3'"),
+])
+def test_checked_integer_rejects_other_values(value, high, message):
+    with pytest.raises(InvalidConfigError) as info:
+        checked_integer(value, "seed", 0, high)
+    assert str(info.value) == message
+
+
+def test_noise_sd_is_kept_as_a_float():
+    assert type(TimeSeries([1.0, 2.0], 1).noise_sd) is float
+    assert type(BinnedSeries([[1.0], [2.0]], np.float32(0.5)).noise_sd) is float
 
 
 @pytest.mark.parametrize(
