@@ -345,23 +345,17 @@ def _aggregate(reports: list[EvalReport], times: list[float]) -> list[str]:
 # ------------------------------------------------------------------ commands
 
 
-def _open_undoably(path: str, mode: str, undo: contextlib.ExitStack):
-    """path opened in mode; undo removes it if this call created it."""
-    created = not os.path.exists(path)
-    fh = open(path, mode, newline="", encoding="utf-8")
-    if created:
-        undo.callback(os.remove, path)
-    return fh
-
-
 @contextlib.contextmanager
 def _output_file(path: str):
     """path, opened before the work whose output it will hold: in append mode,
     so nothing is truncated until _emptied, and removed if this call created
     it and the work fails. A failed run leaves an existing file as it was and
     no new one; a path that cannot be opened fails before the work starts."""
+    created = not os.path.exists(path)
     with contextlib.ExitStack() as undo:
-        with _open_undoably(path, "a", undo) as fh:
+        with open(path, "a", newline="", encoding="utf-8") as fh:
+            if created:
+                undo.callback(os.remove, path)
             yield fh
         undo.pop_all()
 
@@ -437,10 +431,12 @@ def _fitted_levels(series, locations) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    """Write OUTDIR/rep_<r>.csv per replication, then OUTDIR/manifest.json. A
-    failed run removes the directories and files it created, so a new OUTDIR
-    is gone and an existing one keeps its other files; a file it overwrote
-    stays overwritten."""
+    """Write OUTDIR/rep_<r>.csv per replication, then OUTDIR/manifest.json.
+    Every file is written into a temporary directory inside OUTDIR and moved
+    into place, the manifest last, once all are written. A failed run removes
+    the directories it created and leaves an existing OUTDIR as it was."""
+    import tempfile  # detect and bench never load it
+
     exp = load_experiment_config(args.config)
     entries = []
     with contextlib.ExitStack() as undo:
@@ -451,27 +447,31 @@ def cmd_simulate(args) -> int:
         for new in reversed(missing):
             os.mkdir(new)
             undo.callback(os.rmdir, new)
-        for rep in range(exp.replications):
-            series, truth = _make_dataset(exp, rep)
-            name = f"rep_{rep:03d}.csv"
-            with _open_undoably(os.path.join(args.outdir, name), "w", undo) as fh:
-                writer = csv.writer(fh)
-                ts = range(1, series.values.size + 1)
-                ys = [repr(y) for y in series.values.tolist()]
-                if isinstance(series, TimeSeries):
-                    writer.writerow(["t", "y"])
-                    writer.writerows(zip(ts, ys))
-                else:
-                    writer.writerow(["t", "y", "bin"])
-                    ids = np.repeat(np.arange(1, series.length + 1), series.counts.astype(int))
-                    writer.writerows(zip(ts, ys, ids.tolist()))
-            entries.append({"file": name, "seed": exp.seed + rep, "changepoints": list(truth)})
-        manifest = dict(
-            exp.manifest, replications=exp.replications, base_seed=exp.seed, datasets=entries
-        )
-        with _open_undoably(os.path.join(args.outdir, "manifest.json"), "w", undo) as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with tempfile.TemporaryDirectory(dir=args.outdir) as staging:
+            for rep in range(exp.replications):
+                series, truth = _make_dataset(exp, rep)
+                name = f"rep_{rep:03d}.csv"
+                with open(os.path.join(staging, name), "w", newline="", encoding="utf-8") as fh:
+                    writer = csv.writer(fh)
+                    ts = range(1, series.values.size + 1)
+                    ys = [repr(y) for y in series.values.tolist()]
+                    if isinstance(series, TimeSeries):
+                        writer.writerow(["t", "y"])
+                        writer.writerows(zip(ts, ys))
+                    else:
+                        writer.writerow(["t", "y", "bin"])
+                        ids = np.repeat(np.arange(1, series.length + 1), series.counts.astype(int))
+                        writer.writerows(zip(ts, ys, ids.tolist()))
+                entries.append({"file": name, "seed": exp.seed + rep, "changepoints": list(truth)})
+            manifest = dict(
+                exp.manifest, replications=exp.replications, base_seed=exp.seed, datasets=entries
+            )
+            with open(os.path.join(staging, "manifest.json"), "w", newline="",
+                      encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            for name in [*(e["file"] for e in entries), "manifest.json"]:
+                os.replace(os.path.join(staging, name), os.path.join(args.outdir, name))
         undo.pop_all()
     print(f"wrote {exp.replications} datasets to {args.outdir}")
     return 0
@@ -481,11 +481,9 @@ def cmd_bench(args) -> int:
     exp = load_experiment_config(args.config)
     n = exp.replications  # tasks are row-major, as map returns them
     tasks = [(exp, rep, hypers) for _, hypers in exp.rows for rep in range(n)]
-    if args.jobs < 1:
-        raise InvalidConfigError(f"jobs must be >= 1, got {args.jobs}")
     # a fork-started pool forks all its workers at the first submit, so start
     # no more than there are tasks
-    workers = min(args.jobs, len(tasks))
+    workers = min(checked_integer(args.jobs, "jobs", 1), len(tasks))
     # --out opens before the first replication, so an unopenable path costs no run
     with _output_file(args.out) if args.out else contextlib.nullcontext() as out_fh:
         if workers == 1:  # no pool: importing concurrent.futures costs a fresh process about 25 ms

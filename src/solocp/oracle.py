@@ -22,8 +22,8 @@ from .errors import (
     SingularCovarianceError,
 )
 from .types import (
-    BinnedSeries, Hyperparameters, TimeSeries, checked_indicators, inclusion_probability,
-    noise_variance, prior_log_odds,
+    BinnedSeries, Hyperparameters, TimeSeries, checked_indicators, checked_integer,
+    inclusion_probability, noise_variance, prior_log_odds,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -82,13 +82,13 @@ def oracle_site_posterior(
 ) -> OracleResult:
     """Single-site model posterior at site j by dense Gaussian conditioning.
 
-    Cost is O(T^3) per spike/slab component; a site outside 1..M or a series
-    longer than max_size observations raises InvalidConfigError.
+    Cost is O(T^3) per spike/slab component; a site that is not an integer
+    in 1..M, a max_size that is not an integer >= 1, or a series longer than
+    max_size observations raises InvalidConfigError.
     """
     m, t = series.length, series.values.size
-    if not 1 <= j <= m:
-        raise InvalidConfigError(f"site {j} outside 1..{m}")
-    if t > max_size:
+    j = checked_integer(j, "site", 1, m)
+    if t > checked_integer(max_size, "max_size", 1):
         raise InvalidConfigError(f"series of {t} observations exceeds oracle cap {max_size}")
     xj = _expanded_design(series.counts)[:, j - 1]
     s2 = noise_variance(series)
@@ -122,11 +122,12 @@ def oracle_joint_marginal(
     """log marginal likelihood of the joint model under indicator vector z.
 
     z has one entry per time index; entry t selects the slab (1) or spike (0)
-    variance for increment t. A z that is not one 0 or 1 per time index or a
-    series longer than max_size observations raises InvalidConfigError.
+    variance for increment t. A z that is not one 0 or 1 per time index, a
+    max_size that is not an integer >= 1, or a series longer than max_size
+    observations raises InvalidConfigError.
     """
     z, t = checked_indicators(z, series.length), series.values.size
-    if t > max_size:
+    if t > checked_integer(max_size, "max_size", 1):
         raise InvalidConfigError(f"series of {t} observations exceeds cap {max_size}")
     return _log_marginal(series, np.where(z, hypers.tau1_sq, hypers.tau0_sq))[0]
 
@@ -157,9 +158,10 @@ def _enumerate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All 2^M indicator vectors, one row each, and their normalized joint-model
     posterior weights. Raises EmptySetError when q in {0, 1} leaves a single
-    configuration, InvalidConfigError when M exceeds max_sites."""
+    configuration, InvalidConfigError when M exceeds max_sites or max_sites
+    is not an integer >= 1."""
     m = series.length
-    if m > max_sites:
+    if m > checked_integer(max_sites, "max_sites", 1):
         raise InvalidConfigError(f"{m} sites would enumerate 2^{m} configurations")
     if not 0.0 < hypers.q < 1.0:
         raise EmptySetError("degenerate q leaves a single configuration")

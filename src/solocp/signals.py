@@ -15,8 +15,8 @@ from .errors import (
     UnknownSignalError,
 )
 from .types import (
-    BinnedSeries, TimeSeries, checked_cells, checked_integer, checked_number, checked_numbers,
-    checked_size,
+    BinnedSeries, TimeSeries, checked_cells, checked_float_array, checked_integer, checked_number,
+    checked_numbers, checked_size,
 )
 
 
@@ -53,9 +53,10 @@ class SignalSpec:
         return self.value_at_fraction(np.arange(self.length) / self.length)
 
     def value_at_fraction(self, x: np.ndarray) -> np.ndarray:
-        """Signal level at positions x in [0, 1), a nondecreasing 1-D array without
-        NaN (else InvalidConfigError); segment eta begins at (eta - 1) / length."""
-        x = np.asarray(x, dtype=float)
+        """Signal level at positions x in [0, 1), a nondecreasing 1-D array of
+        real numbers without NaN (else InvalidConfigError); segment eta begins
+        at (eta - 1) / length."""
+        x = checked_float_array(x, "positions")
         if x.ndim != 1 or np.isnan(x).any() or (x[1:] < x[:-1]).any():
             raise InvalidConfigError("positions must be a nondecreasing 1-D array without NaN")
         bounds = (np.asarray(self.changepoints, dtype=float) - 1.0) / self.length

@@ -193,12 +193,12 @@ class BinnedSeries:
         if counts is None:  # a sequence of groups
             try:
                 groups = tuple(values)
-                values = np.concatenate(groups, dtype=float) if groups else ()
-            except (TypeError, ValueError):  # not a sequence of sequences of numbers
+                values = np.concatenate(groups) if groups else ()  # _observations converts
+            except (TypeError, ValueError):  # not a sequence of sequences
                 raise InvalidConfigError("groups must be sequences of real numbers") from None
             counts = [len(g) for g in groups]
         values, sd = _observations(values, self.noise_sd)
-        counts = _frozen_array(counts)
+        counts = _frozen_array(checked_float_array(counts, "group sizes"))
         if not (
             counts.ndim == 1 and counts.size >= 2 and counts.sum() == values.size
             and counts.min() >= 1 and np.array_equal(counts, np.floor(counts))

@@ -579,6 +579,23 @@ def test_bench_failing_replication_leaves_out_as_it_was(tmp_path, capsys, monkey
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bench --out", "detect --probs-csv"])
+def test_output_replaces_a_longer_existing_file(tmp_path, capsys, command):
+    # outputs open in append mode before the work, so an old file is
+    # truncated only once the new output is ready
+    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    old.write_bytes(b"earlier run, longer than the new output\n" * 1000)
+    for path in (fresh, old):
+        if command == "bench --out":
+            assert main(["bench", str(_teeth_config(tmp_path, reps=1)), "--out", str(path)]) == 0
+            fresh.write_text(capsys.readouterr().out)  # time_s differs between runs
+        else:
+            inp = tmp_path / "jump.csv"
+            _write_jump_csv(inp)
+            assert main(["detect", str(inp), "--sigma", "1", "--probs-csv", str(path)]) == 0
+    assert old.read_bytes() == fresh.read_bytes()
+
+
 def test_bench_binned_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -919,15 +936,29 @@ def test_simulate_failing_later_replication_removes_the_new_outdir(tmp_path, cap
 
 
 def test_simulate_failing_later_replication_keeps_an_existing_outdir(tmp_path, capsys):
+    # replication 0 overwrote rep_000.csv before replication 1 failed, so the
+    # old manifest described the new data
     outdir = tmp_path / "out"
     outdir.mkdir()
-    before = {"notes.txt": "kept", "manifest.json": "{}\n", "rep_009.csv": "t,y\n"}
+    before = {"notes.txt": "kept", "manifest.json": "{}\n", "rep_009.csv": "t,y\n",
+              "rep_000.csv": "old"}
     for name, text in before.items():
         (outdir / name).write_text(text)
     cfg = _teeth_config(tmp_path, reps=5, extra=_FAILS_AT_REPLICATION_1)
     assert main(["simulate", str(cfg), str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error[TooShortError]")
     assert {p.name: p.read_text() for p in outdir.iterdir()} == before
+
+
+def test_simulate_into_a_regular_file_simulates_nothing(tmp_path, capsys, monkeypatch):
+    # OUTDIR was found not to be a directory only when replication 0 was written
+    calls, make = [], cli._make_dataset
+    monkeypatch.setattr(cli, "_make_dataset", lambda exp, rep: calls.append(rep) or make(exp, rep))
+    outdir = tmp_path / "out"
+    outdir.write_text("a file")
+    assert main(["simulate", str(_teeth_config(tmp_path, reps=2)), str(outdir)]) == 2
+    assert capsys.readouterr().err.startswith("error[IO]")
+    assert calls == [] and outdir.read_text() == "a file"
 
 
 # simulated draws past the float range; each raised a NumPy overflow warning first

@@ -4,6 +4,8 @@ src/solocp, a table of public calls on malformed input, and == and hash of
 every exported dataclass."""
 import ast
 import dataclasses
+import functools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,10 @@ import pytest
 
 import solocp
 from solocp import (
-    BinnedSeries, Hyperparameters, TimeSeries, errors, evaluate_sets, select_changepoints
+    BinnedSeries, Hyperparameters, TimeSeries, errors, evaluate_sets, oracle_joint_marginal,
+    oracle_site_posterior, select_changepoints,
 )
+from solocp.oracle import enumerate_inclusion_probabilities, exact_z_posterior
 from solocp.signals import NoiseSpec, SignalSpec, builtin_signal, simulate, simulate_binned
 
 LIBRARY_ERRORS = {
@@ -123,13 +127,48 @@ _MALFORMED_CALLS = {
 }
 
 
+_VALUES = {
+    "string": "a", "fraction": 2.5, "bool": True, "negative": -1, "none": None,
+    "nan": float("nan"), "nested": [[1]], "object": object(), "huge": 10**30,
+}
+_CAPS = {name: v for name, v in _VALUES.items() if name != "huge"}  # 10**30 is a valid cap
+_SMALL, _H_SMALL = TimeSeries([0.1, -0.2, 1.9, 2.2], 1.0), Hyperparameters.solo_defaults(4)
+# arguments owned by types.checked_integer (site, caps) and checked_float_array
+# (group sizes, positions), each with the malformed values it takes; before
+# those owners, a bool site was taken as site 1, a nan cap disabled the cap
+# and the rest raised NumPy's or Python's own errors
+_MALFORMED_ARGUMENTS = {
+    "oracle_site": (lambda v: oracle_site_posterior(_SMALL, v, _H_SMALL), _VALUES),
+    "oracle_site_max_size": (
+        lambda v: oracle_site_posterior(_SMALL, 2, _H_SMALL, max_size=v), _CAPS
+    ),
+    "oracle_joint_max_size": (
+        lambda v: oracle_joint_marginal(_SMALL, [0, 1, 0, 0], _H_SMALL, max_size=v), _CAPS
+    ),
+    "enumerate_max_sites": (
+        lambda v: enumerate_inclusion_probabilities(_SMALL, _H_SMALL, max_sites=v), _CAPS
+    ),
+    "exact_z_max_sites": (lambda v: exact_z_posterior(_SMALL, _H_SMALL, max_sites=v), _CAPS),
+    "binned_group_sizes": (lambda v: BinnedSeries([1.0, 2.0, 3.0], 1.0, counts=v),
+                           {"strings": ["a", "b"], "object": object()}),
+    "signal_positions": (_TEETH.value_at_fraction, {"strings": ["a"], "object": object()}),
+}
+_MALFORMED_CALLS.update(
+    (f"{arg}_{name}", (functools.partial(call, value), _CONFIG))
+    for arg, (call, values) in _MALFORMED_ARGUMENTS.items() for name, value in values.items()
+)
+
+
 @pytest.mark.parametrize("case", _MALFORMED_CALLS)
 def test_malformed_public_calls_raise_library_errors(case):
     # the dynamic side of test_src_raises_only_library_errors, which sees
     # only raise statements, not what numpy or Python raise or warn
     call, error = _MALFORMED_CALLS[case]
-    with pytest.raises(error):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
+
 
 
 _SERIES = np.array([0.0, 0.1, -0.2, 0.1, 3.0, 3.2, 2.9, 3.1])

@@ -104,6 +104,10 @@ def test_flat_and_group_forms_agree(sizes, seed, s):
     assert bs.values.tobytes() == np.concatenate(groups).tobytes()
     assert np.array_equal(bs.counts, [g.size for g in groups])
     _same_series(bs, BinnedSeries(flat, s, counts=sizes))
+    # numeric strings parse alike in both forms, as in TimeSeries
+    texts = [[repr(v) for v in g.tolist()] for g in groups]
+    _same_series(bs, BinnedSeries(texts, s))
+    _same_series(bs, BinnedSeries(sum(texts, []), s, counts=sizes))
     wider = replace(bs, noise_sd=2 * s)
     assert wider.noise_sd == 2 * s
     _same_series(wider, bs)

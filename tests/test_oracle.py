@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import scipy.linalg
 from scipy.stats import multivariate_normal
 
 from solocp import (
-    BinnedSeries, Hyperparameters, TimeSeries, oracle, oracle_joint_marginal,
-    oracle_site_posterior,
+    BinnedSeries, GibbsConfig, Hyperparameters, TimeSeries, gibbs_inclusion_probabilities,
+    oracle, oracle_joint_marginal, oracle_site_posterior,
 )
-from solocp.errors import InvalidConfigError, NumericOverflowError, SingularCovarianceError
+from solocp.errors import (
+    EmptySetError, InvalidConfigError, NumericOverflowError, SingularCovarianceError,
+)
 from solocp.oracle import enumerate_inclusion_probabilities, exact_z_posterior
 
 
@@ -76,6 +79,22 @@ def test_enumeration_normalizes_and_marginals_agree():
         direct = sum(p for z, p in post.items() if z[j] == 1)
         assert marg[j] == pytest.approx(direct, abs=1e-12)
     assert np.all((marg >= 0) & (marg <= 1))
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_degenerate_q_fixes_every_indicator(q):
+    # a q of 0 or 1 leaves one configuration: the marginals are q itself,
+    # as the sampler finds, and there is no posterior over configurations
+    ts = TimeSeries(np.random.default_rng(5).normal(0, 1, 6), 1.0)
+    h = _hyp(0.02, 4.0, q=q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        marg = enumerate_inclusion_probabilities(ts, h)
+        np.testing.assert_array_equal(marg, np.full(6, q))
+        gibbs = gibbs_inclusion_probabilities(ts, h, GibbsConfig(50, 10))
+        np.testing.assert_array_equal(marg, gibbs)
+        with pytest.raises(EmptySetError):
+            exact_z_posterior(ts, h)
 
 
 def test_size_caps():
