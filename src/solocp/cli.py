@@ -38,8 +38,7 @@ with a grid hypers plus one grid value, never hypers alone) by Hyperparameters
 with the defaults at the signal length, or if binned at min(n, grid), the most
 groups a replication can have. A binned replication whose empty cells leave
 fewer groups gets the defaults for that count, so hypers that pass at load can
-still fail in bench; the error names the replication, its seed and its group
-count. Method single takes no binned entry. Integer entries must
+still fail in bench. Method single takes no binned entry. Integer entries must
 be JSON integers in their range (types.checked_integer); no number may be a
 bool. A signal length and binned n and
 grid are sizes, integers from 2 to 2**53 (types.checked_size): past 2**53 the
@@ -47,6 +46,11 @@ positions of sites and of points are no longer exact floats.
 
 The detect report is one line of JSON with sorted keys.
 Every library error or failed allocation exits nonzero with an "error[<Type>]:" prefix.
+A library error inside a replication of simulate or bench names it, as
+"replication r (seed s): ..." before its series exists and "replication r
+(seed s, M groups): ..." after; with more than one bench row, the row comes
+first: "replication r (row L, seed s, M groups): ...". With --jobs above 1,
+bench reports the first failing replication in row-major order, as with one.
 """
 from __future__ import annotations
 
@@ -63,7 +67,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .detect import checked_edge_fraction, detect, single_cp_locate
-from .errors import InvalidConfigError, InvalidHyperparameterError, ParseError, SolocpError
+from .errors import InvalidConfigError, ParseError, SolocpError
 from .gibbs import GibbsConfig
 from .metrics import EvalReport, evaluate_sets
 from .signals import (
@@ -292,40 +296,52 @@ def _parse_experiment(cfg: dict) -> Experiment:
 # -------------------------------------------------------------- replications
 
 
-def _make_dataset(exp: Experiment, rep: int):
+@contextlib.contextmanager
+def _replication(exp: Experiment, rep: int, label: str | None = None):
     """Replication rep's series, with the sigma rule applied, and its true
-    change points. Only rule "true" reads the noise family's sd; "mad"
-    simulates with a placeholder 1.0 and replaces it by the estimate."""
-    mode = exp.sigma_mode
+    change points, for the block that uses them. Only rule "true" reads the
+    noise family's sd; "mad" simulates with a placeholder 1.0 and replaces it
+    by the estimate.
+
+    A SolocpError raised here or in the block is re-raised as the same object,
+    its message prefixed with "replication r (row L, seed s, M groups): ": the
+    row label if the config has more than one row, the group count once the
+    series exists."""
+    mode, series = exp.sigma_mode, None
     sd = None if mode == "true" else 1.0 if mode == "mad" else mode
-    if exp.binned:
-        n, grid = exp.binned
-        series = simulate_binned(exp.signal, exp.noise, n, grid, exp.seed + rep, sd)
-        truth = map_changepoints_to_bins(exp.signal, grid, series.source_bins)
-    else:
-        series = simulate(exp.signal, exp.noise, exp.seed + rep, sd)
-        truth = exp.signal.changepoints
-    if mode == "mad":
-        series = replace(series, noise_sd=estimate_sigma_mad(series))
-    return series, truth
+    try:
+        if exp.binned:
+            n, grid = exp.binned
+            series = simulate_binned(exp.signal, exp.noise, n, grid, exp.seed + rep, sd)
+            truth = map_changepoints_to_bins(exp.signal, grid, series.source_bins)
+        else:
+            series = simulate(exp.signal, exp.noise, exp.seed + rep, sd)
+            truth = exp.signal.changepoints
+        if mode == "mad":
+            series = replace(series, noise_sd=estimate_sigma_mad(series))
+        yield series, truth
+    except SolocpError as exc:
+        row = f"row {label}, " if label is not None and len(exp.rows) > 1 else ""
+        groups = "" if series is None else f", {series.length} groups"
+        exc.args = (f"replication {rep} ({row}seed {exp.seed + rep}{groups}): {exc}",)
+        raise
 
 
-def run_replication(exp: Experiment, rep: int, overrides: dict) -> tuple[EvalReport, float]:
-    """simulate -> detect -> evaluate for one seeded replication of one bench row."""
-    series, truth = _make_dataset(exp, rep)
-    try:  # the loader checked the overrides at the most groups a binned replication can have
+def run_replication(exp: Experiment, rep: int, row: tuple[str, dict]) -> tuple[EvalReport, float]:
+    """simulate -> detect -> evaluate for one seeded replication of one bench
+    row, (label, hyperparameter overrides)."""
+    label, overrides = row
+    with _replication(exp, rep, label) as (series, truth):
+        # the loader checked the overrides at the most groups a binned replication can have
         hypers = _METHOD_DEFAULTS[exp.method](series.length, **overrides)
-    except InvalidHyperparameterError as exc:
-        raise InvalidHyperparameterError(
-            f"replication {rep} (seed {exp.seed + rep}, {series.length} groups): {exc}") from None
-    start = time.perf_counter()
-    if exp.method == "single":
-        est = [single_cp_locate(series, hypers, exp.edge_fraction).site]
-    else:
-        gibbs_cfg = replace(exp.gibbs, seed=exp.gibbs.seed + rep)
-        est = detect(series, hypers, method=exp.method, gibbs_config=gibbs_cfg).selected
-    elapsed = time.perf_counter() - start
-    return evaluate_sets(est, truth, series.length), elapsed
+        start = time.perf_counter()
+        if exp.method == "single":
+            est = [single_cp_locate(series, hypers, exp.edge_fraction).site]
+        else:
+            gibbs_cfg = replace(exp.gibbs, seed=exp.gibbs.seed + rep)
+            est = detect(series, hypers, method=exp.method, gibbs_config=gibbs_cfg).selected
+        elapsed = time.perf_counter() - start
+        return evaluate_sets(est, truth, series.length), elapsed
 
 
 def _column_nanmeans(a: np.ndarray) -> list[float]:
@@ -449,9 +465,11 @@ def cmd_simulate(args) -> int:
             undo.callback(os.rmdir, new)
         with tempfile.TemporaryDirectory(dir=args.outdir) as staging:
             for rep in range(exp.replications):
-                series, truth = _make_dataset(exp, rep)
                 name = f"rep_{rep:03d}.csv"
-                with open(os.path.join(staging, name), "w", newline="", encoding="utf-8") as fh:
+                with (
+                    _replication(exp, rep) as (series, truth),
+                    open(os.path.join(staging, name), "w", newline="", encoding="utf-8") as fh,
+                ):
                     writer = csv.writer(fh)
                     ts = range(1, series.values.size + 1)
                     ys = [repr(y) for y in series.values.tolist()]
@@ -480,7 +498,7 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     exp = load_experiment_config(args.config)
     n = exp.replications  # tasks are row-major, as map returns them
-    tasks = [(exp, rep, hypers) for _, hypers in exp.rows for rep in range(n)]
+    tasks = [(exp, rep, row) for row in exp.rows for rep in range(n)]
     # a fork-started pool forks all its workers at the first submit, so start
     # no more than there are tasks
     workers = min(checked_integer(args.jobs, "jobs", 1), len(tasks))

@@ -14,7 +14,7 @@ import pytest
 import solocp
 from solocp import NumericOverflowError, cli
 from solocp.cli import (
-    _make_dataset,
+    _replication,
     build_parser,
     load_experiment_config,
     main,
@@ -544,11 +544,11 @@ def _counting_replications(monkeypatch, fail_at=None):
     NumericOverflowError at replication fail_at."""
     calls, run = [], cli.run_replication
 
-    def counted(exp, rep, overrides):
+    def counted(exp, rep, row):
         calls.append(rep)
         if rep == fail_at:
             raise NumericOverflowError("a failing replication")
-        return run(exp, rep, overrides)
+        return run(exp, rep, row)
 
     monkeypatch.setattr(cli, "run_replication", counted)
     return calls
@@ -633,6 +633,80 @@ def test_bench_replication_defaults_failure_names_the_replication(tmp_path, caps
     )
 
 
+# configs that fail in one replication, each with the one line that names it:
+# in simulation, before the series exists (replication 1 has a single group);
+# in the second grid row's hyperparameters (as in the test above); and in
+# detect, once the series exists
+_NAMED_FAILURES = {
+    "simulation": (
+        {"signal": "TEETH", "noise": {"family": "gaussian", "sd": 0.4},
+         "binned": {"n": 2, "grid": 2}, "replications": 5},
+        "error[TooShortError]: replication 1 (seed 1): "
+        "need at least 2 groups of whole sizes >= 1 adding up to 2\n",
+    ),
+    "grid_row": (
+        {"signal": "BLOCKS", "noise": {"family": "gaussian", "sd": 1.0},
+         "binned": {"n": 60, "grid": 400}, "grid": {"tau1_sq": [1.0, 0.0175]},
+         "replications": 3},
+        "error[InvalidHyperparameterError]: replication 1 (row solo-tau1_sq0.0175, seed 1, "
+        "56 groups): tau1_sq must be >= tau0_sq\n",
+    ),
+    "detect": (
+        {"signal": {"length": 10, "changepoints": [5], "levels": [0.0, 1.7e308]},
+         "noise": {"family": "gaussian", "sd": 1.0}, "replications": 2},
+        "error[NumericOverflowError]: replication 0 (seed 0, 10 groups): "
+        "site scalars A/B are not finite; rescale the data\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", _NAMED_FAILURES)
+def test_bench_failure_names_its_replication(tmp_path, capsys, case, jobs):
+    config, line = _NAMED_FAILURES[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["bench", str(cfg), "--jobs", jobs]) == 1
+    assert capsys.readouterr() == ("", line)
+
+
+def test_simulate_failure_names_its_replication(tmp_path, capsys):
+    config, line = _NAMED_FAILURES["simulation"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "rep_000.csv").write_text("old")
+    assert main(["simulate", str(cfg), str(outdir)]) == 1
+    assert capsys.readouterr() == ("", line)
+    assert {p.name: p.read_text() for p in outdir.iterdir()} == {"rep_000.csv": "old"}
+
+
+@pytest.mark.parametrize(
+    "error, prefix",
+    [
+        (NumericOverflowError, "replication 2 (seed 2, 140 groups): "),
+        (MemoryError, ""),
+        (OSError, ""),
+    ],
+    ids=["library", "memory", "os"],
+)
+def test_replication_failure_is_the_raised_object(tmp_path, monkeypatch, error, prefix):
+    # a library error's message is prefixed in place: its type, the object and
+    # its traceback stay the original's; other errors pass unchanged
+    raised = error("a failing detect")
+
+    def failing(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(cli, "detect", failing)
+    exp = load_experiment_config(str(_teeth_config(tmp_path, reps=3)))
+    with pytest.raises(error) as info:
+        run_replication(exp, 2, exp.rows[0])
+    assert info.value is raised and str(raised) == prefix + "a failing detect"
+    assert info.traceback[-1].name == "failing"
+
+
 def test_bench_single_method_row(tmp_path):
     cfg = _teeth_config(tmp_path, reps=2, extra={"method": "single"})
     out = tmp_path / "bench.csv"
@@ -667,7 +741,8 @@ def test_infinite_variance_noise_runs_with_an_estimated_sigma(tmp_path, df, sigm
     out = tmp_path / "bench.csv"
     assert main(["bench", str(cfg), "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 2
-    series, _ = _make_dataset(load_experiment_config(str(cfg)), 1)
+    with _replication(load_experiment_config(str(cfg)), 1) as (series, _):
+        pass
     want = estimate_sigma_mad(series) if sigma_mode == "mad" else 0.3
     assert series.noise_sd == want
 
@@ -678,7 +753,10 @@ def test_infinite_variance_noise_with_true_sigma_rejected(tmp_path, capsys, comm
     args = [command, str(cfg)] + ([str(tmp_path / "data")] if command == "simulate" else [])
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error[InvalidConfigError]: student_t with df=2.0 has no finite variance")
+    assert err.startswith(
+        "error[InvalidConfigError]: replication 0 (seed 0): "
+        "student_t with df=2.0 has no finite variance"
+    )
 
 
 def test_detect_nonfinite_scores_reported_not_silent(tmp_path, capsys):
@@ -952,8 +1030,8 @@ def test_simulate_failing_later_replication_keeps_an_existing_outdir(tmp_path, c
 
 def test_simulate_into_a_regular_file_simulates_nothing(tmp_path, capsys, monkeypatch):
     # OUTDIR was found not to be a directory only when replication 0 was written
-    calls, make = [], cli._make_dataset
-    monkeypatch.setattr(cli, "_make_dataset", lambda exp, rep: calls.append(rep) or make(exp, rep))
+    calls, run = [], cli.simulate
+    monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args) or run(*args))
     outdir = tmp_path / "out"
     outdir.write_text("a file")
     assert main(["simulate", str(_teeth_config(tmp_path, reps=2)), str(outdir)]) == 2
@@ -988,7 +1066,9 @@ def test_overflowing_draws_reported_in_one_line(tmp_path, capsys, command, case)
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error[NonFiniteValueError]: series contains non-finite values\n"
+    assert captured.err == (
+        "error[NonFiniteValueError]: replication 0 (seed 0): series contains non-finite values\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -1075,7 +1155,7 @@ def test_binned_bench_means_skip_replications_without_detections(tmp_path, capsy
         assert main(["bench", str(cfg), "--jobs", "1"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     exp = load_experiment_config(str(cfg))
-    reports = [run_replication(exp, rep, exp.rows[0][1])[0] for rep in range(6)]
+    reports = [run_replication(exp, rep, exp.rows[0])[0] for rep in range(6)]
     found = [r.hist_est for r in reports if not np.isnan(r.hist_est).any()]
     assert 0 < len(found) < 6
     assert rows[0][5:9] == [f"{c:.6g}" for c in np.mean(found, axis=0)]

@@ -33,23 +33,30 @@ ALLOWED = {
 }
 
 
-def _raises(node, scope="<module>"):
-    """(enclosing function, raised class name, line) for each raise under node;
-    a bare re-raise names no class and is reported as "<re-raise>"."""
+def _class_name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", ast.unparse(node))
+
+
+def _raises(node, scope="<module>", handled=("<re-raise>",)):
+    """(enclosing function, raised class name, line) for each raise under node.
+    A bare re-raise is reported as the class its handler catches, once per
+    class of a tuple, and as "<re-raise>" outside any handler; a function
+    body starts outside any handler."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield from _raises(child, child.name)
             continue
+        if isinstance(child, ast.ExceptHandler):
+            caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+            # a bare except: catches BaseException
+            names = tuple("BaseException" if c is None else _class_name(c) for c in caught)
+            yield from _raises(child, scope, names)
+            continue
         if isinstance(child, ast.Raise):
             exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-            if exc is None:
-                name = "<re-raise>"
-            elif isinstance(exc, ast.Attribute):
-                name = exc.attr
-            else:
-                name = getattr(exc, "id", ast.unparse(exc))
-            yield scope, name, child.lineno
-        yield from _raises(child, scope)
+            for name in handled if exc is None else [_class_name(exc)]:
+                yield scope, name, child.lineno
+        yield from _raises(child, scope, handled)
 
 
 def test_src_raises_only_library_errors():
@@ -73,6 +80,22 @@ def test_the_check_sees_every_raise():
     )
     assert list(_raises(tree)) == [
         ("<module>", "ValueError", 1), ("inner", "ParseError", 5), ("m", "<re-raise>", 6)
+    ]
+    # a bare re-raise is reported as the class its handler catches
+    tree = ast.parse(
+        "try:\n"
+        "    pass\n"
+        "except errors.ParseError:\n"
+        "    raise\n"
+        "try:\n"
+        "    pass\n"
+        "except (errors.ParseError, ValueError):\n"
+        "    raise\n"
+        "raise\n"
+    )
+    assert list(_raises(tree)) == [
+        ("<module>", "ParseError", 4), ("<module>", "ParseError", 8),
+        ("<module>", "ValueError", 8), ("<module>", "<re-raise>", 9),
     ]
 
 
